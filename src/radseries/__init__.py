@@ -5,7 +5,7 @@ three-way split, and scanning of coprime triples a + b = c against the
 criterion c < R(c)^(S/T)  =>  a + b < R(abc)^2.
 """
 
-from .abcscan import AbcRecord, Theorem2Report, decompositions, scan, verify_theorem2
+from .abcscan import AbcBatch, AbcRecord, Theorem2Report, decompositions, scan, verify_theorem2
 from .errors import (
     InvalidArgumentError,
     InvalidParamsError,
@@ -42,6 +42,7 @@ from .stkernel import StResult, s_function, s_general, st_ratio, t_function, t_g
 __version__ = "0.1.0"
 
 __all__ = [
+    "AbcBatch",
     "AbcRecord",
     "BUILTIN_SPECS",
     "Classification",

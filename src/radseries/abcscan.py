@@ -6,8 +6,17 @@ case where phi(c)/2 is not an integer and where R(ab) = 1 breaks the
 radical-product chain.  For every c >= 3 the unordered coprime pairs
 number exactly phi(c)/2.
 
+The scan is columnar.  ``scan`` yields ``AbcBatch`` column batches of
+numpy arrays, at most ``BATCH_PAIRS`` candidate pairs each, in ascending
+c and then ascending a; ``batch.records()`` turns a batch into
+``AbcRecord`` rows.  ``verify_theorem2(scan(...))`` reduces the batches
+with numpy and builds records only for counterexamples and top-quality
+candidates.  ``decompositions`` returns the coprime pairs of one c as a
+(k, 2) array from the same coprime-pair kernel.
+
 The conclusion test is exact integer arithmetic: c < rad_abc^2 is
-evaluated as rad_abc > isqrt(c), immune to overflow and rounding.  The
+evaluated as rad(a)*rad(b) > isqrt(c) // rad(c), which needs no product
+beyond c^2/4 and so stays exact in int64 for every c below 6e9.  The
 hypothesis test reuses the committed interval classification, so a c is
 only flagged hypothesis-true when the entire S/T enclosure certifies
 c < R(c)^(S/T).  A scan never proves the implication; it hunts for
@@ -20,7 +29,6 @@ import heapq
 import math
 import random
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -28,9 +36,17 @@ import numpy as np
 from .errors import OutOfRangeError
 from .identity import Classification, classify_interval
 from .primes import PrimeTable
-from .radical import FactorSieve, radical_range
+from .radical import FactorSieve, factorize, radical_range
 from .series import Params
 from .stkernel import st_ratio
+
+# Candidate pairs (before the coprimality filter) per AbcBatch: bounds peak
+# memory independently of c_max.
+BATCH_PAIRS = 1 << 16
+
+# rad(a)*rad(b)*rad(c) <= c^3 fits int64 up to here; above it rad_abc is a
+# column of exact Python ints.
+_INT64_RAD_ABC_CMAX = 2_000_000
 
 
 class AbcRecord(NamedTuple):
@@ -41,6 +57,30 @@ class AbcRecord(NamedTuple):
     hypothesis_holds: bool   # c < R(c)^(S/T), committed over the S/T enclosure
     conclusion_holds: bool   # c < rad_abc^2, exact integer comparison
     quality: float           # ln(c) / ln(rad_abc)
+
+
+class AbcBatch(NamedTuple):
+    """Equal-length columns of consecutive AbcRecords.
+
+    ``rad_abc`` is int64, or object (Python ints) when the scan's c_max
+    exceeds the int64-safe range.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    rad_abc: np.ndarray
+    hypothesis: np.ndarray   # bool
+    conclusion: np.ndarray   # bool
+    quality: np.ndarray      # float64
+
+    def take(self, rows) -> AbcBatch:
+        """The sub-batch selected by an index array, mask or slice."""
+        return AbcBatch(*(col[rows] for col in self))
+
+    def records(self) -> Iterator[AbcRecord]:
+        """The rows as AbcRecords of Python scalars, in batch order."""
+        return map(AbcRecord._make, zip(*(col.tolist() for col in self)))
 
 
 @dataclass
@@ -58,15 +98,66 @@ class Theorem2Report:
         return len(self.counterexamples or [])
 
 
-def decompositions(sieve: FactorSieve, c: int) -> list[tuple[int, int]]:
-    """All unordered pairs {a, b} with a <= b, a + b = c, gcd(a, b) = 1."""
+def _prime_divisors(sieve: FactorSieve, c: int) -> list[int]:
+    return [p for p, _ in factorize(sieve, c)]
+
+
+def _coprime_a(primes: list[int], a_lo: int, a_hi: int) -> np.ndarray:
+    """The a in [a_lo, a_hi) divisible by none of ``primes``, ascending, int64.
+
+    With the prime divisors of c these are the a with gcd(a, c) = 1: one
+    strided clear per prime instead of a gcd per candidate.
+    """
+    keep = np.ones(a_hi - a_lo, dtype=bool)
+    for p in primes:
+        keep[-a_lo % p :: p] = False
+    return a_lo + np.flatnonzero(keep)
+
+
+def decompositions(sieve: FactorSieve, c: int) -> np.ndarray:
+    """All unordered pairs {a, b} with a <= b, a + b = c, gcd(a, b) = 1.
+
+    A (k, 2) int64 array of rows (a, b), ascending in a.
+    """
     if c < 3:
         raise OutOfRangeError(f"c={c} must be >= 3 (phi(2)/2 is not a pair count)")
     sieve.check_range(c)
-    a = np.arange(1, c // 2 + 1, dtype=np.int64)
-    coprime = np.gcd(a, c) == 1
-    a_sel = a[coprime]
-    return [(int(x), int(c - x)) for x in a_sel]
+    a = _coprime_a(_prime_divisors(sieve, c), 1, c // 2 + 1)
+    return np.column_stack((a, c - a))
+
+
+class _PerC(NamedTuple):
+    """What every row of one c shares."""
+
+    c: int
+    hypothesis: bool
+    ln_c: float
+    isqrt_c: int
+
+
+# (per-c values, prime divisors of c, a_lo, a_hi): the candidates a_lo <= a < a_hi of c
+_Segment = tuple[_PerC, list[int], int, int]
+
+
+def _batch(rad: np.ndarray, segments: list[_Segment], exact_objects: bool) -> AbcBatch:
+    """The coprime rows of each segment, in segment order."""
+    a_parts = [_coprime_a(primes, a_lo, a_hi) for _, primes, a_lo, a_hi in segments]
+    counts = [len(part) for part in a_parts]
+    c, hypothesis, ln_c, isqrt_c = (
+        np.repeat(col, counts) for col in zip(*(per_c for per_c, *_ in segments))
+    )
+    a = np.concatenate(a_parts)
+    b = c - a
+    rad_ab = rad[a] * rad[b]
+    rad_c = rad[c]
+    conclusion = rad_ab > isqrt_c // rad_c
+    if exact_objects:
+        rad_abc = rad_ab.astype(object) * rad_c.astype(object)
+        ln_rad = np.fromiter(map(math.log, rad_abc), dtype=np.float64, count=len(rad_abc))
+    else:
+        rad_abc = rad_ab * rad_c
+        ln_rad = np.log(rad_abc.astype(np.float64))
+    return AbcBatch(a, b, c, rad_abc, hypothesis, conclusion, ln_c / ln_rad)
 
 
 def scan(
@@ -80,80 +171,86 @@ def scan(
     seed: int = 0,
     threads: int = 1,
     progress=None,
-) -> Iterator[AbcRecord]:
-    """Stream AbcRecords for every coprime decomposition of 3 <= c <= c_max.
+) -> Iterator[AbcBatch]:
+    """Stream AbcBatches covering every coprime decomposition of 3 <= c <= c_max.
 
-    Records are emitted in ascending c, then ascending a.  ``sample`` draws
-    that many c values uniformly without replacement instead of scanning
-    all of them (the full scan is quadratic in c_max); order is still
-    ascending.  ``progress`` is an optional callback invoked with (c, c_max).
+    Rows run in ascending c, then ascending a; a batch holds the coprime
+    rows of at most BATCH_PAIRS candidate pairs and may end inside one c.
+    ``sample`` draws that many c values uniformly without replacement
+    instead of scanning all of them (the full scan is quadratic in c_max);
+    order is still ascending.  ``progress`` is an optional callback invoked
+    once per c with (c, c_max), before any row of that c is yielded.
     """
     if c_max < 3 or c_max > sieve.limit:
         raise OutOfRangeError(f"c_max={c_max} outside sieve range [3, {sieve.limit}]")
     st = st_ratio(primes, params, prime_limit, threads=threads)
     low, high = st.ratio_interval
     rad = radical_range(sieve, c_max)
+    exact_objects = c_max > _INT64_RAD_ABC_CMAX
 
     c_values: Iterable[int] = range(3, c_max + 1)
     if sample is not None and sample < c_max - 2:
         rng = random.Random(seed)
         c_values = sorted(rng.sample(range(3, c_max + 1), sample))
 
-    # rad(a)*rad(b)*rad(c) <= c^3 must fit int64 for the vectorized product
-    vector_safe = c_max <= 2_000_000
-
+    segments: list[_Segment] = []
+    room = BATCH_PAIRS
     for c in c_values:
         if progress is not None:
             progress(c, c_max)
         hypothesis = classify_interval(sieve, c, low, high) is Classification.BELOW
-        isqrt_c = math.isqrt(c)
-        ln_c = math.log(c)
-        a = np.arange(1, c // 2 + 1, dtype=np.int64)
-        a = a[np.gcd(a, c) == 1]
-        b = c - a
-        if vector_safe:
-            rad_abc = rad[a] * rad[b] * int(rad[c])
-            conclusion = rad_abc > isqrt_c
-            quality = ln_c / np.log(rad_abc.astype(np.float64))
-            yield from map(AbcRecord._make, zip(
-                a.tolist(), b.tolist(), repeat(c), rad_abc.tolist(),
-                repeat(hypothesis), conclusion.tolist(), quality.tolist(),
-            ))
-        else:
-            rc = int(rad[c])
-            for x, y in zip(a.tolist(), b.tolist()):
-                r = int(rad[x]) * int(rad[y]) * rc
-                yield AbcRecord(x, y, c, r, hypothesis, r > isqrt_c, ln_c / math.log(r))
+        per_c = _PerC(c, hypothesis, math.log(c), math.isqrt(c))
+        primes_of_c = _prime_divisors(sieve, c)
+        a_lo, a_end = 1, c // 2 + 1
+        while a_lo < a_end:
+            a_hi = min(a_end, a_lo + room)
+            segments.append((per_c, primes_of_c, a_lo, a_hi))
+            room -= a_hi - a_lo
+            a_lo = a_hi
+            if room == 0:
+                yield _batch(rad, segments, exact_objects)
+                segments, room = [], BATCH_PAIRS
+    if segments:
+        yield _batch(rad, segments, exact_objects)
 
 
-def verify_theorem2(records: Iterable[AbcRecord], *, keep_top: int = 10) -> Theorem2Report:
-    """Check hypothesis => conclusion on every record; collect statistics.
+def verify_theorem2(batches: Iterable[AbcBatch], *, keep_top: int = 10) -> Theorem2Report:
+    """Check hypothesis => conclusion on every row; collect statistics.
 
     Counterexamples are collected, not raised.  ``top_quality`` ranks the
-    records with the smallest conclusion margin (highest quality).
+    rows with the smallest conclusion margin (highest quality); among equal
+    qualities the later row ranks first.
     """
     report = Theorem2Report(counterexamples=[])
     heap: list[tuple[float, int, AbcRecord]] = []
     tie = 0
     best: float | None = None
-    for rec in records:
-        report.records_seen += 1
-        if rec.conclusion_holds:
-            report.conclusion_true += 1
-        if rec.hypothesis_holds:
-            report.hypothesis_true += 1
-            if not rec.conclusion_holds:
-                report.counterexamples.append(rec)
-            if best is None or rec.quality > best:
-                best = rec.quality
-        else:
-            report.hypothesis_false += 1
-        if len(heap) < keep_top:
+    for batch in batches:
+        n = len(batch.quality)
+        hyp_true = int(np.count_nonzero(batch.hypothesis))
+        report.records_seen += n
+        report.conclusion_true += int(np.count_nonzero(batch.conclusion))
+        report.hypothesis_true += hyp_true
+        report.hypothesis_false += n - hyp_true
+        report.counterexamples.extend(batch.take(batch.hypothesis & ~batch.conclusion).records())
+        if hyp_true:
+            q = float(batch.quality[batch.hypothesis].max())
+            if best is None or q > best:
+                best = q
+
+        # Top-k in row order: fill the heap, then replay only the rows that
+        # beat its current minimum (the minimum only rises, so every other
+        # row would have been a no-op).
+        fill = min(max(keep_top - len(heap), 0), n)
+        for rec in batch.take(slice(0, fill)).records():
             heapq.heappush(heap, (rec.quality, tie, rec))
             tie += 1
-        elif rec.quality > heap[0][0]:
-            heapq.heapreplace(heap, (rec.quality, tie, rec))
-            tie += 1
+        if heap:
+            rows = fill + np.flatnonzero(batch.quality[fill:] > heap[0][0])
+            for rec in batch.take(rows).records():
+                if rec.quality > heap[0][0]:
+                    heapq.heapreplace(heap, (rec.quality, tie, rec))
+                    tie += 1
     report.max_quality_hypothesis = best
     report.top_quality = [r for _, _, r in sorted(heap, reverse=True)]
     return report

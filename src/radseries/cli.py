@@ -15,7 +15,9 @@ import csv
 import json
 import sys
 
-from .abcscan import scan, verify_theorem2
+import numpy as np
+
+from .abcscan import AbcBatch, scan, verify_theorem2
 from .config import Config, load_config
 from .errors import RadseriesError
 from .euler import product_d
@@ -237,6 +239,19 @@ def cmd_identity(args, cfg: Config) -> int:
     return EXIT_OK
 
 
+# One abc CSV row; %.17g is _fmt's format.
+_ABC_ROW = f"{SCHEMA_VERSION},%d,%d,%d,%d,%s,%s,%.17g\n"
+
+
+def _abc_csv_rows(batch: AbcBatch) -> str:
+    """The batch's CSV rows, as csv.writer would print them."""
+    hyp = np.where(batch.hypothesis, "true", "false").tolist()
+    concl = np.where(batch.conclusion, "true", "false").tolist()
+    return "".join([_ABC_ROW % row for row in zip(
+        batch.a.tolist(), batch.b.tolist(), batch.c.tolist(), batch.rad_abc.tolist(),
+        hyp, concl, batch.quality.tolist())])
+
+
 def cmd_abc(args, cfg: Config) -> int:
     params = _params(args)
     prime_limit = args.prime_limit or cfg.prime_limit
@@ -251,11 +266,11 @@ def cmd_abc(args, cfg: Config) -> int:
             if c % 500 == 0 or c == c_max:
                 print(f"abc: c={c}/{c_max}", file=sys.stderr)
 
-    records = scan(sieve, table, params, args.cmax, prime_limit,
+    batches = scan(sieve, table, params, args.cmax, prime_limit,
                    sample=args.sample, seed=args.seed, threads=cfg.threads,
                    progress=progress)
     if args.verify:
-        report = verify_theorem2(records)
+        report = verify_theorem2(batches)
         _emit_json({
             "schema_version": SCHEMA_VERSION,
             "command": "abc-verify",
@@ -272,15 +287,9 @@ def cmd_abc(args, cfg: Config) -> int:
             "top_quality": [list(r) for r in (report.top_quality or [])],
         })
         return EXIT_VERIFICATION if report.counterexample_count else EXIT_OK
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["schema_version", "a", "b", "c", "rad_abc",
-                     "hypothesis_holds", "conclusion_holds", "quality"])
-    for rec in records:
-        writer.writerow([
-            SCHEMA_VERSION, rec.a, rec.b, rec.c, rec.rad_abc,
-            str(rec.hypothesis_holds).lower(), str(rec.conclusion_holds).lower(),
-            _fmt(rec.quality),
-        ])
+    sys.stdout.write("schema_version,a,b,c,rad_abc,hypothesis_holds,conclusion_holds,quality\n")
+    for batch in batches:
+        sys.stdout.write(_abc_csv_rows(batch))
     return EXIT_OK
 
 

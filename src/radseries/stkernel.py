@@ -121,8 +121,10 @@ def st_ratio(primes: PrimeTable, params: Params, prime_limit: int, *, threads: i
     t_val = t_function(primes, params, prime_limit, threads=threads)
     ratio = s_val.value / t_val.value
     tb = t_val.tail_bound
-    low = (s_val.value + tb) / (t_val.value + tb)
-    high = (s_val.value + 2.0 * tb) / (t_val.value + tb)
+    # low and high are rounded apart from ratio; widening by ratio keeps the
+    # promised containment of the truncated ratio under rounding
+    low = min((s_val.value + tb) / (t_val.value + tb), ratio)
+    high = max((s_val.value + 2.0 * tb) / (t_val.value + tb), ratio)
     return StResult(s_value=s_val, t_value=t_val, ratio=ratio, ratio_interval=(low, high))
 
 

@@ -1,17 +1,31 @@
+import heapq
 import math
 import random
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radseries import (
+    AbcBatch,
+    AbcRecord,
+    Classification,
+    FactorSieve,
     OutOfRangeError,
     Params,
+    Theorem2Report,
+    classify_interval,
     decompositions,
     euler_phi,
     radical,
     scan,
+    st_ratio,
     verify_theorem2,
 )
+from radseries import abcscan
+from radseries.radical import radical_range
 
 P41 = Params(4, 1)
 
@@ -20,10 +34,77 @@ def brute_force_pairs(c):
     return [(a, c - a) for a in range(1, c // 2 + 1) if math.gcd(a, c - a) == 1]
 
 
+def brute_rad(n):
+    """Radical by trial division, in Python ints."""
+    r, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            r *= p
+            while n % p == 0:
+                n //= p
+        p += 1
+    return r * n if n > 1 else r
+
+
+def rows(batches):
+    return [rec for batch in batches for rec in batch.records()]
+
+
+def scanned_c_values(c_max, sample, seed):
+    if sample is not None and sample < c_max - 2:
+        return sorted(random.Random(seed).sample(range(3, c_max + 1), sample))
+    return list(range(3, c_max + 1))
+
+
+def reference_records(sieve, table, params, c_values, prime_limit):
+    """Per-record scan: brute-force pairs and radicals in Python ints."""
+    low, high = st_ratio(table, params, prime_limit).ratio_interval
+    raw = []
+    for c in c_values:
+        hyp = classify_interval(sieve, c, low, high) is Classification.BELOW
+        for a, b in brute_force_pairs(c):
+            r = brute_rad(a) * brute_rad(b) * brute_rad(c)
+            raw.append((a, b, c, r, hyp, c < r * r))
+    # quality's documented arithmetic: math.log(c) / np.log(float64(rad_abc))
+    ln_rad = np.log(np.array([row[3] for row in raw], dtype=np.float64)).tolist()
+    return [AbcRecord(*row, math.log(row[2]) / lr) for row, lr in zip(raw, ln_rad)]
+
+
+def reference_verify(records, *, keep_top=10):
+    """Record-at-a-time reducer: the oracle for the batch reducer."""
+    report = Theorem2Report(counterexamples=[])
+    heap = []
+    tie = 0
+    best = None
+    for rec in records:
+        report.records_seen += 1
+        if rec.conclusion_holds:
+            report.conclusion_true += 1
+        if rec.hypothesis_holds:
+            report.hypothesis_true += 1
+            if not rec.conclusion_holds:
+                report.counterexamples.append(rec)
+            if best is None or rec.quality > best:
+                best = rec.quality
+        else:
+            report.hypothesis_false += 1
+        if len(heap) < keep_top:
+            heapq.heappush(heap, (rec.quality, tie, rec))
+            tie += 1
+        elif rec.quality > heap[0][0]:
+            heapq.heapreplace(heap, (rec.quality, tie, rec))
+            tie += 1
+    report.max_quality_hypothesis = best
+    report.top_quality = [r for _, _, r in sorted(heap, reverse=True)]
+    return report
+
+
 def test_small_cases(sieve_10k):
-    assert decompositions(sieve_10k, 5) == [(1, 4), (2, 3)]
-    assert decompositions(sieve_10k, 12) == [(1, 11), (5, 7)]
-    assert decompositions(sieve_10k, 3) == [(1, 2)]
+    assert decompositions(sieve_10k, 5).tolist() == [[1, 4], [2, 3]]
+    assert decompositions(sieve_10k, 12).tolist() == [[1, 11], [5, 7]]
+    assert decompositions(sieve_10k, 3).tolist() == [[1, 2]]
+    assert decompositions(sieve_10k, 12).shape == (2, 2)
+    assert decompositions(sieve_10k, 12).dtype == np.int64
 
 
 def test_c_too_small(sieve_10k):
@@ -39,14 +120,14 @@ def test_counts_match_phi_and_brute_force(sieve_10k):
     sample = [3, 4, 5, 6, 12, 30, 9973, 10_000] + [rng.randrange(3, 10_001) for _ in range(100)]
     for c in sample:
         pairs = decompositions(sieve_10k, c)
-        assert pairs == brute_force_pairs(c)
+        assert pairs.tolist() == [list(p) for p in brute_force_pairs(c)]
         assert len(pairs) == euler_phi(sieve_10k, c) // 2
 
 
 def test_record_1_8_9(sieve_10k, table_10k):
     # 9 = 3^2 is a prime power: hypothesis fails (Above class), yet the
     # conclusion 9 < R(72)^2 = 36 still holds
-    recs = {(r.a, r.b, r.c): r for r in scan(sieve_10k, table_10k, P41, 9, 10_000)}
+    recs = {(r.a, r.b, r.c): r for r in rows(scan(sieve_10k, table_10k, P41, 9, 10_000))}
     r = recs[(1, 8, 9)]
     assert r.rad_abc == 6
     assert not r.hypothesis_holds
@@ -54,7 +135,7 @@ def test_record_1_8_9(sieve_10k, table_10k):
 
 
 def test_record_1_2_3(sieve_10k, table_10k):
-    recs = {(r.a, r.b, r.c): r for r in scan(sieve_10k, table_10k, P41, 3, 10_000)}
+    recs = {(r.a, r.b, r.c): r for r in rows(scan(sieve_10k, table_10k, P41, 3, 10_000))}
     r = recs[(1, 2, 3)]
     assert r.rad_abc == 6
     assert r.hypothesis_holds      # 3 is squarefree
@@ -62,7 +143,7 @@ def test_record_1_2_3(sieve_10k, table_10k):
 
 
 def test_records_pairwise_coprime_and_multiplicative_radical(sieve_10k, table_10k):
-    for r in scan(sieve_10k, table_10k, P41, 60, 10_000):
+    for r in rows(scan(sieve_10k, table_10k, P41, 60, 10_000)):
         assert r.a + r.b == r.c
         assert r.a <= r.b
         assert math.gcd(r.a, r.b) == 1
@@ -76,7 +157,7 @@ def test_records_pairwise_coprime_and_multiplicative_radical(sieve_10k, table_10
 
 def test_squarefree_c_hypothesis_true(sieve_10k, table_10k):
     from radseries import is_squarefree
-    for r in scan(sieve_10k, table_10k, P41, 100, 10_000):
+    for r in rows(scan(sieve_10k, table_10k, P41, 100, 10_000)):
         if is_squarefree(sieve_10k, r.c):
             assert r.hypothesis_holds
             assert r.conclusion_holds  # the implication, record by record
@@ -108,8 +189,8 @@ def test_verify_empty_records():
 
 
 def test_sample_mode_deterministic(sieve_10k, table_10k):
-    a = list(scan(sieve_10k, table_10k, P41, 2_000, 10_000, sample=25, seed=42))
-    b = list(scan(sieve_10k, table_10k, P41, 2_000, 10_000, sample=25, seed=42))
+    a = rows(scan(sieve_10k, table_10k, P41, 2_000, 10_000, sample=25, seed=42))
+    b = rows(scan(sieve_10k, table_10k, P41, 2_000, 10_000, sample=25, seed=42))
     assert a == b
     c_values = sorted({r.c for r in a})
     assert len(c_values) == 25
@@ -124,6 +205,108 @@ def test_scan_bounds(sieve_10k, table_10k):
 
 
 def test_scan_ascending_order(sieve_10k, table_10k):
-    recs = list(scan(sieve_10k, table_10k, P41, 40, 10_000))
+    recs = rows(scan(sieve_10k, table_10k, P41, 40, 10_000))
     keys = [(r.c, r.a) for r in recs]
     assert keys == sorted(keys)
+
+
+def test_batches_are_capped_columns(sieve_10k, table_10k):
+    batches = list(scan(sieve_10k, table_10k, P41, 1_000, 10_000))
+    assert len(batches) > 1
+    for batch in batches:
+        n = len(batch.a)
+        assert 0 < n <= abcscan.BATCH_PAIRS
+        assert all(len(col) == n for col in batch)
+        assert batch.rad_abc.dtype == np.int64
+        assert batch.hypothesis.dtype == bool and batch.conclusion.dtype == bool
+        assert batch.quality.dtype == np.float64
+        assert np.array_equal(batch.a + batch.b, batch.c)
+
+
+def test_progress_once_per_c_before_its_rows(sieve_10k, table_10k):
+    calls = []
+    seen = set()
+    for batch in scan(sieve_10k, table_10k, P41, 700, 10_000,
+                      progress=lambda c, c_max: calls.append((c, c_max))):
+        seen.update(batch.c.tolist())
+        assert seen <= {c for c, _ in calls}
+    assert calls == [(c, 700) for c in range(3, 701)]
+
+
+def test_records_match_brute_force_reference(sieve_10k, table_10k):
+    got = rows(scan(sieve_10k, table_10k, P41, 300, 10_000))
+    assert got == reference_records(sieve_10k, table_10k, P41, range(3, 301), 10_000)
+
+
+def test_report_matches_reference_full_scan(sieve_10k, table_10k):
+    # ~1M candidate pairs: many batches, most of them ending inside a c
+    for params, c_max in ((P41, 2_000), (Params(2.6, 0.5), 1_000)):
+        recs = rows(scan(sieve_10k, table_10k, params, c_max, 10_000))
+        for keep_top in (10, 1):
+            got = verify_theorem2(scan(sieve_10k, table_10k, params, c_max, 10_000),
+                                  keep_top=keep_top)
+            assert got == reference_verify(recs, keep_top=keep_top)
+
+
+def test_report_matches_reference_sample(sieve_10k, table_10k):
+    recs = rows(scan(sieve_10k, table_10k, P41, 10_000, 10_000, sample=30, seed=5))
+    got = verify_theorem2(scan(sieve_10k, table_10k, P41, 10_000, 10_000, sample=30, seed=5))
+    assert got == reference_verify(recs)
+    assert got.top_quality == reference_verify(recs).top_quality
+
+
+def test_report_matches_reference_on_forced_counterexamples():
+    # Hand-built batches: counterexample rows and quality ties, split over batches.
+    q = np.array([0.5, 0.9, 0.9, 0.1, 0.9, 0.95, 0.2, 0.95])
+    hyp = np.array([True, True, False, True, True, False, True, True])
+    concl = np.array([True, False, True, False, True, True, True, False])
+    a = np.arange(1, 9, dtype=np.int64)
+    full = AbcBatch(a, 100 - a, np.full(8, 100), 30 * a, hyp, concl, q)
+    batches = [full.take(slice(0, 3)), full.take(slice(3, 3)), full.take(slice(3, 8))]
+    for keep_top in (0, 1, 3, 20):
+        got = verify_theorem2(batches, keep_top=keep_top)
+        if keep_top:
+            assert got == reference_verify(full.records(), keep_top=keep_top)
+        assert got.counterexamples == list(full.take(hyp & ~concl).records())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    c_max=st.integers(3, 400),
+    sample=st.one_of(st.none(), st.integers(0, 60)),
+    seed=st.integers(0, 10_000),
+    batch_pairs=st.integers(1, 300),
+)
+def test_scan_and_verify_match_references(sieve_10k, table_10k, c_max, sample, seed, batch_pairs):
+    with mock.patch.object(abcscan, "BATCH_PAIRS", batch_pairs):
+        batches = list(scan(sieve_10k, table_10k, P41, c_max, 10_000, sample=sample, seed=seed))
+    assert all(len(b.a) <= batch_pairs for b in batches)
+    want = reference_records(sieve_10k, table_10k, P41,
+                             scanned_c_values(c_max, sample, seed), 10_000)
+    assert rows(batches) == want
+    assert verify_theorem2(batches) == reference_verify(want)
+
+
+@pytest.fixture(scope="module")
+def sieve_2m():
+    return FactorSieve.build(2_100_000)
+
+
+def test_exact_rad_abc_above_int64_safe_cmax(sieve_2m, table_100k):
+    # c_max above 2e6: rad_abc is an object column of Python ints and the
+    # quality divides by math.log of the exact integer.  The seed is one
+    # whose sample holds c > 2e6, asserted below.
+    batches = list(scan(sieve_2m, table_100k, P41, 2_100_000, 100_000, sample=3, seed=142))
+    c_values = sorted({c for batch in batches for c in batch.c.tolist()})
+    assert sum(c > 2_000_000 for c in c_values) >= 2
+    assert all(batch.rad_abc.dtype == object for batch in batches)
+    rad = radical_range(sieve_2m, 2_100_000).tolist()
+    got = [row for batch in batches for row in zip(*(col.tolist() for col in batch))]
+    assert [(a, b) for a, b, *_ in got] == [p for c in c_values for p in brute_force_pairs(c)]
+    for a, b, c, r, _, conclusion, quality in got:
+        want = rad[a] * rad[b] * rad[c]
+        assert type(r) is int and r == want
+        assert conclusion == (c < want * want)
+        assert quality == math.log(c) / math.log(want)
+    for a, b, c, r, *_ in got[:: len(got) // 50]:
+        assert r == brute_rad(a) * brute_rad(b) * brute_rad(c)

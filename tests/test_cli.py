@@ -155,6 +155,28 @@ def test_abc_small_scan():
     assert float(first["quality"]) == pytest.approx(math.log(3) / math.log(6), rel=1e-12)
 
 
+def test_abc_csv_matches_csv_writer(capsys):
+    from radseries import FactorSieve, Params, scan, sieve_primes
+    from radseries.cli import main
+
+    argv = ["--s", "4", "--t", "1", "--prime-limit", "1000", "--sieve-limit", "1000"]
+    assert main(["abc", "--cmax", "400", *argv]) == 0
+    got = capsys.readouterr().out
+
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(["schema_version", "a", "b", "c", "rad_abc",
+                     "hypothesis_holds", "conclusion_holds", "quality"])
+    for batch in scan(FactorSieve.build(1000), sieve_primes(1000), Params(4, 1), 400, 1000):
+        for rec in batch.records():
+            writer.writerow([
+                1, rec.a, rec.b, rec.c, rec.rad_abc,
+                str(rec.hypothesis_holds).lower(), str(rec.conclusion_holds).lower(),
+                format(rec.quality, ".17g"),
+            ])
+    assert got == want.getvalue()
+
+
 def test_abc_verify_exit_zero():
     r = run_cli("abc", "--cmax", "1000", "--s", "4", "--t", "1",
                 "--prime-limit", "10000", "--sieve-limit", "1000", "--verify")

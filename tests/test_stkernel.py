@@ -11,6 +11,7 @@ from radseries import (
     UNIT_SPEC,
     s_function,
     s_general,
+    sieve_primes,
     st_ratio,
     t_function,
     t_general,
@@ -84,6 +85,16 @@ def test_ratio_interval_encloses_refined_ratio(table_10k):
     st_fine = st_ratio(table_10k, P41, 10_000)
     lo, hi = st_coarse.ratio_interval
     assert lo <= st_fine.ratio <= hi
+
+
+def test_ratio_interval_contains_truncated_ratio_under_rounding():
+    # At this point the separately rounded low end lands one ulp above the
+    # truncated ratio unless the interval is widened by it.
+    table = sieve_primes(1_000_000)
+    st = st_ratio(table, Params(5.0256410256410255, 1.076923076923077), 1_000_000)
+    lo, hi = st.ratio_interval
+    assert lo <= st.ratio <= hi
+    assert st.in_bound
 
 
 def test_tail_bounds_cover_refinement(table_10k):
