@@ -21,6 +21,7 @@ from .identity import (
     SplitSums,
     classify,
     classify_interval,
+    identity_pass,
     identity_residual,
     split_identity,
 )
@@ -71,6 +72,7 @@ __all__ = [
     "euler_phi",
     "evaluate",
     "factorize",
+    "identity_pass",
     "identity_residual",
     "is_squarefree",
     "nth_prime",

@@ -21,7 +21,7 @@ from .abcscan import AbcBatch, scan, verify_theorem2
 from .config import Config, load_config
 from .errors import RadseriesError
 from .euler import product_d
-from .identity import identity_residual, split_identity
+from .identity import identity_pass
 from .multfn import BUILTIN_SPECS, builtin_spec
 from .primes import sieve_primes
 from .radical import FactorSieve, euler_phi, is_squarefree, radical
@@ -55,14 +55,14 @@ def _params(args) -> Params:
 
 def _sieve(args, cfg: Config, needed: int | None = None) -> FactorSieve:
     if args.sieve_file:
-        return FactorSieve.load(args.sieve_file, cache_values=cfg.cache_values)
+        return FactorSieve.load(args.sieve_file)
     limit = args.sieve_limit or cfg.sieve_limit
     if needed is not None and needed > limit:
         raise RadseriesError(
             f"n={needed} exceeds configured sieve limit {limit}; "
             "raise --sieve-limit or point --sieve-file at a larger dump"
         )
-    return FactorSieve.build(limit, cache_values=cfg.cache_values)
+    return FactorSieve.build(limit)
 
 
 def cmd_radical(args, cfg: Config) -> int:
@@ -213,8 +213,7 @@ def cmd_identity(args, cfg: Config) -> int:
         args.sieve_limit = limit
     sieve = _sieve(args, cfg, needed=limit)
     table = sieve_primes(prime_limit)
-    res = identity_residual(sieve, table, params, limit, prime_limit, threads=cfg.threads)
-    split = split_identity(sieve, table, params, limit, prime_limit, threads=cfg.threads)
+    res, split = identity_pass(sieve, table, params, limit, prime_limit, threads=cfg.threads)
     tolerance = cfg.tolerance_scale * res.tolerance
     _emit_json({
         "schema_version": SCHEMA_VERSION,

@@ -8,8 +8,9 @@ override whatever the file says.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 from .errors import InvalidArgumentError
 
@@ -22,21 +23,15 @@ class Config:
     sieve_limit: int = 100_000
     prime_limit: int = 100_000
     tolerance_scale: float = 1.0
-    cache_values: bool = True
     threads: int = 1
     spec: str = "radical"  # default built-in multiplicative spec
-
-
-_BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
 def _parse_value(name: str, raw: str, kind: type):
     raw = raw.strip()
     try:
-        if kind is bool:
-            return _BOOL_WORDS[raw.lower()]
         return kind(raw)
-    except (KeyError, ValueError):
+    except ValueError:
         raise InvalidArgumentError(f"config key {name}: cannot parse {raw!r} as {kind.__name__}") from None
 
 
@@ -49,9 +44,7 @@ def load_config(path: str | os.PathLike | None = None) -> Config:
     cfg = Config()
     if path is None:
         return cfg
-    known = {f.name for f in fields(Config)}
-    kinds = {"sieve_limit": int, "prime_limit": int, "tolerance_scale": float,
-             "cache_values": bool, "threads": int, "spec": str}
+    kinds = get_type_hints(Config)
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -64,7 +57,7 @@ def load_config(path: str | os.PathLike | None = None) -> Config:
             raise InvalidArgumentError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, raw = line.partition("=")
         key = key.strip()
-        if key not in known:
+        if key not in kinds:
             raise InvalidArgumentError(f"{path}:{lineno}: unknown config key {key!r}")
         setattr(cfg, key, _parse_value(key, raw, kinds[key]))
     return cfg

@@ -40,7 +40,7 @@ from .multfn import RADICAL_SPEC
 from .numerics import sum_blocks
 from .primes import PrimeTable
 from .radical import FactorSieve, radical, radical_range
-from .series import Params, TruncatedSum, series_d_log_m, series_d_log_n
+from .series import _WEIGHT_LOG_M, _WEIGHT_LOG_N, Params, TruncatedSum, _checked, _tail_bound
 from .stkernel import StResult, st_ratio
 
 
@@ -128,6 +128,69 @@ def _residual_tolerance(st: StResult, log_n_sum: TruncatedSum, log_m_sum: Trunca
     )
 
 
+def identity_pass(
+    sieve: FactorSieve,
+    primes: PrimeTable,
+    params: Params,
+    limit: int,
+    prime_limit: int,
+    *,
+    threads: int = 1,
+) -> tuple[IdentityResidual, SplitSums]:
+    """Residual and class split of the identity from one per-n pass.
+
+    S/T, the term arrays a_n, ln n, ln R(n) and the weights
+    w = a_n (S ln R(n) - T ln n) are computed once; the residual, the two
+    log-weighted series behind the tolerance (sum a_n ln n and
+    sum a_n ln R(n), summed over the same fixed blocks as ``series_d_log_n``
+    and ``series_d_log_m``) and the class sums all read those arrays.
+    """
+    _checked(sieve, limit)
+    st = st_ratio(primes, params, prime_limit, threads=threads)
+    s_p, t_p = st.s_value.value, st.t_value.value
+    low, high = st.ratio_interval
+
+    n = np.arange(1, limit + 1, dtype=np.float64)
+    r = radical_range(sieve, limit)[1:].astype(np.float64)
+    ln_n = np.log(n)
+    ln_r = np.log(r)
+    a_n = np.power(r, params.t)
+    a_n *= np.power(n, -params.s)
+    del n, r
+    w = s_p * ln_r
+    w -= t_p * ln_n
+    w *= a_n
+
+    def log_sum(ln: np.ndarray, weight: str) -> TruncatedSum:
+        value = sum_blocks(limit, lambda lo, hi: math.fsum(a_n[lo:hi] * ln[lo:hi]),
+                           threads=threads)
+        tail = _tail_bound(params, limit, weight, RADICAL_SPEC.growth_exponent)
+        return TruncatedSum(value=value, tail_bound=tail, terms_used=limit)
+
+    residual = sum_blocks(limit, lambda lo, hi: math.fsum(w[lo:hi]), threads=threads)
+    tolerance = _residual_tolerance(
+        st, log_sum(ln_n, _WEIGHT_LOG_N), log_sum(ln_r, _WEIGHT_LOG_M)
+    )
+
+    equal = (ln_n == 0.0) & (ln_r == 0.0)
+    below = ln_n < low * ln_r
+    above = ln_n > high * ln_r
+    ambiguous = ~(below | above | equal)
+    split = SplitSums(
+        below=math.fsum(w[below]),
+        equal=math.fsum(w[equal]),
+        above=math.fsum(w[above]),
+        classification_counts=(
+            int(below.sum()), int(equal.sum()), int(above.sum())
+        ),
+        ambiguous_count=int(ambiguous.sum()),
+        ambiguous_sum=math.fsum(w[ambiguous]),
+        tolerance=tolerance,
+    )
+    res = IdentityResidual(residual=residual, tolerance=tolerance, st=st, terms_used=limit)
+    return res, split
+
+
 def identity_residual(
     sieve: FactorSieve,
     primes: PrimeTable,
@@ -138,22 +201,7 @@ def identity_residual(
     threads: int = 1,
 ) -> IdentityResidual:
     """sum_{n<=limit} a_n (S ln R(n) - T ln n) with its tolerance."""
-    st = st_ratio(primes, params, prime_limit, threads=threads)
-    s_p, t_p = st.s_value.value, st.t_value.value
-    rad = radical_range(sieve, limit).astype(np.float64)
-    s, t = params.s, params.t
-
-    def block_sum(lo: int, hi: int) -> float:
-        n = np.arange(lo + 1, hi + 1, dtype=np.float64)
-        r = rad[lo + 1: hi + 1]
-        a_n = np.power(r, t) * np.power(n, -s)
-        return math.fsum(a_n * (s_p * np.log(r) - t_p * np.log(n)))
-
-    residual = sum_blocks(limit, block_sum, threads=threads)
-    log_n_sum = series_d_log_n(RADICAL_SPEC, sieve, params, limit)
-    log_m_sum = series_d_log_m(RADICAL_SPEC, sieve, params, limit)
-    tol = _residual_tolerance(st, log_n_sum, log_m_sum)
-    return IdentityResidual(residual=residual, tolerance=tol, st=st, terms_used=limit)
+    return identity_pass(sieve, primes, params, limit, prime_limit, threads=threads)[0]
 
 
 def split_identity(
@@ -166,32 +214,4 @@ def split_identity(
     threads: int = 1,
 ) -> SplitSums:
     """Partition the identity sum by classification and balance the sides."""
-    st = st_ratio(primes, params, prime_limit, threads=threads)
-    s_p, t_p = st.s_value.value, st.t_value.value
-    low, high = st.ratio_interval
-
-    n = np.arange(1, limit + 1, dtype=np.float64)
-    r = radical_range(sieve, limit)[1:].astype(np.float64)
-    ln_n = np.log(n)
-    ln_r = np.log(r)
-    equal = (ln_n == 0.0) & (ln_r == 0.0)
-    below = ln_n < low * ln_r
-    above = ln_n > high * ln_r
-    ambiguous = ~(below | above | equal)
-
-    a_n = np.power(r, params.t) * np.power(n, -params.s)
-    w = a_n * (s_p * ln_r - t_p * ln_n)
-
-    log_n_sum = series_d_log_n(RADICAL_SPEC, sieve, params, limit)
-    log_m_sum = series_d_log_m(RADICAL_SPEC, sieve, params, limit)
-    return SplitSums(
-        below=math.fsum(w[below]),
-        equal=math.fsum(w[equal]),
-        above=math.fsum(w[above]),
-        classification_counts=(
-            int(below.sum()), int(equal.sum()), int(above.sum())
-        ),
-        ambiguous_count=int(ambiguous.sum()),
-        ambiguous_sum=math.fsum(w[ambiguous]),
-        tolerance=_residual_tolerance(st, log_n_sum, log_m_sum),
-    )
+    return identity_pass(sieve, primes, params, limit, prime_limit, threads=threads)[1]

@@ -47,14 +47,19 @@ class PrimeTable:
         return self.primes[:cut]
 
 
-def _simple_sieve(limit: int) -> np.ndarray:
-    """Boolean-array Eratosthenes; returns primes <= limit as uint64."""
+def prime_mask(limit: int) -> np.ndarray:
+    """Boolean-array Eratosthenes: mask[n] is True iff n <= limit is prime."""
     is_prime = np.ones(limit + 1, dtype=bool)
     is_prime[:2] = False
     for p in range(2, int(limit ** 0.5) + 1):
         if is_prime[p]:
             is_prime[p * p:: p] = False
-    return np.flatnonzero(is_prime).astype(np.uint64)
+    return is_prime
+
+
+def _simple_sieve(limit: int) -> np.ndarray:
+    """Primes <= limit as uint64, from one flat prime_mask."""
+    return np.flatnonzero(prime_mask(limit)).astype(np.uint64)
 
 
 def _segmented_sieve(limit: int, segment_size: int = SEGMENT_SIZE) -> np.ndarray:

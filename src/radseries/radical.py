@@ -1,10 +1,13 @@
 """Smallest-prime-factor sieve: radical, totient, squarefree test, factorization.
 
-A single O(limit) pass builds the spf array; each query then factors n in
-O(log n) divisions.  When ``cache_values`` is on (the default), the radical
-and totient are additionally sieved into parallel int64 arrays so the series
-modules can gather them for every n <= limit in bulk.  The sieve is immutable
-after construction and all queries are pure.
+One O(limit) pass builds the spf array; each query then factors n in
+O(log n) divisions.  With ``cache_values`` on (the default), the radical
+and totient are also stored as parallel int64 arrays so the series modules
+can gather them for every n <= limit in bulk.  Both come from one
+recurrence over spf (``_value_sieves``) that takes ~log2(limit) vectorized
+passes, not one pass per prime.  A loaded dump is checked exactly before
+use, since every value is derived from spf.  The sieve is immutable after
+construction and all queries are pure.
 """
 
 from __future__ import annotations
@@ -15,10 +18,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError, OutOfRangeError
+from .primes import prime_mask
 
 _DUMP_MAGIC = b"RADSIEVE"
 _DUMP_VERSION = 1
 _DUMP_HEADER = struct.Struct("<8sIIQ")  # magic, version, reserved, limit
+_CHECK_CHUNK = 1 << 16  # entries per pass when a loaded spf is checked (cache-sized)
 
 
 @dataclass(frozen=True)
@@ -38,11 +43,11 @@ class FactorSieve:
     def build(cls, limit: int, *, cache_values: bool = True) -> "FactorSieve":
         if limit < 1:
             raise InvalidArgumentError(f"sieve limit must be >= 1, got {limit}")
-        spf = _spf_sieve(limit)
-        rad = phi = None
-        if cache_values:
-            rad = _radical_sieve(limit, spf)
-            phi = _phi_sieve(limit, spf)
+        return cls._with_values(limit, _spf_sieve(limit), cache_values)
+
+    @classmethod
+    def _with_values(cls, limit: int, spf: np.ndarray, cache_values: bool) -> "FactorSieve":
+        rad, phi = _value_sieves(spf) if cache_values else (None, None)
         return cls(limit=limit, spf=spf, rad=rad, phi=phi)
 
     def check_range(self, n: int) -> None:
@@ -72,11 +77,10 @@ class FactorSieve:
             raise InvalidArgumentError(
                 f"{path}: payload holds {len(spf)} entries, expected {limit + 1}"
             )
-        rad = phi = None
-        if cache_values:
-            rad = _radical_sieve(limit, spf)
-            phi = _phi_sieve(limit, spf)
-        return cls(limit=int(limit), spf=spf, rad=rad, phi=phi)
+        defect = _spf_defect(spf)
+        if defect is not None:
+            raise InvalidArgumentError(f"{path}: corrupt sieve dump: {defect}")
+        return cls._with_values(int(limit), spf, cache_values)
 
 
 def _spf_sieve(limit: int) -> np.ndarray:
@@ -88,24 +92,66 @@ def _spf_sieve(limit: int) -> np.ndarray:
     return spf
 
 
-def _radical_sieve(limit: int, spf: np.ndarray) -> np.ndarray:
-    rad = np.ones(limit + 1, dtype=np.int64)
-    is_prime = spf == np.arange(limit + 1, dtype=np.int64)
-    is_prime[:2] = False
-    for p in np.flatnonzero(is_prime):
-        rad[p:: p] *= p
-    return rad
+def _spf_defect(spf: np.ndarray) -> str | None:
+    """Why spf is not the smallest-prime-factor table of 0..len(spf)-1, or None.
+
+    Exact, in O(limit): past the sentinels spf[0] = 0 and spf[1] = 1, every
+    spf[n] must be a prime (by a fresh Eratosthenes mask) dividing n, so the
+    fixed points spf[q] = q are exactly the primes.  It must also be the
+    least one: spf[n] <= spf[m] for the cofactor m = n // spf[n] >= 2, whose
+    own entry is the least prime factor of m by induction on n.
+    """
+    limit = len(spf) - 1
+    if limit < 1 or spf[0] != 0 or spf[1] != 1:
+        return "limit below 1 or sentinels spf[0], spf[1] not 0, 1"
+    is_prime = prime_mask(limit)
+    for lo in range(2, limit + 1, _CHECK_CHUNK):
+        hi = min(lo + _CHECK_CHUNK, limit + 1)
+        n = np.arange(lo, hi, dtype=np.int64)
+        p = spf[lo:hi]
+        ok = (p >= 2) & (p <= n)
+        if ok.all():
+            m = n // p
+            ok = (m * p == n) & is_prime[p] & ((m == 1) | (p <= spf[m]))
+        if not ok.all():
+            bad = lo + int(np.argmin(ok))
+            return f"spf[{bad}] = {int(spf[bad])} is not the smallest prime factor of {bad}"
+    return None
 
 
-def _phi_sieve(limit: int, spf: np.ndarray) -> np.ndarray:
-    phi = np.arange(limit + 1, dtype=np.int64)
-    is_prime = spf == np.arange(limit + 1, dtype=np.int64)
-    is_prime[:2] = False
-    for p in np.flatnonzero(is_prime):
-        sl = phi[p:: p]
-        sl -= sl // int(p)
-    phi[0] = 0
-    return phi
+def _value_sieves(spf: np.ndarray, *, phi: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    """rad and (unless ``phi`` is False) phi for n = 0..len(spf)-1, as int64.
+
+    With p = spf[n] and m = n // p, p is new to n exactly when p does not
+    divide m, and
+
+        rad[n] = rad[m] * (p if m % p else 1)
+        phi[n] = phi[m] * (p - 1 if m % p else p).
+
+    Every m <= n // 2 lies in an earlier block [2^k, 2^(k+1)), so each block
+    is one vectorized pass over finished values: ~log2(limit) passes in all
+    (the recurrence of Gries & Misra's linear sieve, CACM 1978).  Index 0
+    holds the sentinels rad[0] = 1, phi[0] = 0.
+    """
+    size = len(spf)
+    rad = np.empty(size, dtype=np.int64)
+    rad[:2] = 1
+    tot = None
+    if phi:
+        tot = np.empty(size, dtype=np.int64)
+        tot[:2] = 1
+        tot[0] = 0
+    lo = 2
+    while lo < size:
+        hi = min(2 * lo, size)
+        p = spf[lo:hi]
+        m = np.arange(lo, hi, dtype=np.int64) // p
+        new = m % p != 0
+        np.multiply(rad[m], np.where(new, p, 1), out=rad[lo:hi])
+        if phi:
+            np.multiply(tot[m], p - new, out=tot[lo:hi])
+        lo = hi
+    return rad, tot
 
 
 def factorize(sieve: FactorSieve, n: int) -> list[tuple[int, int]]:
@@ -168,4 +214,4 @@ def radical_range(sieve: FactorSieve, n_max: int) -> np.ndarray:
         raise OutOfRangeError(f"n_max={n_max} exceeds sieve limit {sieve.limit}")
     if sieve.rad is not None:
         return sieve.rad[: n_max + 1]
-    return _radical_sieve(n_max, sieve.spf[: n_max + 1])
+    return _value_sieves(sieve.spf[: n_max + 1], phi=False)[0]

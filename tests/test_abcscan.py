@@ -13,6 +13,7 @@ from radseries import (
     AbcRecord,
     Classification,
     FactorSieve,
+    InvalidArgumentError,
     OutOfRangeError,
     Params,
     Theorem2Report,
@@ -202,6 +203,12 @@ def test_scan_bounds(sieve_10k, table_10k):
         list(scan(sieve_10k, table_10k, P41, 2, 10_000))
     with pytest.raises(OutOfRangeError):
         list(scan(sieve_10k, table_10k, P41, 10_001, 10_000))
+
+
+def test_scan_rejects_negative_sample_when_called(sieve_10k, table_10k):
+    with pytest.raises(InvalidArgumentError, match="sample must be >= 0"):
+        scan(sieve_10k, table_10k, P41, 100, 10_000, sample=-1)
+    assert list(scan(sieve_10k, table_10k, P41, 100, 10_000, sample=0)) == []
 
 
 def test_scan_ascending_order(sieve_10k, table_10k):

@@ -196,6 +196,23 @@ def test_abc_progress_on_stderr_only():
     json.loads(r.stdout)  # stdout stays machine-clean
 
 
+@pytest.mark.parametrize("extra", [(), ("--verify",)])
+def test_abc_negative_sample_exits_2(extra):
+    r = run_cli("abc", "--cmax", "100", "--s", "4", "--t", "1", "--sample", "-1",
+                "--prime-limit", "1000", "--sieve-limit", "1000", *extra)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "sample must be >= 0" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_abc_cmax_below_3_exits_2_before_any_output():
+    r = run_cli("abc", "--cmax", "2", "--s", "4", "--t", "1",
+                "--prime-limit", "1000", "--sieve-limit", "1000")
+    assert r.returncode == 2
+    assert r.stdout == ""
+
+
 def test_deterministic_across_runs_and_threads():
     args = ("series", "--s", "2.6", "--t", "0.5", "--limit", "20000",
             "--sieve-limit", "20000")
@@ -255,3 +272,35 @@ def test_sieve_dump_and_reuse(tmp_path):
     r2 = run_cli("radical", "360", "--sieve-file", str(dump))
     assert r2.returncode == 0
     assert json.loads(r2.stdout)["radical"] == 30
+
+
+def test_corrupt_sieve_dump_exits_2(tmp_path):
+    from radseries import FactorSieve
+
+    spf = FactorSieve.build(500, cache_values=False).spf.copy()
+    spf[10] = 3  # before load checked the dump, radical 10 printed 10
+    dump = tmp_path / "corrupt.bin"
+    FactorSieve(limit=500, spf=spf).dump(dump)
+    r = run_cli("radical", "10", "--sieve-file", str(dump))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "corrupt sieve dump" in r.stderr and "Traceback" not in r.stderr
+
+
+def test_identity_output_matches_library(tmp_path):
+    from radseries import FactorSieve, Params, identity_residual, sieve_primes, split_identity
+
+    r = run_cli("identity", "--s", "2.6", "--t", "0.5", "--limit", "70000",
+                "--prime-limit", "5000", "--threads", "2")
+    assert r.returncode == 0
+    out = json.loads(r.stdout)
+    sieve, table = FactorSieve.build(100_000), sieve_primes(5000)
+    res = identity_residual(sieve, table, Params(2.6, 0.5), 70_000, 5000)
+    split = split_identity(sieve, table, Params(2.6, 0.5), 70_000, 5000)
+    assert (out["residual"], out["tolerance"]) == (res.residual, res.tolerance)
+    assert out["split"] == {
+        "below": split.below, "equal": split.equal, "above": split.above,
+        "counts": list(split.classification_counts),
+        "ambiguous_count": split.ambiguous_count,
+        "balance_gap": split.balance_gap, "tolerance": split.tolerance,
+    }

@@ -1,19 +1,26 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from radseries import (
+    RADICAL_SPEC,
     Classification,
     OutOfRangeError,
     Params,
     classify,
     classify_interval,
+    identity_pass,
     identity_residual,
     radical,
+    series_d_log_m,
+    series_d_log_n,
     split_identity,
     st_ratio,
 )
+from radseries.numerics import sum_blocks
+from radseries.radical import radical_range
 
 P41 = Params(4, 1)
 
@@ -153,3 +160,78 @@ def test_threads_bit_identical(sieve_100k, table_100k):
     a = identity_residual(sieve_100k, table_100k, P41, 100_000, 100_000, threads=1)
     b = identity_residual(sieve_100k, table_100k, P41, 100_000, 100_000, threads=4)
     assert a.residual == b.residual
+
+
+def reference_identity(sieve, table, params, limit, prime_limit, threads):
+    """The residual and split computed the former way: st_ratio once per
+    quantity, the residual block by block, the split over whole arrays, and
+    the tolerance from separate series_d_log_n / series_d_log_m calls."""
+    st = st_ratio(table, params, prime_limit, threads=threads)
+    s_p, t_p = st.s_value.value, st.t_value.value
+    low, high = st.ratio_interval
+    rad = radical_range(sieve, limit).astype(np.float64)
+    s, t = params.s, params.t
+
+    def block_sum(lo, hi):
+        n = np.arange(lo + 1, hi + 1, dtype=np.float64)
+        r = rad[lo + 1: hi + 1]
+        a_n = np.power(r, t) * np.power(n, -s)
+        return math.fsum(a_n * (s_p * np.log(r) - t_p * np.log(n)))
+
+    residual = sum_blocks(limit, block_sum, threads=threads)
+
+    n = np.arange(1, limit + 1, dtype=np.float64)
+    r = rad[1:]
+    ln_n, ln_r = np.log(n), np.log(r)
+    equal = (ln_n == 0.0) & (ln_r == 0.0)
+    below = ln_n < low * ln_r
+    above = ln_n > high * ln_r
+    ambiguous = ~(below | above | equal)
+    w = (np.power(r, t) * np.power(n, -s)) * (s_p * ln_r - t_p * ln_n)
+
+    log_n = series_d_log_n(RADICAL_SPEC, sieve, params, limit, threads=threads)
+    log_m = series_d_log_m(RADICAL_SPEC, sieve, params, limit, threads=threads)
+    tolerance = (st.s_value.tail_bound * log_m.upper + st.t_value.tail_bound * log_n.upper
+                 + s_p * log_m.tail_bound + t_p * log_n.tail_bound)
+    return {
+        "residual": residual,
+        "tolerance": tolerance,
+        "below": math.fsum(w[below]),
+        "equal": math.fsum(w[equal]),
+        "above": math.fsum(w[above]),
+        "counts": (int(below.sum()), int(equal.sum()), int(above.sum())),
+        "ambiguous_count": int(ambiguous.sum()),
+        "ambiguous_sum": math.fsum(w[ambiguous]),
+        "st": st,
+    }
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("s,t,prime_limit", [(4, 1, 100_000), (2.6, 0.5, 10_000), (5, 2.5, 100_000)])
+def test_shared_pass_is_bit_identical_to_separate_passes(sieve_100k, table_100k, s, t,
+                                                         prime_limit, threads):
+    params = Params(s, t)
+    # 100_000 terms span two summation blocks of 2^16
+    for limit in (1, 65_536, 100_000):
+        want = reference_identity(sieve_100k, table_100k, params, limit, prime_limit, threads)
+        res, split = identity_pass(sieve_100k, table_100k, params, limit, prime_limit,
+                                   threads=threads)
+        assert res.st == want["st"]
+        assert res.residual == want["residual"]
+        assert res.tolerance == split.tolerance == want["tolerance"]
+        assert res.terms_used == limit
+        assert (split.below, split.equal, split.above) == (
+            want["below"], want["equal"], want["above"])
+        assert split.classification_counts == want["counts"]
+        assert split.ambiguous_count == want["ambiguous_count"]
+        assert split.ambiguous_sum == want["ambiguous_sum"]
+        assert identity_residual(sieve_100k, table_100k, params, limit, prime_limit,
+                                 threads=threads) == res
+        assert split_identity(sieve_100k, table_100k, params, limit, prime_limit,
+                              threads=threads) == split
+
+
+def test_identity_limit_outside_sieve(sieve_10k, table_10k):
+    for limit in (0, 10_001):
+        with pytest.raises(OutOfRangeError):
+            identity_pass(sieve_10k, table_10k, P41, limit, 10_000)

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from radseries import (
     is_squarefree,
     radical,
 )
-from radseries.radical import radical_range
+from radseries.radical import _spf_sieve, radical_range
 
 
 def radical_oracle(n):
@@ -29,6 +30,29 @@ def radical_oracle(n):
 
 def phi_oracle(n):
     return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+
+
+def strided_rad(spf):
+    """Radical by one strided multiply per prime (the former sieve kernel)."""
+    rad = np.ones(len(spf), dtype=np.int64)
+    for p in np.flatnonzero(spf[2:] == np.arange(2, len(spf))) + 2:
+        rad[p:: p] *= p
+    return rad
+
+
+def strided_phi(spf):
+    """Totient by one strided phi -= phi // p per prime (the former sieve kernel)."""
+    phi = np.arange(len(spf), dtype=np.int64)
+    for p in np.flatnonzero(spf[2:] == np.arange(2, len(spf))) + 2:
+        sl = phi[p:: p]
+        sl -= sl // int(p)
+    return phi
+
+
+def assert_values_match_strided(sieve):
+    assert sieve.rad.dtype == sieve.phi.dtype == np.int64
+    assert np.array_equal(sieve.rad, strided_rad(sieve.spf)), sieve.limit
+    assert np.array_equal(sieve.phi, strided_phi(sieve.spf)), sieve.limit
 
 
 def test_radical_small(sieve_10k):
@@ -148,3 +172,75 @@ def test_spf_invariants(sieve_10k):
         p = int(spf[n])
         assert n % p == 0
         assert int(spf[p]) == p  # p prime iff fixed point
+
+
+def test_value_sieves_match_strided_kernels_for_every_small_limit():
+    for limit in range(1, 301):
+        assert_values_match_strided(FactorSieve.build(limit))
+
+
+@pytest.mark.parametrize("k", range(1, 18))
+def test_value_sieves_match_strided_kernels_at_block_edges(k):
+    # the recurrence runs over blocks [2^j, 2^(j+1)); cut the last block
+    # one short of, at, and one past a power of two
+    for limit in (2 ** k - 1, 2 ** k, 2 ** k + 1):
+        if limit >= 1:
+            assert_values_match_strided(FactorSieve.build(limit))
+
+
+def test_lean_radical_range_equals_cached_rad():
+    cached = FactorSieve.build(70_000)
+    lean = FactorSieve.build(70_000, cache_values=False)
+    for n_max in (0, 1, 2, 3, 4, 65_535, 65_536, 65_537, 70_000):
+        got = radical_range(lean, n_max)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, cached.rad[: n_max + 1]), n_max
+
+
+def test_spf_sieve_matches_trial_division():
+    spf = _spf_sieve(3_000)
+    for n in range(2, 3_001):
+        assert int(spf[n]) == next(d for d in range(2, n + 1) if n % d == 0)
+
+
+def corrupt_dump(path, limit, edits):
+    spf = FactorSieve.build(limit, cache_values=False).spf.copy()
+    for n, p in edits.items():
+        spf[n] = p
+    FactorSieve(limit=limit, spf=spf).dump(path)
+
+
+@pytest.mark.parametrize("edits", [
+    {10: 3},            # wrong divisor: 3 does not divide 10
+    {9: 9},             # composite marked prime
+    {15: 5},            # a prime divisor, but not the smallest one
+    {20: 4},            # divides 20 and is below spf[5], but composite
+    {30: 30},           # composite fixed point
+    {7: 1},             # below 2
+    {0: 1},             # sentinel
+    {1: 0},             # sentinel
+    {99_999: 99_999},   # last entry (3 * 33333)
+])
+def test_load_rejects_corrupt_spf(tmp_path, edits):
+    path = tmp_path / "corrupt.bin"
+    corrupt_dump(path, 99_999, edits)
+    for cache_values in (True, False):
+        with pytest.raises(InvalidArgumentError, match="corrupt sieve dump"):
+            FactorSieve.load(path, cache_values=cache_values)
+
+
+def test_load_checks_every_chunk(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys.modules["radseries.radical"], "_CHECK_CHUNK", 7)
+    path = tmp_path / "sieve.bin"
+    FactorSieve.build(1_000).dump(path)
+    assert np.array_equal(FactorSieve.load(path).rad, FactorSieve.build(1_000).rad)
+    corrupt_dump(path, 1_000, {999: 37})
+    with pytest.raises(InvalidArgumentError, match=r"spf\[999\] = 37"):
+        FactorSieve.load(path)
+
+
+def test_load_rejects_limit_zero(tmp_path):
+    path = tmp_path / "zero.bin"
+    FactorSieve(limit=0, spf=np.zeros(1, dtype=np.int64)).dump(path)
+    with pytest.raises(InvalidArgumentError):
+        FactorSieve.load(path)
