@@ -153,10 +153,10 @@ def _batch(rad: np.ndarray, segments: list[_Segment], exact_objects: bool) -> Ab
     conclusion = rad_ab > isqrt_c // rad_c
     if exact_objects:
         rad_abc = rad_ab.astype(object) * rad_c.astype(object)
-        ln_rad = np.fromiter(map(math.log, rad_abc), dtype=np.float64, count=len(rad_abc))
     else:
         rad_abc = rad_ab * rad_c
-        ln_rad = np.log(rad_abc.astype(np.float64))
+    # float(int) rounds correctly, so both columns give the same quality
+    ln_rad = np.log(rad_abc.astype(np.float64))
     return AbcBatch(a, b, c, rad_abc, hypothesis, conclusion, ln_c / ln_rad)
 
 

@@ -5,7 +5,9 @@ uses fixed block boundaries, so even --threads > 1 reproduces the serial
 bits exactly.  Single results print as one JSON object on stdout; grids
 and scans print CSV; progress and diagnostics go to stderr only.
 
-Exit codes: 0 success, 2 invalid input, 3 verification failure.
+Exit codes: 0 success, 2 invalid input, 3 verification failure.  A JSON
+result with a NaN or infinite field is a verification failure too: nothing
+goes to stdout and stderr names the field.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -40,9 +43,34 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
+class NonFiniteResult(Exception):
+    """A result field is NaN or infinite, which strict JSON cannot carry."""
+
+
+def _non_finite_field(obj, path: str = "") -> str | None:
+    """Dotted path of the first NaN or infinite float in obj, else None."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else path
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, (list, tuple)):
+        items = enumerate(obj)
+    else:
+        return None
+    for key, value in items:
+        found = _non_finite_field(value, f"{path}.{key}" if path else str(key))
+        if found is not None:
+            return found
+    return None
+
+
 def _emit_json(obj) -> None:
-    json.dump(obj, sys.stdout)
-    sys.stdout.write("\n")
+    try:
+        text = json.dumps(obj, allow_nan=False)
+    except ValueError:
+        field = _non_finite_field(obj)
+        raise NonFiniteResult(f"result field {field!r} is not finite") from None
+    sys.stdout.write(text + "\n")
 
 
 def _sum_fields(ts: TruncatedSum) -> dict:
@@ -394,6 +422,9 @@ def main(argv: list[str] | None = None) -> int:
     except RadseriesError as exc:
         print(f"radseries: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except NonFiniteResult as exc:
+        print(f"radseries: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION
 
 
 if __name__ == "__main__":

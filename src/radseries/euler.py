@@ -11,6 +11,7 @@ relative error below 1e-15).
 The product tail uses ln(1+x) <= x: the omitted log mass is at most
 sum_{p>P} sum_k M(p^k)^t p^(-ks) <= power_tail(P, s - g*t) / (1 - (P+1)^(g*t-s)),
 so the true product exceeds the truncation by at most value * expm1(that).
+That bound saturates to inf when expm1 overflows (s - g*t close to 1).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import OutOfRangeError, UnsupportedSpecError
 from .multfn import MultiplicativeSpec
-from .numerics import power_tail, sum_blocks
+from .numerics import exact_sum, power_tail, sum_blocks
 from .primes import PrimeTable
 from .series import Params, TruncatedSum
 
@@ -49,7 +50,7 @@ def product_d(
     p = primes.upto(prime_limit).astype(np.float64)
 
     def block_sum(lo: int, hi: int) -> float:
-        return math.fsum(spec.log_local_factor(p[lo:hi], params.s, params.t))
+        return exact_sum(spec.log_local_factor(p[lo:hi], params.s, params.t))
 
     log_sum = sum_blocks(len(p), block_sum, threads=threads)
     value = math.exp(log_sum)
@@ -61,5 +62,8 @@ def product_d(
         if a > 1.0:
             slack = 1.0 / -math.expm1((g * params.t - params.s) * math.log(prime_limit + 1))
             log_tail = slack * power_tail(prime_limit, a)
-            tail = value * math.expm1(log_tail)
+            try:
+                tail = value * math.expm1(log_tail)
+            except OverflowError:
+                tail = math.inf
     return TruncatedSum(value=value, tail_bound=tail, terms_used=len(p))

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import OutOfRangeError
 from .multfn import RADICAL_SPEC
-from .numerics import sum_blocks
+from .numerics import exact_sum, sum_blocks
 from .primes import PrimeTable
 from .radical import FactorSieve, radical, radical_range
 from .series import _WEIGHT_LOG_M, _WEIGHT_LOG_N, Params, TruncatedSum, _checked, _tail_bound
@@ -162,12 +162,12 @@ def identity_pass(
     w *= a_n
 
     def log_sum(ln: np.ndarray, weight: str) -> TruncatedSum:
-        value = sum_blocks(limit, lambda lo, hi: math.fsum(a_n[lo:hi] * ln[lo:hi]),
+        value = sum_blocks(limit, lambda lo, hi: exact_sum(a_n[lo:hi] * ln[lo:hi]),
                            threads=threads)
         tail = _tail_bound(params, limit, weight, RADICAL_SPEC.growth_exponent)
         return TruncatedSum(value=value, tail_bound=tail, terms_used=limit)
 
-    residual = sum_blocks(limit, lambda lo, hi: math.fsum(w[lo:hi]), threads=threads)
+    residual = sum_blocks(limit, lambda lo, hi: exact_sum(w[lo:hi]), threads=threads)
     tolerance = _residual_tolerance(
         st, log_sum(ln_n, _WEIGHT_LOG_N), log_sum(ln_r, _WEIGHT_LOG_M)
     )
@@ -177,14 +177,14 @@ def identity_pass(
     above = ln_n > high * ln_r
     ambiguous = ~(below | above | equal)
     split = SplitSums(
-        below=math.fsum(w[below]),
-        equal=math.fsum(w[equal]),
-        above=math.fsum(w[above]),
+        below=exact_sum(w[below]),
+        equal=exact_sum(w[equal]),
+        above=exact_sum(w[above]),
         classification_counts=(
             int(below.sum()), int(equal.sum()), int(above.sum())
         ),
         ambiguous_count=int(ambiguous.sum()),
-        ambiguous_sum=math.fsum(w[ambiguous]),
+        ambiguous_sum=exact_sum(w[ambiguous]),
         tolerance=tolerance,
     )
     res = IdentityResidual(residual=residual, tolerance=tolerance, st=st, terms_used=limit)

@@ -15,14 +15,13 @@ spec framework guarantees M(n) > 0.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParamsError, OutOfRangeError
 from .multfn import MultiplicativeSpec, range_values
-from .numerics import log_power_tail, power_tail, sum_blocks
+from .numerics import exact_sum, log_power_tail, power_tail, sum_blocks
 from .radical import FactorSieve
 
 
@@ -85,7 +84,7 @@ def _series_sum(
             terms *= np.log(n)
         elif weight == _WEIGHT_LOG_M:
             terms *= np.log(m)
-        return math.fsum(terms)
+        return exact_sum(terms)
 
     return sum_blocks(limit, block_sum, threads=threads)
 

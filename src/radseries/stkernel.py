@@ -31,14 +31,13 @@ as s - t approaches 1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import OutOfRangeError
 from .multfn import RADICAL_SPEC, MultiplicativeSpec
-from .numerics import log_power_tail, power_tail, sum_blocks
+from .numerics import exact_sum, log_power_tail, power_tail, sum_blocks
 from .primes import PrimeTable
 from .series import Params, TruncatedSum
 
@@ -83,7 +82,8 @@ def radical_st_terms(p: np.ndarray, s: float, t: float) -> tuple[np.ndarray, np.
 
     The S terms are returned as factor * T-term so the termwise sandwich
     T-term < S-term < 2*T-term is transparent in the arithmetic itself.
-    Matches the arithmetic of t_general/s_general with the radical spec.
+    Matches the arithmetic of t_general/s_general with the radical spec,
+    where M(p) = p; st_ratio sums these.
     """
     ln_p = np.log(p)
     t_terms = ln_p / _st_denominator(ln_p, ln_p, s, t)
@@ -116,9 +116,22 @@ def t_tail_coarse(params: Params, prime_limit: int) -> float | None:
 
 
 def st_ratio(primes: PrimeTable, params: Params, prime_limit: int, *, threads: int = 1) -> StResult:
-    """S, T, their ratio, and the sandwich-aware enclosure of the true ratio."""
-    s_val = s_function(primes, params, prime_limit, threads=threads)
-    t_val = t_function(primes, params, prime_limit, threads=threads)
+    """S, T, their ratio, and the sandwich-aware enclosure of the true ratio.
+
+    One per-prime pass (radical_st_terms) feeds both sums; S and T equal
+    s_function and t_function field for field.
+    """
+    p = _prime_view(primes, prime_limit)
+    t_terms, s_terms = radical_st_terms(p, params.s, params.t)
+
+    def total(terms: np.ndarray) -> float:
+        return sum_blocks(len(p), lambda lo, hi: exact_sum(terms[lo:hi]), threads=threads)
+
+    a = params.s - params.t
+    t_tail = log_power_tail(prime_limit, a) if a > 1.0 else None
+    s_tail = None if t_tail is None else 2.0 * t_tail
+    t_val = TruncatedSum(value=total(t_terms), tail_bound=t_tail, terms_used=len(p))
+    s_val = TruncatedSum(value=total(s_terms), tail_bound=s_tail, terms_used=len(p))
     ratio = s_val.value / t_val.value
     tb = t_val.tail_bound
     # low and high are rounded apart from ratio; widening by ratio keeps the
@@ -149,7 +162,7 @@ def s_general(
     terms = _s_factor(p, params.s) * (
         ln_p / _st_denominator(ln_p, np.log(mv), params.s, params.t)
     )
-    value = sum_blocks(len(p), lambda lo, hi: math.fsum(terms[lo:hi]), threads=threads)
+    value = sum_blocks(len(p), lambda lo, hi: exact_sum(terms[lo:hi]), threads=threads)
     tail = None
     # tail bound needs M(p) >= 1 so the local denominator dominates p^s
     if spec.growth_exponent is not None and bool(np.all(mv >= 1.0)):
@@ -177,7 +190,7 @@ def t_general(
     mv = _prime_m_values(spec, p)
     ln_m = np.log(mv)
     terms = ln_m / _st_denominator(np.log(p), ln_m, params.s, params.t)
-    value = sum_blocks(len(p), lambda lo, hi: math.fsum(terms[lo:hi]), threads=threads)
+    value = sum_blocks(len(p), lambda lo, hi: exact_sum(terms[lo:hi]), threads=threads)
     tail = None
     g = spec.growth_exponent
     if g is not None and bool(np.all(mv >= 1.0)):

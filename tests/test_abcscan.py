@@ -300,9 +300,10 @@ def sieve_2m():
 
 
 def test_exact_rad_abc_above_int64_safe_cmax(sieve_2m, table_100k):
-    # c_max above 2e6: rad_abc is an object column of Python ints and the
-    # quality divides by math.log of the exact integer.  The seed is one
-    # whose sample holds c > 2e6, asserted below.
+    # c_max above 2e6: rad_abc is an object column of Python ints; the
+    # quality divides by np.log of the integer rounded to float64, as in
+    # the int64 path.  The seed is one whose sample holds c > 2e6, asserted
+    # below.
     batches = list(scan(sieve_2m, table_100k, P41, 2_100_000, 100_000, sample=3, seed=142))
     c_values = sorted({c for batch in batches for c in batch.c.tolist()})
     assert sum(c > 2_000_000 for c in c_values) >= 2
@@ -314,6 +315,24 @@ def test_exact_rad_abc_above_int64_safe_cmax(sieve_2m, table_100k):
         want = rad[a] * rad[b] * rad[c]
         assert type(r) is int and r == want
         assert conclusion == (c < want * want)
-        assert quality == math.log(c) / math.log(want)
+        assert quality == math.log(c) / float(np.log(float(want)))
     for a, b, c, r, *_ in got[:: len(got) // 50]:
         assert r == brute_rad(a) * brute_rad(b) * brute_rad(c)
+
+
+def test_batch_quality_does_not_depend_on_rad_abc_column_type(sieve_10k):
+    # c_max > 2e6 switches rad_abc to Python ints; a triple must keep its
+    # quality.  math.log and np.log differ in the last bit at each rad_abc
+    # below: 9170, 19143 and 94869 through a hand-made radical table
+    # (rad[1] * rad[2] * rad[3] = r for the row 1 + 2 = 3), 6852494 as the
+    # real row 41 + 1136 = 1177.
+    cases = [(np.array([0, 1, 1, r], dtype=np.int64), 3, 1) for r in (9170, 19143, 94869)]
+    cases.append((radical_range(sieve_10k, 1177), 1177, 41))
+    for rad, c, a in cases:
+        per_c = abcscan._PerC(c, True, math.log(c), math.isqrt(c))
+        segment = (per_c, abcscan._prime_divisors(sieve_10k, c), a, a + 1)
+        exact, fixed = (abcscan._batch(rad, [segment], flag) for flag in (True, False))
+        assert exact.rad_abc.dtype == object and fixed.rad_abc.dtype == np.int64
+        assert len(fixed.quality) == 1
+        assert exact.rad_abc.tolist() == fixed.rad_abc.tolist()
+        assert exact.quality.tolist() == fixed.quality.tolist()

@@ -304,3 +304,18 @@ def test_identity_output_matches_library(tmp_path):
         "ambiguous_count": split.ambiguous_count,
         "balance_gap": split.balance_gap, "tolerance": split.tolerance,
     }
+
+
+@pytest.mark.parametrize("args, field", [
+    # expm1 of the product's log tail overflows
+    (("product", "--s", "2.0001", "--t", "1"), "tail_bound"),
+    # R(n)^t overflows and n^-s underflows: inf * 0 is NaN
+    (("series", "--s", "400", "--t", "350", "--limit", "100000"), "value"),
+])
+def test_non_finite_result_exits_3_with_empty_stdout(args, field):
+    r = run_cli(*args)
+    assert r.returncode == 3
+    assert r.stdout == ""
+    assert "Traceback" not in r.stderr
+    errors = [line for line in r.stderr.splitlines() if line.startswith("radseries:")]
+    assert len(errors) == 1 and repr(field) in errors[0]

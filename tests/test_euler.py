@@ -98,3 +98,10 @@ def test_huge_s_no_overflow(table_10k):
     got = product_d(RADICAL_SPEC, table_10k, params, 10_000)
     assert got.value == pytest.approx(1.0 + 2.0 ** (1 - 400), abs=1e-15)
     assert math.isfinite(got.tail_bound)
+
+
+def test_tail_saturates_to_inf_instead_of_overflowing(table_10k):
+    # s - t = 1.0001: the log tail is ~1e4, far past what expm1 can return
+    got = product_d(RADICAL_SPEC, table_10k, Params(2.0001, 1.0), 10_000)
+    assert math.isfinite(got.value)
+    assert got.tail_bound == math.inf

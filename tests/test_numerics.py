@@ -1,9 +1,12 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from radseries.numerics import log_power_tail, power_tail, sum_blocks
+from radseries.numerics import DEFAULT_BLOCK, exact_sum, log_power_tail, power_tail, sum_blocks
 
 
 def test_power_tail_covers_partial_tails():
@@ -62,3 +65,94 @@ def test_sum_blocks_thread_count_invariant():
 
 def test_sum_blocks_empty():
     assert sum_blocks(0, lambda lo, hi: 1.0) == 0.0
+
+
+def bits(x):
+    return struct.pack("<d", x)
+
+
+def outcome(fn, x):
+    """The float's bits, or the exception type and message."""
+    try:
+        return bits(fn(x))
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_matches_fsum(x):
+    x = np.asarray(x, dtype=np.float64)
+    assert outcome(exact_sum, x) == outcome(math.fsum, x.tolist())
+
+
+@st.composite
+def float_arrays(draw):
+    """Arrays of up to 3 blocks + 1 terms with a drawn exponent range and sign rule."""
+    edges = [1, DEFAULT_BLOCK - 1, DEFAULT_BLOCK, DEFAULT_BLOCK + 1, 3 * DEFAULT_BLOCK + 1]
+    n = draw(st.sampled_from(edges) | st.integers(0, 3 * DEFAULT_BLOCK + 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo = draw(st.integers(-1080, 1023))
+    hi = draw(st.integers(lo, 1023))
+    mantissa = rng.uniform(1.0, 2.0, size=n)
+    x = np.ldexp(mantissa, rng.integers(lo, hi, size=n, endpoint=True))
+    signs = draw(st.sampled_from(["positive", "mixed", "negative", "zeros"]))
+    if signs == "mixed":
+        x *= rng.choice([-1.0, 1.0], size=n)
+    elif signs == "negative":
+        x = -x
+    elif signs == "zeros":
+        x = rng.choice([-0.0, 0.0], size=n) if draw(st.booleans()) else np.full(n, -0.0)
+    if draw(st.booleans()):  # exact cancellations: pairs (v, -v), shuffled
+        half = x[: n // 2]
+        x = rng.permutation(np.concatenate([half, -half, x[2 * len(half):]]))
+    return x
+
+
+@settings(max_examples=60, deadline=None)
+@given(float_arrays())
+def test_exact_sum_equals_fsum_bitwise(x):
+    assert_matches_fsum(x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=64))
+def test_exact_sum_equals_fsum_on_any_finite_floats(values):
+    assert_matches_fsum(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.floats(), min_size=1, max_size=16),
+    st.integers(0, 2 * DEFAULT_BLOCK),
+    st.integers(0, 2**32 - 1),
+)
+def test_exact_sum_non_finite_like_fsum(values, n, seed):
+    # NaN / inf terms dropped at random places of a finite array, some in a later chunk
+    x = np.random.default_rng(seed).normal(scale=1e300, size=n + len(values))
+    where = np.random.default_rng(seed + 1).choice(len(x), size=len(values), replace=False)
+    x[where] = values
+    assert_matches_fsum(x)
+
+
+def test_exact_sum_signed_zeros_and_empty():
+    for x in ([], [-0.0], [-0.0] * 5, [0.0, -0.0], [1.0, -1.0, -0.0], [2.0**-1074, -(2.0**-1074)]):
+        assert_matches_fsum(x)
+
+
+def test_exact_sum_sigma_overflow_falls_back_to_fsum():
+    # sigma = 2^(m + e) would pass 2^1023 for terms this large
+    assert exact_sum(np.array([2.0**1023, 1.0, -(2.0**1023)])) == 1.0
+    with pytest.raises(OverflowError):
+        exact_sum(np.array([1e308, 1e308, -1e308]))
+    assert_matches_fsum([1e308, 1e308, -1e308])
+    with pytest.raises(ValueError):
+        exact_sum(np.array([math.inf, 1.0, -math.inf]))
+
+
+def test_exact_sum_across_a_chunk_boundary():
+    # 2^60 closes the first chunk and -2^60 opens the second: rounding
+    # either chunk total would lose the ones
+    x = np.ones(DEFAULT_BLOCK + 1)
+    x[DEFAULT_BLOCK - 1] = 2.0**60
+    x[DEFAULT_BLOCK] = -(2.0**60)
+    assert exact_sum(x) == DEFAULT_BLOCK - 1
+    assert_matches_fsum(x)

@@ -212,3 +212,25 @@ def test_threads_bit_identical(table_100k):
     for fn in (s_function, t_function):
         assert fn(table_100k, P41, 100_000, threads=1).value == \
             fn(table_100k, P41, 100_000, threads=3).value
+
+
+@pytest.mark.parametrize("prime_limit", [2, 3, 100_000])
+def test_st_ratio_shares_one_pass_with_s_and_t_functions(table_100k, prime_limit):
+    # st_ratio sums radical_st_terms once; s_function / t_function are the
+    # reference, compared by repr so every float bit and None must agree
+    points = [
+        (math.nextafter(2.0, 3.0), 1.0),   # s - t = 1 + 2^-52
+        (1.5 + 1e-12, 0.5),
+        (2.05, 1.0),
+        (4.0, 1.0),
+        (9.5, 3.2),
+        (40.0, 1.0),
+        (60.0, 20.0),
+        (400.0, 350.0),
+    ]
+    for s, t in points:
+        params = Params(s, t)
+        for threads in (1, 2):
+            got = st_ratio(table_100k, params, prime_limit, threads=threads)
+            assert repr(got.s_value) == repr(s_function(table_100k, params, prime_limit))
+            assert repr(got.t_value) == repr(t_function(table_100k, params, prime_limit))
