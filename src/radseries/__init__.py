@@ -19,7 +19,6 @@ from .identity import (
     Classification,
     IdentityResidual,
     SplitSums,
-    classify,
     classify_interval,
     identity_pass,
     identity_residual,
@@ -38,7 +37,7 @@ from .multfn import (
 from .primes import PrimeTable, nth_prime, sieve_primes
 from .radical import FactorSieve, euler_phi, factorize, is_squarefree, radical
 from .series import Params, TruncatedSum, series_d, series_d_log_m, series_d_log_n
-from .stkernel import StResult, s_function, s_general, st_ratio, t_function, t_general
+from .stkernel import StResult, s_general, st_ratio, t_general
 
 __version__ = "0.1.0"
 
@@ -66,7 +65,6 @@ __all__ = [
     "UNIT_SPEC",
     "UnsupportedSpecError",
     "builtin_spec",
-    "classify",
     "classify_interval",
     "decompositions",
     "euler_phi",
@@ -79,7 +77,6 @@ __all__ = [
     "product_d",
     "radical",
     "range_values",
-    "s_function",
     "s_general",
     "scan",
     "series_d",
@@ -88,7 +85,6 @@ __all__ = [
     "sieve_primes",
     "split_identity",
     "st_ratio",
-    "t_function",
     "t_general",
     "verify_theorem2",
 ]

@@ -180,20 +180,19 @@ def scan(
     instead of scanning all of them (the full scan is quadratic in c_max);
     order is still ascending.  ``progress`` is an optional callback invoked
     once per c with (c, c_max), before any row of that c is yielded.
-    The arguments are checked when scan is called, before the first batch.
+    The arguments are checked and S/T is computed when scan is called,
+    before the first batch.
     """
     if c_max < 3 or c_max > sieve.limit:
         raise OutOfRangeError(f"c_max={c_max} outside sieve range [3, {sieve.limit}]")
     if sample is not None and sample < 0:
         raise InvalidArgumentError(f"sample must be >= 0, got {sample}")
-    return _scan(sieve, primes, params, c_max, prime_limit, sample, seed, threads, progress)
-
-
-def _scan(
-    sieve, primes, params, c_max, prime_limit, sample, seed, threads, progress
-) -> Iterator[AbcBatch]:
     st = st_ratio(primes, params, prime_limit, threads=threads)
-    low, high = st.ratio_interval
+    return _scan(sieve, st.ratio_interval, c_max, sample, seed, progress)
+
+
+def _scan(sieve, ratio_interval, c_max, sample, seed, progress) -> Iterator[AbcBatch]:
+    low, high = ratio_interval
     rad = radical_range(sieve, c_max)
     exact_objects = c_max > _INT64_RAD_ABC_CMAX
 

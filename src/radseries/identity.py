@@ -22,9 +22,8 @@ absorb.
 
 Classification never forms R(n)^(S/T): it compares T ln n with S ln R(n)
 in log space.  A comparison is committed only when the whole S/T enclosure
-lands on one side (and, for the scalar entry point, when the two products
-are at least 4 ulp apart); borderline cases are reported as AMBIGUOUS
-rather than misclassified.
+lands on one side; borderline cases are reported as AMBIGUOUS rather than
+misclassified.
 """
 
 from __future__ import annotations
@@ -82,24 +81,6 @@ class IdentityResidual:
     @property
     def within_tolerance(self) -> bool:
         return abs(self.residual) <= self.tolerance
-
-
-def classify(sieve: FactorSieve, n: int, s_val: float, t_val: float) -> Classification:
-    """Compare t_val*ln(n) against s_val*ln(R(n)) for scalar S, T values.
-
-    Only the ratio matters: classify(n, c*S, c*T) agrees for any c > 0.
-    """
-    if n < 1:
-        raise OutOfRangeError(f"n={n} must be >= 1")
-    if not (s_val > t_val > 0.0):
-        raise OutOfRangeError(f"classification needs S > T > 0, got {s_val}, {t_val}")
-    lhs = t_val * math.log(n)
-    rhs = s_val * math.log(radical(sieve, n))
-    if lhs == rhs:
-        return Classification.EQUAL
-    if abs(lhs - rhs) < 4.0 * math.ulp(max(abs(lhs), abs(rhs))):
-        return Classification.AMBIGUOUS
-    return Classification.BELOW if lhs < rhs else Classification.ABOVE
 
 
 def classify_interval(

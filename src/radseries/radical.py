@@ -3,15 +3,17 @@
 One O(limit) pass builds the spf array; each query then factors n in
 O(log n) divisions.  With ``cache_values`` on (the default), the radical
 and totient are also stored as parallel int64 arrays so the series modules
-can gather them for every n <= limit in bulk.  Both come from one
-recurrence over spf (``_value_sieves``) that takes ~log2(limit) vectorized
-passes, not one pass per prime.  A loaded dump is checked exactly before
+can gather them for every n <= limit in bulk; a lean sieve
+(``cache_values=False``) answers scalar queries through ``factorize``.
+Both arrays come from one recurrence over spf (``_value_sieves``) that
+takes ~log2(limit) vectorized passes, not one pass per prime.  A loaded dump is checked exactly before
 use, since every value is derived from spf.  The sieve is immutable after
 construction and all queries are pure.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -175,15 +177,7 @@ def radical(sieve: FactorSieve, n: int) -> int:
     sieve.check_range(n)
     if sieve.rad is not None:
         return int(sieve.rad[n])
-    r = 1
-    spf = sieve.spf
-    m = n
-    while m > 1:
-        p = int(spf[m])
-        r *= p
-        while m % p == 0:
-            m //= p
-    return r
+    return math.prod(p for p, _ in factorize(sieve, n))
 
 
 def euler_phi(sieve: FactorSieve, n: int) -> int:
@@ -191,15 +185,7 @@ def euler_phi(sieve: FactorSieve, n: int) -> int:
     sieve.check_range(n)
     if sieve.phi is not None:
         return int(sieve.phi[n])
-    result = n
-    spf = sieve.spf
-    m = n
-    while m > 1:
-        p = int(spf[m])
-        result = result // p * (p - 1)
-        while m % p == 0:
-            m //= p
-    return result
+    return math.prod((p - 1) * p ** (k - 1) for p, k in factorize(sieve, n))
 
 
 def is_squarefree(sieve: FactorSieve, n: int) -> bool:

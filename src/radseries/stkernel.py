@@ -8,12 +8,14 @@ Every term of S is its T counterpart times p^s/(p^s-1), a factor strictly
 between 1 and 2, so T-term < S-term < 2*T-term holds prime by prime and
 1 < S/T < 2 holds at every truncation, not only in the limit.
 
+One per-prime kernel, ``st_terms``, yields both term arrays for any M(p)
+(M(p) = p for the radical), and one pass sums them and attaches both tails;
+``st_ratio``, ``s_general`` and ``t_general`` all read that pass.
+
 Tail bounds: each T term is below ln(p) p^(t-s) (the denominator exceeds
 p^s because p^t > 1), and the primes above P are a subset of the integers
 above P, so the omitted mass is at most sum_{n>P} ln(n) n^(t-s), bounded by
-its integral.  This majorant converges on the whole region s > 1 + t; the
-coarser majorant sum n^-(s-t-1), obtained via ln x <= x - 1, needs
-s > t + 2 and is kept only as a cross-check there (t_tail_coarse).  The
+its integral.  This majorant converges on the whole region s > 1 + t.  The
 S tail is twice the T tail via the factor bound.
 
 The ratio interval exploits the termwise sandwich: the discarded tails
@@ -37,7 +39,7 @@ import numpy as np
 
 from .errors import OutOfRangeError
 from .multfn import RADICAL_SPEC, MultiplicativeSpec
-from .numerics import exact_sum, log_power_tail, power_tail, sum_blocks
+from .numerics import exact_sum, log_power_tail, sum_blocks
 from .primes import PrimeTable
 from .series import Params, TruncatedSum
 
@@ -58,17 +60,6 @@ class StResult:
         return 1.0 < low and high < 2.0
 
 
-def _prime_view(primes: PrimeTable, prime_limit: int) -> np.ndarray:
-    if prime_limit < 2:
-        raise OutOfRangeError(f"prime_limit={prime_limit} admits no primes")
-    return primes.upto(prime_limit).astype(np.float64)
-
-
-def _s_factor(p: np.ndarray, s: float) -> np.ndarray:
-    # p^s/(p^s - 1) = 1/(1 - p^(-s)), strictly inside (1, 2) for p^s > 2
-    return 1.0 / (1.0 - np.power(p, -s))
-
-
 def _st_denominator(ln_p: np.ndarray, ln_m: np.ndarray, s: float, t: float) -> np.ndarray:
     # (p^s - 1 + M^t) / M^t in log space: neither p^s nor M^t is ever
     # formed, so huge exponents degrade to an inf denominator (term 0.0,
@@ -77,74 +68,78 @@ def _st_denominator(ln_p: np.ndarray, ln_m: np.ndarray, s: float, t: float) -> n
         return np.exp(s * ln_p - t * ln_m) - np.exp(-t * ln_m) + 1.0
 
 
-def radical_st_terms(p: np.ndarray, s: float, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-prime (T-term, S-term) pairs for the radical kernel.
+def st_terms(p: np.ndarray, m: np.ndarray, s: float, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-prime (T-terms, S-terms) for M(p) = m.
 
-    The S terms are returned as factor * T-term so the termwise sandwich
-    T-term < S-term < 2*T-term is transparent in the arithmetic itself.
-    Matches the arithmetic of t_general/s_general with the radical spec,
-    where M(p) = p; st_ratio sums these.
+    When m equals p (radical and identity specs) one logarithm serves both
+    weights and each S-term is the factor times its T-term, so the termwise
+    sandwich is transparent in the arithmetic itself.
     """
     ln_p = np.log(p)
-    t_terms = ln_p / _st_denominator(ln_p, ln_p, s, t)
-    return t_terms, _s_factor(p, s) * t_terms
+    same = np.array_equal(m, p)
+    ln_m = ln_p if same else np.log(m)
+    den = _st_denominator(ln_p, ln_m, s, t)
+    t_terms = ln_m / den
+    # S weight ln p / den: the T-term when m = p, else den's buffer.  den goes
+    # first and the factor p^s/(p^s-1) = 1/(1-p^-s), in (1, 2) for p^s > 2,
+    # stays unnamed so numpy reuses its temporaries (fewer fresh pages a call).
+    s_weight = t_terms if same else np.divide(ln_p, den, out=den)
+    del den
+    return t_terms, (1.0 / (1.0 - np.power(p, -s))) * s_weight
 
 
-def t_function(primes: PrimeTable, params: Params, prime_limit: int, *, threads: int = 1) -> TruncatedSum:
-    """Truncated T(s,t) with its integral tail bound.
+def _st_sums(
+    spec: MultiplicativeSpec, primes: PrimeTable, params: Params, prime_limit: int, threads: int
+) -> tuple[TruncatedSum, TruncatedSum]:
+    """(S, T) truncations from one st_terms pass.
 
-    Bit-identical to t_general with the radical spec by construction.
+    The tails need a growth bound g, every M(p) >= 1 (so the local
+    denominator dominates p^s) and s - g*t > 1; otherwise a sum is
+    value-only.
     """
-    return t_general(RADICAL_SPEC, primes, params, prime_limit, threads=threads)
+    if prime_limit < 2:
+        raise OutOfRangeError(f"prime_limit={prime_limit} admits no primes")
+    p = primes.upto(prime_limit).astype(np.float64)
+    if spec.prime_values is not None:
+        m = np.asarray(spec.prime_values(p), dtype=np.float64)
+    else:
+        m = np.array([spec.value_at_prime_power(int(q), 1) for q in p], dtype=np.float64)
+    t_terms, s_terms = st_terms(p, m, params.s, params.t)
 
+    def total(terms: np.ndarray) -> float:
+        return sum_blocks(len(p), lambda lo, hi: exact_sum(terms[lo:hi]), threads=threads)
 
-def s_function(primes: PrimeTable, params: Params, prime_limit: int, *, threads: int = 1) -> TruncatedSum:
-    """Truncated S(s,t); tail bound is twice the T tail."""
-    return s_general(RADICAL_SPEC, primes, params, prime_limit, threads=threads)
-
-
-def t_tail_coarse(params: Params, prime_limit: int) -> float | None:
-    """The coarser tail majorant sum_{n>P} n^-(s-t-1).
-
-    Converges only on the sub-region s > t + 2; None elsewhere.  Kept as a
-    cross-check against the primary log-weighted tail.
-    """
-    a = params.s - params.t - 1.0
-    if a <= 1.0:
-        return None
-    return power_tail(prime_limit, a)
+    s_tail = t_tail = None
+    g = spec.growth_exponent
+    if g is not None and bool(m.min() >= 1.0):
+        a = params.s - g * params.t
+        if a > 1.0:  # always for g = 0, where the T tail g * lpt is 0.0
+            lpt = log_power_tail(prime_limit, a)
+            s_tail, t_tail = 2.0 * lpt, g * lpt
+    return (
+        TruncatedSum(value=total(s_terms), tail_bound=s_tail, terms_used=len(p)),
+        TruncatedSum(value=total(t_terms), tail_bound=t_tail, terms_used=len(p)),
+    )
 
 
 def st_ratio(primes: PrimeTable, params: Params, prime_limit: int, *, threads: int = 1) -> StResult:
     """S, T, their ratio, and the sandwich-aware enclosure of the true ratio.
 
-    One per-prime pass (radical_st_terms) feeds both sums; S and T equal
-    s_function and t_function field for field.
+    Raises OutOfRangeError where the ratio is undefined in float64: T
+    underflows to 0.0 (huge s), or s - t rounds to 1.0 and no tail bound
+    exists.
     """
-    p = _prime_view(primes, prime_limit)
-    t_terms, s_terms = radical_st_terms(p, params.s, params.t)
-
-    def total(terms: np.ndarray) -> float:
-        return sum_blocks(len(p), lambda lo, hi: exact_sum(terms[lo:hi]), threads=threads)
-
-    a = params.s - params.t
-    t_tail = log_power_tail(prime_limit, a) if a > 1.0 else None
-    s_tail = None if t_tail is None else 2.0 * t_tail
-    t_val = TruncatedSum(value=total(t_terms), tail_bound=t_tail, terms_used=len(p))
-    s_val = TruncatedSum(value=total(s_terms), tail_bound=s_tail, terms_used=len(p))
-    ratio = s_val.value / t_val.value
+    s_val, t_val = _st_sums(RADICAL_SPEC, primes, params, prime_limit, threads)
     tb = t_val.tail_bound
+    if t_val.value == 0.0 or tb is None:
+        why = "T underflows to 0.0" if t_val.value == 0.0 else "s - t rounds to 1.0"
+        raise OutOfRangeError(f"S/T is undefined in float64 at s={params.s}, t={params.t}: {why}")
+    ratio = s_val.value / t_val.value
     # low and high are rounded apart from ratio; widening by ratio keeps the
     # promised containment of the truncated ratio under rounding
     low = min((s_val.value + tb) / (t_val.value + tb), ratio)
     high = max((s_val.value + 2.0 * tb) / (t_val.value + tb), ratio)
     return StResult(s_value=s_val, t_value=t_val, ratio=ratio, ratio_interval=(low, high))
-
-
-def _prime_m_values(spec: MultiplicativeSpec, p: np.ndarray) -> np.ndarray:
-    if spec.prime_values is not None:
-        return np.asarray(spec.prime_values(p), dtype=np.float64)
-    return np.array([spec.value_at_prime_power(int(q), 1) for q in p], dtype=np.float64)
 
 
 def s_general(
@@ -156,20 +151,7 @@ def s_general(
     threads: int = 1,
 ) -> TruncatedSum:
     """Generalized S: sum_p [p^s/(p^s-1)] * [M(p)^t/(p^s-1+M(p)^t)] * ln p."""
-    p = _prime_view(primes, prime_limit)
-    mv = _prime_m_values(spec, p)
-    ln_p = np.log(p)
-    terms = _s_factor(p, params.s) * (
-        ln_p / _st_denominator(ln_p, np.log(mv), params.s, params.t)
-    )
-    value = sum_blocks(len(p), lambda lo, hi: exact_sum(terms[lo:hi]), threads=threads)
-    tail = None
-    # tail bound needs M(p) >= 1 so the local denominator dominates p^s
-    if spec.growth_exponent is not None and bool(np.all(mv >= 1.0)):
-        a = params.s - spec.growth_exponent * params.t
-        if a > 1.0:
-            tail = 2.0 * log_power_tail(prime_limit, a)
-    return TruncatedSum(value=value, tail_bound=tail, terms_used=len(p))
+    return _st_sums(spec, primes, params, prime_limit, threads)[0]
 
 
 def t_general(
@@ -186,18 +168,4 @@ def t_general(
     Specs with some M(p) < 1 have non-positive terms, for which the
     non-negative-tail machinery does not apply: those get value-only.
     """
-    p = _prime_view(primes, prime_limit)
-    mv = _prime_m_values(spec, p)
-    ln_m = np.log(mv)
-    terms = ln_m / _st_denominator(np.log(p), ln_m, params.s, params.t)
-    value = sum_blocks(len(p), lambda lo, hi: exact_sum(terms[lo:hi]), threads=threads)
-    tail = None
-    g = spec.growth_exponent
-    if g is not None and bool(np.all(mv >= 1.0)):
-        if g == 0.0:
-            tail = 0.0
-        else:
-            a = params.s - g * params.t
-            if a > 1.0:
-                tail = g * log_power_tail(prime_limit, a)
-    return TruncatedSum(value=value, tail_bound=tail, terms_used=len(p))
+    return _st_sums(spec, primes, params, prime_limit, threads)[1]

@@ -211,6 +211,12 @@ def test_scan_rejects_negative_sample_when_called(sieve_10k, table_10k):
     assert list(scan(sieve_10k, table_10k, P41, 100, 10_000, sample=0)) == []
 
 
+def test_scan_computes_st_when_called(sieve_10k, table_10k):
+    # T underflows to 0.0 at s = 1100: the error comes before any batch
+    with pytest.raises(OutOfRangeError, match="T underflows"):
+        scan(sieve_10k, table_10k, Params(1100.0, 2.0), 100, 10_000)
+
+
 def test_scan_ascending_order(sieve_10k, table_10k):
     recs = rows(scan(sieve_10k, table_10k, P41, 40, 10_000))
     keys = [(r.c, r.a) for r in recs]

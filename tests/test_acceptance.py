@@ -30,7 +30,7 @@ from radseries import (
     identity_residual,
     product_d,
     radical,
-    s_function,
+    s_general,
     scan,
     series_d,
     series_d_log_m,
@@ -38,11 +38,10 @@ from radseries import (
     sieve_primes,
     split_identity,
     st_ratio,
-    t_function,
     t_general,
     verify_theorem2,
 )
-from radseries.stkernel import radical_st_terms
+from radseries.stkernel import st_terms
 
 POINTS = [(4.0, 1.0), (3.5, 1.0), (2.6, 0.5), (5.0, 2.5)]
 
@@ -98,8 +97,8 @@ def test_criterion_2_derivative_checks(sieve_100k, table_100k):
         fd_s = -(ln_d(s + h, t) - ln_d(s - h, t)) / (2 * h)
         fd_t = (ln_d(s, t + h) - ln_d(s, t - h)) / (2 * h)
 
-        s_val = s_function(table_100k, params, p_limit)
-        t_val = t_function(table_100k, params, p_limit)
+        s_val = s_general(RADICAL_SPEC, table_100k, params, p_limit)
+        t_val = t_general(RADICAL_SPEC, table_100k, params, p_limit)
         d = series_d(RADICAL_SPEC, sieve_100k, params, n_limit)
         num_s = series_d_log_n(RADICAL_SPEC, sieve_100k, params, n_limit)
         num_t = series_d_log_m(RADICAL_SPEC, sieve_100k, params, n_limit)
@@ -130,7 +129,7 @@ def test_criterion_3_ratio_bound_grid(table_100k):
             assert 1.0 < lo <= hi < 2.0, f"(s={s},t={t}): [{lo},{hi}]"
             assert lo <= st.ratio <= hi  # closed enclosure; ties at float resolution
 
-            t_terms, s_terms = radical_st_terms(p, params.s, params.t)
+            t_terms, s_terms = st_terms(p, p, params.s, params.t)
             assert np.all(t_terms > 0.0)
             assert np.all(s_terms < 2.0 * t_terms)
             assert np.all(s_terms >= t_terms)

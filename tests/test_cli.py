@@ -319,3 +319,24 @@ def test_non_finite_result_exits_3_with_empty_stdout(args, field):
     assert "Traceback" not in r.stderr
     errors = [line for line in r.stderr.splitlines() if line.startswith("radseries:")]
     assert len(errors) == 1 and repr(field) in errors[0]
+
+
+HEADER_ONLY = "schema_version,s,t,S,T,ratio,ratio_low,ratio_high,status\n"
+
+
+@pytest.mark.parametrize("args, stdout", [
+    (("st", "--s", "1100", "--t", "2"), ""),
+    (("ratio-grid", "--s-min", "1100", "--s-max", "1100", "--t-min", "2", "--t-max", "2",
+      "--steps", "1"), HEADER_ONLY),
+    (("identity", "--s", "1100", "--t", "2", "--limit", "1000", "--prime-limit", "1000"), ""),
+    (("abc", "--s", "1100", "--t", "2", "--cmax", "50", "--verify"), ""),
+    (("abc", "--s", "1100", "--t", "2", "--cmax", "50"), ""),
+], ids=["st", "ratio-grid", "identity", "abc-verify", "abc-csv"])
+def test_underflowed_t_exits_2_without_traceback(args, stdout):
+    # every S/T term underflows at s = 1100, so T = 0.0 and S/T is undefined
+    r = run_cli(*args)
+    assert r.returncode == 2
+    assert r.stdout == stdout
+    assert "Traceback" not in r.stderr
+    errors = [line for line in r.stderr.splitlines() if line.startswith("radseries:")]
+    assert len(errors) == 1 and "s=1100.0, t=2.0" in errors[0]

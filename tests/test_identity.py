@@ -1,5 +1,4 @@
 import math
-import random
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ from radseries import (
     Classification,
     OutOfRangeError,
     Params,
-    classify,
     classify_interval,
     identity_pass,
     identity_residual,
@@ -26,39 +24,24 @@ P41 = Params(4, 1)
 
 
 def test_classify_one_is_equal(sieve_10k):
-    assert classify(sieve_10k, 1, 0.15, 0.14) is Classification.EQUAL
     assert classify_interval(sieve_10k, 1, 1.03, 1.04) is Classification.EQUAL
 
 
 def test_classify_squarefree_below(sieve_10k):
     # for squarefree n >= 2 the comparison reduces to T < S
     for n in (2, 3, 30, 9973):
-        assert classify(sieve_10k, n, 0.15, 0.14) is Classification.BELOW
         assert classify_interval(sieve_10k, n, 1.03, 1.04) is Classification.BELOW
 
 
 def test_classify_prime_power_above(sieve_10k):
     # n = p^k with k >= 2 reduces to k*T vs S with S < 2T <= kT
     for n in (4, 8, 9, 27, 6561, 8192):
-        assert classify(sieve_10k, n, 0.15, 0.14) is Classification.ABOVE
         assert classify_interval(sieve_10k, n, 1.03, 1.04) is Classification.ABOVE
-
-
-def test_classify_scale_consistent(sieve_10k):
-    rng = random.Random(3)
-    for _ in range(200):
-        n = rng.randrange(1, 10_001)
-        s_val, t_val = 0.149, 0.144
-        base = classify(sieve_10k, n, s_val, t_val)
-        for c in (7.3, 0.02, 315.0):
-            assert classify(sieve_10k, n, c * s_val, c * t_val) is base
 
 
 def test_classify_validation(sieve_10k):
     with pytest.raises(OutOfRangeError):
-        classify(sieve_10k, 0, 0.15, 0.14)
-    with pytest.raises(OutOfRangeError):
-        classify(sieve_10k, 5, 0.14, 0.15)  # needs S > T
+        classify_interval(sieve_10k, 0, 1.03, 1.04)
 
 
 def test_classify_ambiguous_knife_edge(sieve_10k):

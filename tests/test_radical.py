@@ -126,6 +126,7 @@ def test_uncached_queries_match(sieve_10k):
     for n in range(1, 2_001):
         assert radical(lean, n) == radical(sieve_10k, n)
         assert euler_phi(lean, n) == euler_phi(sieve_10k, n)
+        assert is_squarefree(lean, n) == is_squarefree(sieve_10k, n)
 
 
 def test_radical_range(sieve_10k):
