@@ -169,7 +169,6 @@ def scan(
     *,
     sample: int | None = None,
     seed: int = 0,
-    threads: int = 1,
     progress=None,
 ) -> Iterator[AbcBatch]:
     """Stream AbcBatches covering every coprime decomposition of 3 <= c <= c_max.
@@ -187,7 +186,7 @@ def scan(
         raise OutOfRangeError(f"c_max={c_max} outside sieve range [3, {sieve.limit}]")
     if sample is not None and sample < 0:
         raise InvalidArgumentError(f"sample must be >= 0, got {sample}")
-    st = st_ratio(primes, params, prime_limit, threads=threads)
+    st = st_ratio(primes, params, prime_limit)
     return _scan(sieve, st.ratio_interval, c_max, sample, seed, progress)
 
 

@@ -1,8 +1,8 @@
 """Command-line frontend.
 
 Every command is deterministic for fixed arguments and config: summation
-uses fixed block boundaries, so even --threads > 1 reproduces the serial
-bits exactly.  Single results print as one JSON object on stdout; grids
+runs serially over fixed block boundaries, so every run reproduces the
+same bits.  Single results print as one JSON object on stdout; grids
 and scans print CSV; progress and diagnostics go to stderr only.
 
 Exit codes: 0 success, 2 invalid input, 3 verification failure.  A JSON
@@ -126,7 +126,7 @@ def cmd_series(args, cfg: Config) -> int:
     if args.sieve_limit is None and not args.sieve_file and limit > cfg.sieve_limit:
         args.sieve_limit = limit  # a series over n <= N needs a sieve that far
     sieve = _sieve(args, cfg, needed=limit)
-    result = series_d(spec, sieve, params, limit, threads=cfg.threads)
+    result = series_d(spec, sieve, params, limit)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "series",
@@ -139,7 +139,7 @@ def cmd_series(args, cfg: Config) -> int:
     if args.compare:
         prime_limit = args.prime_limit or cfg.prime_limit
         table = sieve_primes(prime_limit)
-        prod = product_d(spec, table, params, prime_limit, threads=cfg.threads)
+        prod = product_d(spec, table, params, prime_limit)
         gap = abs(result.value - prod.value)
         tolerance = cfg.tolerance_scale * (result.tail_bound + prod.tail_bound)
         payload["product"] = {**_sum_fields(prod), "prime_limit": prime_limit}
@@ -157,7 +157,7 @@ def cmd_product(args, cfg: Config) -> int:
     spec = builtin_spec(args.spec or cfg.spec)
     prime_limit = args.prime_limit or cfg.prime_limit
     table = sieve_primes(prime_limit)
-    result = product_d(spec, table, params, prime_limit, threads=cfg.threads)
+    result = product_d(spec, table, params, prime_limit)
     _emit_json({
         "schema_version": SCHEMA_VERSION,
         "command": "product",
@@ -174,7 +174,7 @@ def cmd_st(args, cfg: Config) -> int:
     params = _params(args)
     prime_limit = args.prime_limit or cfg.prime_limit
     table = sieve_primes(prime_limit)
-    st = st_ratio(table, params, prime_limit, threads=cfg.threads)
+    st = st_ratio(table, params, prime_limit)
     _emit_json({
         "schema_version": SCHEMA_VERSION,
         "command": "st",
@@ -213,7 +213,7 @@ def cmd_ratio_grid(args, cfg: Config) -> int:
                 writer.writerow([SCHEMA_VERSION, _fmt(s), _fmt(t),
                                  "", "", "", "", "", "outside_rc"])
                 continue
-            st = st_ratio(table, Params(s=s, t=t), prime_limit, threads=cfg.threads)
+            st = st_ratio(table, Params(s=s, t=t), prime_limit)
             writer.writerow([
                 SCHEMA_VERSION, _fmt(s), _fmt(t),
                 _fmt(st.s_value.value), _fmt(st.t_value.value), _fmt(st.ratio),
@@ -241,7 +241,7 @@ def cmd_identity(args, cfg: Config) -> int:
         args.sieve_limit = limit
     sieve = _sieve(args, cfg, needed=limit)
     table = sieve_primes(prime_limit)
-    res, split = identity_pass(sieve, table, params, limit, prime_limit, threads=cfg.threads)
+    res, split = identity_pass(sieve, table, params, limit, prime_limit)
     tolerance = cfg.tolerance_scale * res.tolerance
     _emit_json({
         "schema_version": SCHEMA_VERSION,
@@ -294,8 +294,7 @@ def cmd_abc(args, cfg: Config) -> int:
                 print(f"abc: c={c}/{c_max}", file=sys.stderr)
 
     batches = scan(sieve, table, params, args.cmax, prime_limit,
-                   sample=args.sample, seed=args.seed, threads=cfg.threads,
-                   progress=progress)
+                   sample=args.sample, seed=args.seed, progress=progress)
     if args.verify:
         report = verify_theorem2(batches)
         _emit_json({
@@ -322,7 +321,6 @@ def cmd_abc(args, cfg: Config) -> int:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="path to key=value config file")
-    parser.add_argument("--threads", type=int, help="worker threads (default 1: serial)")
     parser.add_argument("--sieve-limit", type=int, help="factor sieve limit")
     parser.add_argument("--sieve-file", help="load the factor sieve from a dump")
 
@@ -416,8 +414,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if args.threads is not None:
-            cfg.threads = args.threads
         return args.func(args, cfg)
     except RadseriesError as exc:
         print(f"radseries: {exc}", file=sys.stderr)

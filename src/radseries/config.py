@@ -7,6 +7,7 @@ override whatever the file says.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,7 +24,6 @@ class Config:
     sieve_limit: int = 100_000
     prime_limit: int = 100_000
     tolerance_scale: float = 1.0
-    threads: int = 1
     spec: str = "radical"  # default built-in multiplicative spec
 
 
@@ -59,5 +59,9 @@ def load_config(path: str | os.PathLike | None = None) -> Config:
         key = key.strip()
         if key not in kinds:
             raise InvalidArgumentError(f"{path}:{lineno}: unknown config key {key!r}")
-        setattr(cfg, key, _parse_value(key, raw, kinds[key]))
+        value = _parse_value(key, raw, kinds[key])
+        if key == "tolerance_scale" and not (math.isfinite(value) and value > 0.0):
+            raise InvalidArgumentError(
+                f"{path}:{lineno}: tolerance_scale must be finite and > 0, got {raw.strip()!r}")
+        setattr(cfg, key, value)
     return cfg

@@ -32,8 +32,6 @@ def product_d(
     primes: PrimeTable,
     params: Params,
     prime_limit: int,
-    *,
-    threads: int = 1,
 ) -> TruncatedSum:
     """prod_{p<=prime_limit} (local Euler factor) as a TruncatedSum.
 
@@ -52,7 +50,7 @@ def product_d(
     def block_sum(lo: int, hi: int) -> float:
         return exact_sum(spec.log_local_factor(p[lo:hi], params.s, params.t))
 
-    log_sum = sum_blocks(len(p), block_sum, threads=threads)
+    log_sum = sum_blocks(len(p), block_sum)
     value = math.exp(log_sum)
 
     tail = None

@@ -115,8 +115,6 @@ def identity_pass(
     params: Params,
     limit: int,
     prime_limit: int,
-    *,
-    threads: int = 1,
 ) -> tuple[IdentityResidual, SplitSums]:
     """Residual and class split of the identity from one per-n pass.
 
@@ -127,7 +125,7 @@ def identity_pass(
     and ``series_d_log_m``) and the class sums all read those arrays.
     """
     _checked(sieve, limit)
-    st = st_ratio(primes, params, prime_limit, threads=threads)
+    st = st_ratio(primes, params, prime_limit)
     s_p, t_p = st.s_value.value, st.t_value.value
     low, high = st.ratio_interval
 
@@ -143,12 +141,11 @@ def identity_pass(
     w *= a_n
 
     def log_sum(ln: np.ndarray, weight: str) -> TruncatedSum:
-        value = sum_blocks(limit, lambda lo, hi: exact_sum(a_n[lo:hi] * ln[lo:hi]),
-                           threads=threads)
+        value = sum_blocks(limit, lambda lo, hi: exact_sum(a_n[lo:hi] * ln[lo:hi]))
         tail = _tail_bound(params, limit, weight, RADICAL_SPEC.growth_exponent)
         return TruncatedSum(value=value, tail_bound=tail, terms_used=limit)
 
-    residual = sum_blocks(limit, lambda lo, hi: exact_sum(w[lo:hi]), threads=threads)
+    residual = sum_blocks(limit, lambda lo, hi: exact_sum(w[lo:hi]))
     tolerance = _residual_tolerance(
         st, log_sum(ln_n, _WEIGHT_LOG_N), log_sum(ln_r, _WEIGHT_LOG_M)
     )
@@ -178,11 +175,9 @@ def identity_residual(
     params: Params,
     limit: int,
     prime_limit: int,
-    *,
-    threads: int = 1,
 ) -> IdentityResidual:
     """sum_{n<=limit} a_n (S ln R(n) - T ln n) with its tolerance."""
-    return identity_pass(sieve, primes, params, limit, prime_limit, threads=threads)[0]
+    return identity_pass(sieve, primes, params, limit, prime_limit)[0]
 
 
 def split_identity(
@@ -191,8 +186,6 @@ def split_identity(
     params: Params,
     limit: int,
     prime_limit: int,
-    *,
-    threads: int = 1,
 ) -> SplitSums:
     """Partition the identity sum by classification and balance the sides."""
-    return identity_pass(sieve, primes, params, limit, prime_limit, threads=threads)[1]
+    return identity_pass(sieve, primes, params, limit, prime_limit)[1]

@@ -3,8 +3,7 @@
 Summation strategy: terms are produced in fixed-size index blocks, each
 block is reduced with ``exact_sum``, and the per-block totals are combined
 with ``math.fsum`` in block order.  Block boundaries depend only on the term
-count, never on the worker count, so a run with ``threads=4`` is
-bit-identical to a serial run.
+count, so every run of a sum returns the same bits.
 
 ``exact_sum`` returns the bits ``math.fsum`` returns, at a few whole-array
 numpy operations per level instead of one boxed scalar per term.  It uses
@@ -88,7 +87,9 @@ def sum_blocks(
     ``block_sum`` must return the compensated sum of its half-open index
     range.  With ``threads > 1`` the blocks are evaluated in a thread pool;
     the final reduction always runs in block order, so the result does not
-    depend on the thread count.
+    depend on the thread count.  Only the benchmark's per-layer timings pass
+    ``threads`` (here and through ``series.series_d``); the package sums
+    serially.
     """
     if total <= 0:
         return 0.0

@@ -81,7 +81,7 @@ def _segmented_sieve(limit: int, segment_size: int = SEGMENT_SIZE) -> np.ndarray
     return np.concatenate(chunks)
 
 
-def sieve_primes(limit: int, *, segment_size: int = SEGMENT_SIZE) -> PrimeTable:
+def sieve_primes(limit: int) -> PrimeTable:
     """Sieve all primes <= limit into a PrimeTable.
 
     Raises InvalidArgumentError for limit < 2 and OutOfRangeError for
@@ -94,7 +94,7 @@ def sieve_primes(limit: int, *, segment_size: int = SEGMENT_SIZE) -> PrimeTable:
     if limit <= SEGMENT_THRESHOLD:
         primes = _simple_sieve(limit)
     else:
-        primes = _segmented_sieve(limit, segment_size)
+        primes = _segmented_sieve(limit)
     return PrimeTable(limit=limit, primes=primes)
 
 

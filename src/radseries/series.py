@@ -9,8 +9,8 @@ R(n)^t/n^s is at most n^(t-s), with equality exactly at squarefree n).
 Specs without a declared growth bound still evaluate; their truncations
 carry tail_bound = None.
 
-Powers M(n)^t are evaluated as exp(t * ln M(n)), which is safe because the
-spec framework guarantees M(n) > 0.
+Each term is evaluated as np.power(M(n), t) * np.power(n, -s), in float64;
+the spec framework guarantees M(n) > 0.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ def _series_sum(
     params: Params,
     limit: int,
     weight: str,
-    threads: int,
+    threads: int = 1,
 ) -> float:
     values = range_values(spec, sieve, limit)
     s, t = params.s, params.t
@@ -134,12 +134,10 @@ def series_d_log_n(
     sieve: FactorSieve,
     params: Params,
     limit: int,
-    *,
-    threads: int = 1,
 ) -> TruncatedSum:
     """sum_{n<=limit} M(n)^t ln(n) / n^s."""
     _checked(sieve, limit)
-    value = _series_sum(spec, sieve, params, limit, _WEIGHT_LOG_N, threads)
+    value = _series_sum(spec, sieve, params, limit, _WEIGHT_LOG_N)
     tail = _tail_bound(params, limit, _WEIGHT_LOG_N, spec.growth_exponent)
     return TruncatedSum(value=value, tail_bound=tail, terms_used=limit)
 
@@ -149,11 +147,9 @@ def series_d_log_m(
     sieve: FactorSieve,
     params: Params,
     limit: int,
-    *,
-    threads: int = 1,
 ) -> TruncatedSum:
     """sum_{n<=limit} M(n)^t ln(M(n)) / n^s."""
     _checked(sieve, limit)
-    value = _series_sum(spec, sieve, params, limit, _WEIGHT_LOG_M, threads)
+    value = _series_sum(spec, sieve, params, limit, _WEIGHT_LOG_M)
     tail = _tail_bound(params, limit, _WEIGHT_LOG_M, spec.growth_exponent)
     return TruncatedSum(value=value, tail_bound=tail, terms_used=limit)

@@ -89,7 +89,7 @@ def st_terms(p: np.ndarray, m: np.ndarray, s: float, t: float) -> tuple[np.ndarr
 
 
 def _st_sums(
-    spec: MultiplicativeSpec, primes: PrimeTable, params: Params, prime_limit: int, threads: int
+    spec: MultiplicativeSpec, primes: PrimeTable, params: Params, prime_limit: int
 ) -> tuple[TruncatedSum, TruncatedSum]:
     """(S, T) truncations from one st_terms pass.
 
@@ -107,7 +107,7 @@ def _st_sums(
     t_terms, s_terms = st_terms(p, m, params.s, params.t)
 
     def total(terms: np.ndarray) -> float:
-        return sum_blocks(len(p), lambda lo, hi: exact_sum(terms[lo:hi]), threads=threads)
+        return sum_blocks(len(p), lambda lo, hi: exact_sum(terms[lo:hi]))
 
     s_tail = t_tail = None
     g = spec.growth_exponent
@@ -122,14 +122,14 @@ def _st_sums(
     )
 
 
-def st_ratio(primes: PrimeTable, params: Params, prime_limit: int, *, threads: int = 1) -> StResult:
+def st_ratio(primes: PrimeTable, params: Params, prime_limit: int) -> StResult:
     """S, T, their ratio, and the sandwich-aware enclosure of the true ratio.
 
     Raises OutOfRangeError where the ratio is undefined in float64: T
     underflows to 0.0 (huge s), or s - t rounds to 1.0 and no tail bound
     exists.
     """
-    s_val, t_val = _st_sums(RADICAL_SPEC, primes, params, prime_limit, threads)
+    s_val, t_val = _st_sums(RADICAL_SPEC, primes, params, prime_limit)
     tb = t_val.tail_bound
     if t_val.value == 0.0 or tb is None:
         why = "T underflows to 0.0" if t_val.value == 0.0 else "s - t rounds to 1.0"
@@ -147,11 +147,9 @@ def s_general(
     primes: PrimeTable,
     params: Params,
     prime_limit: int,
-    *,
-    threads: int = 1,
 ) -> TruncatedSum:
     """Generalized S: sum_p [p^s/(p^s-1)] * [M(p)^t/(p^s-1+M(p)^t)] * ln p."""
-    return _st_sums(spec, primes, params, prime_limit, threads)[0]
+    return _st_sums(spec, primes, params, prime_limit)[0]
 
 
 def t_general(
@@ -159,8 +157,6 @@ def t_general(
     primes: PrimeTable,
     params: Params,
     prime_limit: int,
-    *,
-    threads: int = 1,
 ) -> TruncatedSum:
     """Generalized T: sum_p [M(p)^t/(p^s-1+M(p)^t)] * ln M(p).
 
@@ -168,4 +164,4 @@ def t_general(
     Specs with some M(p) < 1 have non-positive terms, for which the
     non-negative-tail machinery does not apply: those get value-only.
     """
-    return _st_sums(spec, primes, params, prime_limit, threads)[1]
+    return _st_sums(spec, primes, params, prime_limit)[1]

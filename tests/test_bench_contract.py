@@ -56,3 +56,20 @@ def test_traced_method_exists(module, cls_name, name):
 ])
 def test_benchmark_keywords_accepted(fn, keyword):
     assert keyword in inspect.signature(fn).parameters
+
+
+def _parameters(fn):
+    try:
+        return inspect.signature(fn).parameters
+    except ValueError:  # exception classes: no signature of their own
+        return {}
+
+
+def test_only_benchmark_entry_points_take_threads():
+    # summation is serial; the keyword stays only where bench/layers.py passes it
+    exported = [getattr(radseries, name) for name in radseries.__all__]
+    exported.append(importlib.import_module("radseries.numerics").sum_blocks)
+    with_threads = sorted(
+        fn.__name__ for fn in exported if callable(fn) and "threads" in _parameters(fn)
+    )
+    assert with_threads == ["series_d", "sum_blocks"]

@@ -213,14 +213,20 @@ def test_abc_cmax_below_3_exits_2_before_any_output():
     assert r.stdout == ""
 
 
-def test_deterministic_across_runs_and_threads():
+def test_deterministic_across_runs():
     args = ("series", "--s", "2.6", "--t", "0.5", "--limit", "20000",
             "--sieve-limit", "20000")
     a = run_cli(*args)
     b = run_cli(*args)
-    c = run_cli(*args, "--threads", "3")
-    assert a.stdout == b.stdout == c.stdout
+    assert a.stdout == b.stdout
     assert a.returncode == 0
+
+
+def test_threads_flag_is_retired():
+    r = run_cli("st", "--s", "4", "--t", "1", "--threads", "2")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "--threads" in r.stderr and "Traceback" not in r.stderr
 
 
 def test_config_file_and_env(tmp_path):
@@ -253,6 +259,17 @@ def test_config_names_default_spec(tmp_path):
     r2 = run_cli("series", "--s", "2", "--t", "0.5", "--limit", "1000",
                  "--spec", "radical", "--config", str(cfg))
     assert json.loads(r2.stdout)["spec"] == "radical"
+
+
+@pytest.mark.parametrize("scale", ["-1", "0", "nan"])
+def test_bad_tolerance_scale_exits_2(tmp_path, scale):
+    cfg = tmp_path / "radseries.conf"
+    cfg.write_text(f"tolerance_scale = {scale}\n")
+    r = run_cli("series", "--s", "4", "--t", "1", "--limit", "10000", "--compare",
+                "--config", str(cfg))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "tolerance_scale" in r.stderr and "Traceback" not in r.stderr
 
 
 def test_bad_config_key_exits_2(tmp_path):
@@ -291,7 +308,7 @@ def test_identity_output_matches_library(tmp_path):
     from radseries import FactorSieve, Params, identity_residual, sieve_primes, split_identity
 
     r = run_cli("identity", "--s", "2.6", "--t", "0.5", "--limit", "70000",
-                "--prime-limit", "5000", "--threads", "2")
+                "--prime-limit", "5000")
     assert r.returncode == 0
     out = json.loads(r.stdout)
     sieve, table = FactorSieve.build(100_000), sieve_primes(5000)

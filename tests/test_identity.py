@@ -139,17 +139,11 @@ def test_residual_improves_with_limit(sieve_100k, table_100k):
     assert abs(r_fine.residual) / r_fine.tolerance < abs(r_coarse.residual) / r_coarse.tolerance
 
 
-def test_threads_bit_identical(sieve_100k, table_100k):
-    a = identity_residual(sieve_100k, table_100k, P41, 100_000, 100_000, threads=1)
-    b = identity_residual(sieve_100k, table_100k, P41, 100_000, 100_000, threads=4)
-    assert a.residual == b.residual
-
-
-def reference_identity(sieve, table, params, limit, prime_limit, threads):
+def reference_identity(sieve, table, params, limit, prime_limit):
     """The residual and split computed the former way: st_ratio once per
     quantity, the residual block by block, the split over whole arrays, and
     the tolerance from separate series_d_log_n / series_d_log_m calls."""
-    st = st_ratio(table, params, prime_limit, threads=threads)
+    st = st_ratio(table, params, prime_limit)
     s_p, t_p = st.s_value.value, st.t_value.value
     low, high = st.ratio_interval
     rad = radical_range(sieve, limit).astype(np.float64)
@@ -161,7 +155,7 @@ def reference_identity(sieve, table, params, limit, prime_limit, threads):
         a_n = np.power(r, t) * np.power(n, -s)
         return math.fsum(a_n * (s_p * np.log(r) - t_p * np.log(n)))
 
-    residual = sum_blocks(limit, block_sum, threads=threads)
+    residual = sum_blocks(limit, block_sum)
 
     n = np.arange(1, limit + 1, dtype=np.float64)
     r = rad[1:]
@@ -172,8 +166,8 @@ def reference_identity(sieve, table, params, limit, prime_limit, threads):
     ambiguous = ~(below | above | equal)
     w = (np.power(r, t) * np.power(n, -s)) * (s_p * ln_r - t_p * ln_n)
 
-    log_n = series_d_log_n(RADICAL_SPEC, sieve, params, limit, threads=threads)
-    log_m = series_d_log_m(RADICAL_SPEC, sieve, params, limit, threads=threads)
+    log_n = series_d_log_n(RADICAL_SPEC, sieve, params, limit)
+    log_m = series_d_log_m(RADICAL_SPEC, sieve, params, limit)
     tolerance = (st.s_value.tail_bound * log_m.upper + st.t_value.tail_bound * log_n.upper
                  + s_p * log_m.tail_bound + t_p * log_n.tail_bound)
     return {
@@ -189,16 +183,14 @@ def reference_identity(sieve, table, params, limit, prime_limit, threads):
     }
 
 
-@pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("s,t,prime_limit", [(4, 1, 100_000), (2.6, 0.5, 10_000), (5, 2.5, 100_000)])
 def test_shared_pass_is_bit_identical_to_separate_passes(sieve_100k, table_100k, s, t,
-                                                         prime_limit, threads):
+                                                         prime_limit):
     params = Params(s, t)
     # 100_000 terms span two summation blocks of 2^16
     for limit in (1, 65_536, 100_000):
-        want = reference_identity(sieve_100k, table_100k, params, limit, prime_limit, threads)
-        res, split = identity_pass(sieve_100k, table_100k, params, limit, prime_limit,
-                                   threads=threads)
+        want = reference_identity(sieve_100k, table_100k, params, limit, prime_limit)
+        res, split = identity_pass(sieve_100k, table_100k, params, limit, prime_limit)
         assert res.st == want["st"]
         assert res.residual == want["residual"]
         assert res.tolerance == split.tolerance == want["tolerance"]
@@ -208,10 +200,8 @@ def test_shared_pass_is_bit_identical_to_separate_passes(sieve_100k, table_100k,
         assert split.classification_counts == want["counts"]
         assert split.ambiguous_count == want["ambiguous_count"]
         assert split.ambiguous_sum == want["ambiguous_sum"]
-        assert identity_residual(sieve_100k, table_100k, params, limit, prime_limit,
-                                 threads=threads) == res
-        assert split_identity(sieve_100k, table_100k, params, limit, prime_limit,
-                              threads=threads) == split
+        assert identity_residual(sieve_100k, table_100k, params, limit, prime_limit) == res
+        assert split_identity(sieve_100k, table_100k, params, limit, prime_limit) == split
 
 
 def test_identity_limit_outside_sieve(sieve_10k, table_10k):

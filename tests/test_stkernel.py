@@ -19,7 +19,7 @@ from radseries import (
     st_ratio,
     t_general,
 )
-from radseries.numerics import log_power_tail, power_tail, sum_blocks
+from radseries.numerics import DEFAULT_BLOCK, log_power_tail, power_tail, sum_blocks
 from radseries.stkernel import StResult, st_terms
 
 P41 = Params(4, 1)
@@ -214,12 +214,6 @@ def test_derivative_identities_finite_difference(sieve_10k, table_10k):
     assert abs(fd_t - t_val.value) <= curvature + rounding + gap_t + t_val.tail_bound
 
 
-def test_threads_bit_identical(table_100k):
-    for fn in (s_radical, t_radical):
-        assert fn(table_100k, P41, 100_000, threads=1).value == \
-            fn(table_100k, P41, 100_000, threads=3).value
-
-
 @pytest.mark.parametrize("prime_limit", [2, 3, 100_000])
 def test_st_ratio_shares_one_pass_with_s_and_t_functions(table_100k, prime_limit):
     # st_ratio and s_general / t_general with the radical spec read the same
@@ -236,10 +230,9 @@ def test_st_ratio_shares_one_pass_with_s_and_t_functions(table_100k, prime_limit
     ]
     for s, t in points:
         params = Params(s, t)
-        for threads in (1, 2):
-            got = st_ratio(table_100k, params, prime_limit, threads=threads)
-            assert repr(got.s_value) == repr(s_radical(table_100k, params, prime_limit))
-            assert repr(got.t_value) == repr(t_radical(table_100k, params, prime_limit))
+        got = st_ratio(table_100k, params, prime_limit)
+        assert repr(got.s_value) == repr(s_radical(table_100k, params, prime_limit))
+        assert repr(got.t_value) == repr(t_radical(table_100k, params, prime_limit))
 
 
 def test_st_ratio_flags_underflowed_t(table_10k):
@@ -347,3 +340,12 @@ def test_single_pass_equals_reference_bit_for_bit(table_100k, s, share, prime_li
     else:
         with pytest.raises(OutOfRangeError):
             st_ratio(table_100k, params, prime_limit)
+
+
+def test_st_ratio_over_two_blocks_equals_reference():
+    # 78,498 primes up to 10^6: the sums cross a fixed block boundary
+    table = sieve_primes(1_000_000)
+    assert DEFAULT_BLOCK < len(table.upto(1_000_000)) <= 2 * DEFAULT_BLOCK
+    for params in (P41, Params(2.6, 0.5), Params(5.0, 2.5)):
+        want = reference_st_ratio(table, params, 1_000_000)
+        assert repr(st_ratio(table, params, 1_000_000)) == repr(want)
