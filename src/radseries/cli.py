@@ -25,11 +25,11 @@ from .config import Config, load_config
 from .errors import RadseriesError
 from .euler import product_d
 from .identity import identity_pass
-from .multfn import BUILTIN_SPECS, builtin_spec
+from .multfn import BUILTIN_SPECS, RADICAL_SPEC, builtin_spec
 from .primes import sieve_primes
 from .radical import FactorSieve, euler_phi, is_squarefree, radical
 from .series import Params, TruncatedSum, series_d
-from .stkernel import st_ratio
+from .stkernel import StKernel, st_ratio
 
 SCHEMA_VERSION = 1
 
@@ -81,10 +81,27 @@ def _params(args) -> Params:
     return Params(s=args.s, t=args.t)
 
 
+def _limit(value: int | None, default: int, flag: str, least: int) -> int:
+    """The flag's value, or the config default when the flag is absent.
+
+    An explicit value below ``least`` is invalid input, never a request for
+    the default.
+    """
+    if value is None:
+        return default
+    if value < least:
+        raise RadseriesError(f"{flag} must be >= {least}, got {value}")
+    return value
+
+
+def _prime_limit(args, cfg: Config) -> int:
+    return _limit(args.prime_limit, cfg.prime_limit, "--prime-limit", 2)
+
+
 def _sieve(args, cfg: Config, needed: int | None = None) -> FactorSieve:
     if args.sieve_file:
         return FactorSieve.load(args.sieve_file)
-    limit = args.sieve_limit or cfg.sieve_limit
+    limit = _limit(args.sieve_limit, cfg.sieve_limit, "--sieve-limit", 1)
     if needed is not None and needed > limit:
         raise RadseriesError(
             f"n={needed} exceeds configured sieve limit {limit}; "
@@ -108,7 +125,7 @@ def cmd_radical(args, cfg: Config) -> int:
 
 
 def cmd_sieve(args, cfg: Config) -> int:
-    limit = args.limit or cfg.sieve_limit
+    limit = _limit(args.limit, cfg.sieve_limit, "--limit", 1)
     sieve = FactorSieve.build(limit, cache_values=False)
     sieve.dump(args.out)
     _emit_json({
@@ -137,7 +154,7 @@ def cmd_series(args, cfg: Config) -> int:
         **_sum_fields(result),
     }
     if args.compare:
-        prime_limit = args.prime_limit or cfg.prime_limit
+        prime_limit = _prime_limit(args, cfg)
         table = sieve_primes(prime_limit)
         prod = product_d(spec, table, params, prime_limit)
         gap = abs(result.value - prod.value)
@@ -155,7 +172,7 @@ def cmd_series(args, cfg: Config) -> int:
 def cmd_product(args, cfg: Config) -> int:
     params = _params(args)
     spec = builtin_spec(args.spec or cfg.spec)
-    prime_limit = args.prime_limit or cfg.prime_limit
+    prime_limit = _prime_limit(args, cfg)
     table = sieve_primes(prime_limit)
     result = product_d(spec, table, params, prime_limit)
     _emit_json({
@@ -172,7 +189,7 @@ def cmd_product(args, cfg: Config) -> int:
 
 def cmd_st(args, cfg: Config) -> int:
     params = _params(args)
-    prime_limit = args.prime_limit or cfg.prime_limit
+    prime_limit = _prime_limit(args, cfg)
     table = sieve_primes(prime_limit)
     st = st_ratio(table, params, prime_limit)
     _emit_json({
@@ -200,21 +217,20 @@ def _grid_axis(lo: float, hi: float, steps: int) -> list[float]:
 
 
 def cmd_ratio_grid(args, cfg: Config) -> int:
-    prime_limit = args.prime_limit or cfg.prime_limit
-    table = sieve_primes(prime_limit)
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["schema_version", "s", "t", "S", "T",
-                     "ratio", "ratio_low", "ratio_high", "status"])
+    prime_limit = _prime_limit(args, cfg)
+    kernel = StKernel.for_spec(RADICAL_SPEC, sieve_primes(prime_limit), prime_limit)
+    # every point is computed before any row is written, so a point the
+    # kernel rejects leaves stdout empty instead of a truncated CSV
+    rows = []
     evaluated = 0
     out_of_bound = 0
     for s in _grid_axis(args.s_min, args.s_max, args.steps):
         for t in _grid_axis(args.t_min, args.t_max, args.steps):
             if not (t > 0.0 and s > 1.0 + t):
-                writer.writerow([SCHEMA_VERSION, _fmt(s), _fmt(t),
-                                 "", "", "", "", "", "outside_rc"])
+                rows.append([SCHEMA_VERSION, _fmt(s), _fmt(t), "", "", "", "", "", "outside_rc"])
                 continue
-            st = st_ratio(table, Params(s=s, t=t), prime_limit)
-            writer.writerow([
+            st = kernel.ratio(Params(s=s, t=t))
+            rows.append([
                 SCHEMA_VERSION, _fmt(s), _fmt(t),
                 _fmt(st.s_value.value), _fmt(st.t_value.value), _fmt(st.ratio),
                 _fmt(st.ratio_interval[0]), _fmt(st.ratio_interval[1]), "ok",
@@ -226,6 +242,10 @@ def cmd_ratio_grid(args, cfg: Config) -> int:
         print("ratio-grid: no grid point lies inside the region of convergence "
               "(t > 0, s > 1 + t)", file=sys.stderr)
         return EXIT_INVALID
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(["schema_version", "s", "t", "S", "T",
+                     "ratio", "ratio_low", "ratio_high", "status"])
+    writer.writerows(rows)
     if args.check_bounds and out_of_bound:
         print(f"ratio-grid: {out_of_bound} enclosing interval(s) leave (1, 2)",
               file=sys.stderr)
@@ -235,7 +255,7 @@ def cmd_ratio_grid(args, cfg: Config) -> int:
 
 def cmd_identity(args, cfg: Config) -> int:
     params = _params(args)
-    prime_limit = args.prime_limit or cfg.prime_limit
+    prime_limit = _prime_limit(args, cfg)
     limit = args.limit
     if args.sieve_limit is None and not args.sieve_file and limit > cfg.sieve_limit:
         args.sieve_limit = limit
@@ -281,7 +301,7 @@ def _abc_csv_rows(batch: AbcBatch) -> str:
 
 def cmd_abc(args, cfg: Config) -> int:
     params = _params(args)
-    prime_limit = args.prime_limit or cfg.prime_limit
+    prime_limit = _prime_limit(args, cfg)
     if args.sieve_limit is None and not args.sieve_file and args.cmax > cfg.sieve_limit:
         args.sieve_limit = args.cmax
     sieve = _sieve(args, cfg, needed=args.cmax)

@@ -15,7 +15,9 @@ is a multiple of 2^(m+e-53) and every partial sum of the q stays below
 included, and p - q is exact too.  Repeating on p - q until it is zero
 splits the terms into a few exact level sums whose total is the exact
 total.  ``math.fsum`` rounds that total correctly, as it would the terms
-themselves, so the two results agree bit for bit.
+themselves, so the two results agree bit for bit.  The levels are peeled
+off in place, in two reusable chunk buffers, so a sum allocates no
+temporary per level and never writes into the caller's array.
 
 Tail bounds compare a series with non-negative, eventually decreasing
 terms against the integral of its continuous majorant:
@@ -53,13 +55,21 @@ def exact_sum(x) -> float:
 
 
 def _level_sums(x: np.ndarray) -> list[float]:
-    """Exact level sums of x, chunk by chunk; [] where math.fsum must sum x."""
+    """Exact level sums of x, chunk by chunk; [] where math.fsum must sum x.
+
+    Levels are extracted in place, in two chunk-sized buffers reused over
+    every chunk and level; x itself is only read.
+    """
     guard = (len(x) + 1).bit_length()  # 2^guard >= len(x) + 2
+    rest = np.empty(min(len(x), DEFAULT_BLOCK))
+    level = np.empty_like(rest)
     levels: list[float] = []
     for lo in range(0, len(x), DEFAULT_BLOCK):
         p = x[lo:lo + DEFAULT_BLOCK]
-        m = (len(p) + 1).bit_length()  # 2^m >= len(p) + 2
-        top = float(np.max(np.abs(p)))
+        n = len(p)
+        m = (n + 1).bit_length()  # 2^m >= n + 2
+        q = level[:n]
+        top = _max_abs(p)
         if not math.isfinite(top):
             return []
         while top != 0.0:
@@ -67,12 +77,17 @@ def _level_sums(x: np.ndarray) -> list[float]:
             if e + guard > 1023:  # keeps sigma and sum |x| below 2^1023
                 return []
             sigma = math.ldexp(1.0, m + e)
-            q = p + sigma
+            np.add(p, sigma, out=q)
             q -= sigma
             levels.append(float(q.sum()))
-            p = p - q
-            top = float(np.max(np.abs(p)))
+            p = np.subtract(p, q, out=rest[:n])
+            top = _max_abs(p)
     return levels
+
+
+def _max_abs(p: np.ndarray) -> float:
+    """max|p| without an |p| temporary; NaN when p holds a NaN."""
+    return max(float(p.max()), -float(p.min()))
 
 
 def sum_blocks(

@@ -8,9 +8,13 @@ Every term of S is its T counterpart times p^s/(p^s-1), a factor strictly
 between 1 and 2, so T-term < S-term < 2*T-term holds prime by prime and
 1 < S/T < 2 holds at every truncation, not only in the limit.
 
-One per-prime kernel, ``st_terms``, yields both term arrays for any M(p)
-(M(p) = p for the radical), and one pass sums them and attaches both tails;
-``st_ratio``, ``s_general`` and ``t_general`` all read that pass.
+One prepared per-prime kernel, ``StKernel``, yields both term arrays for
+any M(p) (M(p) = p for the radical), sums them and attaches both tails.  It
+is built once per (prime table, prime limit, spec): p, ln p, ln M(p) and its
+work buffers are made once, and the S factor p^s/(p^s-1) is formed once per
+value of s, so a grid walked s-major pays for p^-s once per row.
+``st_terms``, ``st_ratio``, ``s_general`` and ``t_general`` are one-point
+uses of it; ``ratio-grid`` keeps one kernel for its whole grid.
 
 Tail bounds: each T term is below ln(p) p^(t-s) (the denominator exceeds
 p^s because p^t > 1), and the primes above P are a subset of the integers
@@ -60,86 +64,144 @@ class StResult:
         return 1.0 < low and high < 2.0
 
 
-def _st_denominator(ln_p: np.ndarray, ln_m: np.ndarray, s: float, t: float) -> np.ndarray:
-    # (p^s - 1 + M^t) / M^t in log space: neither p^s nor M^t is ever
-    # formed, so huge exponents degrade to an inf denominator (term 0.0,
-    # where the true term underflows) instead of inf/inf.
-    with np.errstate(over="ignore"):
-        return np.exp(s * ln_p - t * ln_m) - np.exp(-t * ln_m) + 1.0
+class StKernel:
+    """S and T over fixed primes p with values m = M(p), prepared once and
+    evaluated at any number of points (s, t).
+
+    Holds p as given (``for_spec`` passes the prime table's own uint64 array,
+    which every ufunc reads as the float64 values a copy would hold), ln p
+    and ln M(p) (one array when m equals p, the radical and identity specs),
+    two work buffers of len(p), and the S factor 1/(1 - p^-s) of the last s
+    evaluated: a grid walked s-major forms p^-s once per row.  Every
+    evaluation runs the same ufuncs in the same order, only into reused
+    buffers, so its bits do not depend on what the kernel evaluated before.
+    Each evaluation overwrites those buffers, so a kernel serves one caller
+    at a time.
+
+    ``tail`` is (g, P): a growth bound g with every M(p) >= 1 and the prime
+    limit P; without it both sums are value-only.
+    """
+
+    def __init__(self, p: np.ndarray, m: np.ndarray, tail: tuple[float, int] | None = None):
+        self._p = p
+        self._ln_p = np.log(p)
+        self._same = np.array_equal(m, p)
+        self._ln_m = self._ln_p if self._same else np.log(m)
+        self._tail = tail
+        self._work = (np.empty(len(p)), np.empty(len(p)))
+        self._factor = np.empty(len(p))
+        self._factor_s: float | None = None
+
+    @classmethod
+    def for_spec(
+        cls, spec: MultiplicativeSpec, primes: PrimeTable, prime_limit: int
+    ) -> "StKernel":
+        """The kernel of spec over the primes <= prime_limit.
+
+        The tails need a growth bound g, every M(p) >= 1 (so the local
+        denominator dominates p^s) and, at each point, s - g*t > 1.
+        """
+        if prime_limit < 2:
+            raise OutOfRangeError(f"prime_limit={prime_limit} admits no primes")
+        p = primes.upto(prime_limit)
+        if spec.prime_values is not None:
+            m = np.asarray(spec.prime_values(p.astype(np.float64)), dtype=np.float64)
+        else:
+            m = np.array([spec.value_at_prime_power(int(q), 1) for q in p], dtype=np.float64)
+        g = spec.growth_exponent
+        tail = (g, prime_limit) if g is not None and bool(m.min() >= 1.0) else None
+        return cls(p, m, tail)
+
+    def _s_factor(self, s: float) -> np.ndarray:
+        # p^s/(p^s-1) = 1/(1-p^-s), in (1, 2) for p^s > 2; kept for the next
+        # point with the same s.  The exponent goes in as a float, since an
+        # integer s does not cast to the uint64 of a prime table's p.
+        if self._factor_s != s:
+            f = np.power(self._p, -float(s), out=self._factor)
+            np.subtract(1.0, f, out=f)
+            np.divide(1.0, f, out=f)
+            self._factor_s = s
+        return self._factor
+
+    def terms(self, s: float, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """(T-terms, S-terms) at (s, t), in buffers the next call overwrites."""
+        ln_p, ln_m = self._ln_p, self._ln_m
+        den, other = self._work
+        # (p^s - 1 + M^t) / M^t in log space: neither p^s nor M^t is ever
+        # formed, so huge exponents degrade to an inf denominator (term 0.0,
+        # where the true term underflows) instead of inf/inf.
+        np.multiply(s, ln_p, out=den)
+        np.multiply(t, ln_m, out=other)
+        np.subtract(den, other, out=den)
+        np.multiply(-t, ln_m, out=other)
+        with np.errstate(over="ignore"):
+            np.exp(den, out=den)
+            np.exp(other, out=other)
+        np.subtract(den, other, out=den)
+        np.add(den, 1.0, out=den)
+        factor = self._s_factor(s)
+        if self._same:
+            # one logarithm serves both weights and each S-term is the factor
+            # times its T-term: the termwise sandwich is in the arithmetic
+            t_terms = np.divide(ln_m, den, out=den)
+            return t_terms, np.multiply(factor, t_terms, out=other)
+        t_terms = np.divide(ln_m, den, out=other)
+        s_weight = np.divide(ln_p, den, out=den)
+        return t_terms, np.multiply(factor, s_weight, out=s_weight)
+
+    def sums(self, params: Params) -> tuple[TruncatedSum, TruncatedSum]:
+        """(S, T) truncations at params, each with its tail when one exists."""
+        t_terms, s_terms = self.terms(params.s, params.t)
+        s_tail = t_tail = None
+        if self._tail is not None:
+            g, prime_limit = self._tail
+            a = params.s - g * params.t
+            if a > 1.0:  # always for g = 0, where the T tail g * lpt is 0.0
+                lpt = log_power_tail(prime_limit, a)
+                s_tail, t_tail = 2.0 * lpt, g * lpt
+        n = len(self._p)
+        return (
+            TruncatedSum(value=_total(s_terms), tail_bound=s_tail, terms_used=n),
+            TruncatedSum(value=_total(t_terms), tail_bound=t_tail, terms_used=n),
+        )
+
+    def ratio(self, params: Params) -> StResult:
+        """S, T, their ratio, and the sandwich-aware enclosure of the true ratio.
+
+        Raises OutOfRangeError where the ratio is undefined in float64: T
+        underflows to 0.0 (huge s), or s - t rounds to 1.0 and no tail bound
+        exists.
+        """
+        s_val, t_val = self.sums(params)
+        tb = t_val.tail_bound
+        if t_val.value == 0.0 or tb is None:
+            why = "T underflows to 0.0" if t_val.value == 0.0 else "s - t rounds to 1.0"
+            raise OutOfRangeError(
+                f"S/T is undefined in float64 at s={params.s}, t={params.t}: {why}")
+        ratio = s_val.value / t_val.value
+        # low and high are rounded apart from ratio; widening by ratio keeps the
+        # promised containment of the truncated ratio under rounding
+        low = min((s_val.value + tb) / (t_val.value + tb), ratio)
+        high = max((s_val.value + 2.0 * tb) / (t_val.value + tb), ratio)
+        return StResult(s_value=s_val, t_value=t_val, ratio=ratio, ratio_interval=(low, high))
+
+
+def _total(terms: np.ndarray) -> float:
+    return sum_blocks(len(terms), lambda lo, hi: exact_sum(terms[lo:hi]))
 
 
 def st_terms(p: np.ndarray, m: np.ndarray, s: float, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-prime (T-terms, S-terms) for M(p) = m.
-
-    When m equals p (radical and identity specs) one logarithm serves both
-    weights and each S-term is the factor times its T-term, so the termwise
-    sandwich is transparent in the arithmetic itself.
-    """
-    ln_p = np.log(p)
-    same = np.array_equal(m, p)
-    ln_m = ln_p if same else np.log(m)
-    den = _st_denominator(ln_p, ln_m, s, t)
-    t_terms = ln_m / den
-    # S weight ln p / den: the T-term when m = p, else den's buffer.  den goes
-    # first and the factor p^s/(p^s-1) = 1/(1-p^-s), in (1, 2) for p^s > 2,
-    # stays unnamed so numpy reuses its temporaries (fewer fresh pages a call).
-    s_weight = t_terms if same else np.divide(ln_p, den, out=den)
-    del den
-    return t_terms, (1.0 / (1.0 - np.power(p, -s))) * s_weight
-
-
-def _st_sums(
-    spec: MultiplicativeSpec, primes: PrimeTable, params: Params, prime_limit: int
-) -> tuple[TruncatedSum, TruncatedSum]:
-    """(S, T) truncations from one st_terms pass.
-
-    The tails need a growth bound g, every M(p) >= 1 (so the local
-    denominator dominates p^s) and s - g*t > 1; otherwise a sum is
-    value-only.
-    """
-    if prime_limit < 2:
-        raise OutOfRangeError(f"prime_limit={prime_limit} admits no primes")
-    p = primes.upto(prime_limit).astype(np.float64)
-    if spec.prime_values is not None:
-        m = np.asarray(spec.prime_values(p), dtype=np.float64)
-    else:
-        m = np.array([spec.value_at_prime_power(int(q), 1) for q in p], dtype=np.float64)
-    t_terms, s_terms = st_terms(p, m, params.s, params.t)
-
-    def total(terms: np.ndarray) -> float:
-        return sum_blocks(len(p), lambda lo, hi: exact_sum(terms[lo:hi]))
-
-    s_tail = t_tail = None
-    g = spec.growth_exponent
-    if g is not None and bool(m.min() >= 1.0):
-        a = params.s - g * params.t
-        if a > 1.0:  # always for g = 0, where the T tail g * lpt is 0.0
-            lpt = log_power_tail(prime_limit, a)
-            s_tail, t_tail = 2.0 * lpt, g * lpt
-    return (
-        TruncatedSum(value=total(s_terms), tail_bound=s_tail, terms_used=len(p)),
-        TruncatedSum(value=total(t_terms), tail_bound=t_tail, terms_used=len(p)),
-    )
+    """Per-prime (T-terms, S-terms) for M(p) = m, from a kernel used once."""
+    return StKernel(p, m).terms(s, t)
 
 
 def st_ratio(primes: PrimeTable, params: Params, prime_limit: int) -> StResult:
-    """S, T, their ratio, and the sandwich-aware enclosure of the true ratio.
+    """S, T, their ratio and its enclosure for the radical at one point.
 
-    Raises OutOfRangeError where the ratio is undefined in float64: T
-    underflows to 0.0 (huge s), or s - t rounds to 1.0 and no tail bound
-    exists.
+    A kernel used once (see ``StKernel.ratio``); raises OutOfRangeError where
+    the ratio is undefined in float64.
     """
-    s_val, t_val = _st_sums(RADICAL_SPEC, primes, params, prime_limit)
-    tb = t_val.tail_bound
-    if t_val.value == 0.0 or tb is None:
-        why = "T underflows to 0.0" if t_val.value == 0.0 else "s - t rounds to 1.0"
-        raise OutOfRangeError(f"S/T is undefined in float64 at s={params.s}, t={params.t}: {why}")
-    ratio = s_val.value / t_val.value
-    # low and high are rounded apart from ratio; widening by ratio keeps the
-    # promised containment of the truncated ratio under rounding
-    low = min((s_val.value + tb) / (t_val.value + tb), ratio)
-    high = max((s_val.value + 2.0 * tb) / (t_val.value + tb), ratio)
-    return StResult(s_value=s_val, t_value=t_val, ratio=ratio, ratio_interval=(low, high))
+    return StKernel.for_spec(RADICAL_SPEC, primes, prime_limit).ratio(params)
 
 
 def s_general(
@@ -149,7 +211,7 @@ def s_general(
     prime_limit: int,
 ) -> TruncatedSum:
     """Generalized S: sum_p [p^s/(p^s-1)] * [M(p)^t/(p^s-1+M(p)^t)] * ln p."""
-    return _st_sums(spec, primes, params, prime_limit)[0]
+    return StKernel.for_spec(spec, primes, prime_limit).sums(params)[0]
 
 
 def t_general(
@@ -164,4 +226,4 @@ def t_general(
     Specs with some M(p) < 1 have non-positive terms, for which the
     non-negative-tail machinery does not apply: those get value-only.
     """
-    return _st_sums(spec, primes, params, prime_limit)[1]
+    return StKernel.for_spec(spec, primes, prime_limit).sums(params)[1]

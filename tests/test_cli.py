@@ -119,6 +119,7 @@ def test_ratio_grid_all_outside_exits_2():
     r = run_cli("ratio-grid", "--s-min", "1.1", "--s-max", "1.2", "--t-min", "1",
                 "--t-max", "2", "--steps", "3", "--prime-limit", "100")
     assert r.returncode == 2
+    assert r.stdout == ""
 
 
 def test_ratio_grid_check_bounds_ok():
@@ -338,22 +339,39 @@ def test_non_finite_result_exits_3_with_empty_stdout(args, field):
     assert len(errors) == 1 and repr(field) in errors[0]
 
 
-HEADER_ONLY = "schema_version,s,t,S,T,ratio,ratio_low,ratio_high,status\n"
-
-
-@pytest.mark.parametrize("args, stdout", [
-    (("st", "--s", "1100", "--t", "2"), ""),
-    (("ratio-grid", "--s-min", "1100", "--s-max", "1100", "--t-min", "2", "--t-max", "2",
-      "--steps", "1"), HEADER_ONLY),
-    (("identity", "--s", "1100", "--t", "2", "--limit", "1000", "--prime-limit", "1000"), ""),
-    (("abc", "--s", "1100", "--t", "2", "--cmax", "50", "--verify"), ""),
-    (("abc", "--s", "1100", "--t", "2", "--cmax", "50"), ""),
-], ids=["st", "ratio-grid", "identity", "abc-verify", "abc-csv"])
-def test_underflowed_t_exits_2_without_traceback(args, stdout):
+@pytest.mark.parametrize("args", [
+    ("st", "--s", "1100", "--t", "2"),
+    ("ratio-grid", "--s-min", "1100", "--s-max", "1100", "--t-min", "2", "--t-max", "2",
+     "--steps", "1"),
+    # the s = 1000 row is in range: no CSV is printed up to the first bad point
+    ("ratio-grid", "--s-min", "1000", "--s-max", "1200", "--t-min", "2", "--t-max", "3",
+     "--steps", "3", "--prime-limit", "1000"),
+    ("identity", "--s", "1100", "--t", "2", "--limit", "1000", "--prime-limit", "1000"),
+    ("abc", "--s", "1100", "--t", "2", "--cmax", "50", "--verify"),
+    ("abc", "--s", "1100", "--t", "2", "--cmax", "50"),
+], ids=["st", "ratio-grid", "ratio-grid-after-rows", "identity", "abc-verify", "abc-csv"])
+def test_underflowed_t_exits_2_without_traceback(args):
     # every S/T term underflows at s = 1100, so T = 0.0 and S/T is undefined
     r = run_cli(*args)
     assert r.returncode == 2
-    assert r.stdout == stdout
+    assert r.stdout == ""
     assert "Traceback" not in r.stderr
     errors = [line for line in r.stderr.splitlines() if line.startswith("radseries:")]
     assert len(errors) == 1 and "s=1100.0, t=2.0" in errors[0]
+
+
+@pytest.mark.parametrize("command, flag", [
+    (("st", "--s", "4", "--t", "1"), "--prime-limit"),
+    (("radical", "30"), "--sieve-limit"),
+    (("sieve",), "--limit"),
+], ids=["prime-limit", "sieve-limit", "limit"])
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_explicit_non_positive_limit_exits_2(tmp_path, command, flag, value):
+    # an explicit 0 is rejected, not replaced by the config default
+    out = tmp_path / "sieve.bin"
+    extra = ("--out", str(out)) if command[0] == "sieve" else ()
+    r = run_cli(*command, flag, value, *extra)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert f"{flag} must be >= " in r.stderr and "Traceback" not in r.stderr
+    assert not out.exists()

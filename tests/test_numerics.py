@@ -156,3 +156,33 @@ def test_exact_sum_across_a_chunk_boundary():
     x[DEFAULT_BLOCK] = -(2.0**60)
     assert exact_sum(x) == DEFAULT_BLOCK - 1
     assert_matches_fsum(x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(float_arrays(), st.sampled_from(["contiguous", "strided", "reversed"]))
+def test_exact_sum_leaves_its_input_unchanged(x, layout):
+    # levels are peeled off in work buffers, never in the caller's array
+    if layout == "contiguous":
+        base = view = x
+    else:
+        base = np.empty(2 * len(x))
+        base[1::2] = np.arange(len(x))
+        base[::2] = x
+        view = base[::2] if layout == "strided" else base[::-2]
+    before = base.tobytes()
+    assert outcome(exact_sum, view) == outcome(math.fsum, view.tolist())
+    assert base.tobytes() == before
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.integers(0, 2 * DEFAULT_BLOCK),
+    st.integers(0, 2**32 - 1),
+)
+def test_exact_sum_non_finite_behind_larger_terms_like_fsum(value, where, seed):
+    # positive finite terms up to 1e300, so max(x) is finite and a -inf
+    # shows only through min(x); the non-finite term may sit in a later chunk
+    x = np.random.default_rng(seed).uniform(1e299, 1e300, size=2 * DEFAULT_BLOCK + 1)
+    x[where] = value
+    assert_matches_fsum(x)

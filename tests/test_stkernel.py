@@ -20,7 +20,7 @@ from radseries import (
     t_general,
 )
 from radseries.numerics import DEFAULT_BLOCK, log_power_tail, power_tail, sum_blocks
-from radseries.stkernel import StResult, st_terms
+from radseries.stkernel import StKernel, StResult, st_terms
 
 P41 = Params(4, 1)
 s_radical = functools.partial(s_general, RADICAL_SPEC)
@@ -349,3 +349,27 @@ def test_st_ratio_over_two_blocks_equals_reference():
     for params in (P41, Params(2.6, 0.5), Params(5.0, 2.5)):
         want = reference_st_ratio(table, params, 1_000_000)
         assert repr(st_ratio(table, params, 1_000_000)) == repr(want)
+
+
+def test_prepared_sweep_equals_reference_bit_for_bit():
+    # One kernel per spec over a grid walked s-major, as ratio-grid walks it:
+    # the S factor is kept along a row of repeated s and formed again when s
+    # changes or comes back.  78,498 primes cross a fixed block boundary.
+    table = sieve_primes(1_000_000)
+    assert DEFAULT_BLOCK < len(table.upto(1_000_000)) <= 2 * DEFAULT_BLOCK
+    grid = [Params(s, t) for s, t in [
+        (2.6, 0.5), (2.6, 1.0), (2.6, 1.5),
+        (4.0, 1.0), (4.0, 2.5), (4.0, 0.2), (4, 2),  # an int s hits the float's row
+        (2.6, 1.2), (9.5, 3.2), (9.5, 3.2), (3, 1),
+    ]]
+    kernel = StKernel.for_spec(RADICAL_SPEC, table, 1_000_000)
+    for params in grid:
+        want = reference_st_ratio(table, params, 1_000_000)
+        assert repr(kernel.ratio(params)) == repr(want)
+    for spec in (UNIT_SPEC, IDENTITY_SPEC):  # m != p, and m == p
+        kernel = StKernel.for_spec(spec, table, 1_000_000)
+        for params in grid:
+            _, (want_s, want_t) = _reference_sums(spec, table, params, 1_000_000)
+            assert repr(kernel.sums(params)) == repr((want_s, want_t)), spec.name
+            assert repr(s_general(spec, table, params, 1_000_000)) == repr(want_s)
+            assert repr(t_general(spec, table, params, 1_000_000)) == repr(want_t)
