@@ -17,10 +17,12 @@ candidates.  ``decompositions`` returns the coprime pairs of one c as a
 The conclusion test is exact integer arithmetic: c < rad_abc^2 is
 evaluated as rad(a)*rad(b) > isqrt(c) // rad(c), which needs no product
 beyond c^2/4 and so stays exact in int64 for every c below 6e9.  The
-hypothesis test reuses the committed interval classification, so a c is
-only flagged hypothesis-true when the entire S/T enclosure certifies
-c < R(c)^(S/T).  A scan never proves the implication; it hunts for
-counterexamples, and finding one indicates an implementation bug.
+hypothesis test is the identity module's one classification rule, applied
+once to all scanned c, so a c is only flagged hypothesis-true when the
+entire S/T enclosure certifies c < R(c)^(S/T), exactly as the identity
+split and ``classify_interval`` classify it.  A scan never proves the
+implication; it hunts for counterexamples, and finding one indicates an
+implementation bug.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .errors import InvalidArgumentError, OutOfRangeError
-from .identity import Classification, classify_interval
+from .identity import class_masks
 from .primes import PrimeTable
 from .radical import FactorSieve, factorize, radical_range
 from .series import Params
@@ -195,17 +197,18 @@ def _scan(sieve, ratio_interval, c_max, sample, seed, progress) -> Iterator[AbcB
     rad = radical_range(sieve, c_max)
     exact_objects = c_max > _INT64_RAD_ABC_CMAX
 
-    c_values: Iterable[int] = range(3, c_max + 1)
+    c_values = np.arange(3, c_max + 1)
     if sample is not None and sample < c_max - 2:
         rng = random.Random(seed)
-        c_values = sorted(rng.sample(range(3, c_max + 1), sample))
+        c_values = np.array(sorted(rng.sample(range(3, c_max + 1), sample)), dtype=np.int64)
+    below = class_masks(np.log(c_values.astype(np.float64)),
+                        np.log(rad[c_values].astype(np.float64)), low, high)[0]
 
     segments: list[_Segment] = []
     room = BATCH_PAIRS
-    for c in c_values:
+    for c, hypothesis in zip(c_values.tolist(), below.tolist()):
         if progress is not None:
             progress(c, c_max)
-        hypothesis = classify_interval(sieve, c, low, high) is Classification.BELOW
         per_c = _PerC(c, hypothesis, math.log(c), math.isqrt(c))
         primes_of_c = _prime_divisors(sieve, c)
         a_lo, a_end = 1, c // 2 + 1

@@ -339,12 +339,6 @@ def cmd_abc(args, cfg: Config) -> int:
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="path to key=value config file")
-    parser.add_argument("--sieve-limit", type=int, help="factor sieve limit")
-    parser.add_argument("--sieve-file", help="load the factor sieve from a dump")
-
-
 def _add_params(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--s", type=float, required=True, help="exponent s (needs s > 1 + t)")
     parser.add_argument("--t", type=float, required=True, help="exponent t (needs t > 0)")
@@ -360,13 +354,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("radical", help="radical, totient and squarefree flag of n")
     p.add_argument("n", type=int)
-    _add_common(p)
     p.set_defaults(func=cmd_radical)
 
     p = sub.add_parser("sieve", help="build a factor sieve and dump it to disk")
     p.add_argument("--limit", type=int, help="sieve limit (default from config)")
     p.add_argument("--out", required=True, help="output path for the binary dump")
-    _add_common(p)
     p.set_defaults(func=cmd_sieve)
 
     p = sub.add_parser("series", help="truncated series sum_{n<=N} M(n)^t/n^s")
@@ -377,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--compare", action="store_true",
                    help="also run the Euler product and report the gap")
     p.add_argument("--prime-limit", type=int, help="prime truncation for --compare")
-    _add_common(p)
     p.set_defaults(func=cmd_series)
 
     p = sub.add_parser("product", help="truncated Euler product over primes <= P")
@@ -385,13 +376,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prime-limit", type=int, help="prime truncation P")
     p.add_argument("--spec", choices=sorted(BUILTIN_SPECS),
                    help="built-in multiplicative spec (default from config)")
-    _add_common(p)
     p.set_defaults(func=cmd_product)
 
     p = sub.add_parser("st", help="prime sums S(s,t), T(s,t) and their ratio")
     _add_params(p)
     p.add_argument("--prime-limit", type=int)
-    _add_common(p)
     p.set_defaults(func=cmd_st)
 
     p = sub.add_parser("ratio-grid", help="CSV grid of S/T over an (s,t) rectangle")
@@ -403,14 +392,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prime-limit", type=int)
     p.add_argument("--check-bounds", action="store_true",
                    help="exit 3 if any enclosing interval leaves (1, 2)")
-    _add_common(p)
     p.set_defaults(func=cmd_ratio_grid)
 
     p = sub.add_parser("identity", help="zero-identity residual and class split")
     _add_params(p)
     p.add_argument("--limit", type=int, required=True, help="n-sum truncation")
     p.add_argument("--prime-limit", type=int)
-    _add_common(p)
     p.set_defaults(func=cmd_identity)
 
     p = sub.add_parser("abc", help="scan coprime triples a + b = c <= cmax")
@@ -423,9 +410,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample", type=int, help="scan a random subset of c values")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--progress", action="store_true", help="progress lines on stderr")
-    _add_common(p)
     p.set_defaults(func=cmd_abc)
 
+    # every command takes --config; only those that use a factor sieve take its flags
+    for name, p in sub.choices.items():
+        p.add_argument("--config", help="path to key=value config file")
+        if name in ("radical", "series", "identity", "abc"):
+            p.add_argument("--sieve-limit", type=int, help="factor sieve limit")
+            p.add_argument("--sieve-file", help="load the factor sieve from a dump")
     return parser
 
 

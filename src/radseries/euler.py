@@ -20,9 +20,9 @@ import math
 
 import numpy as np
 
-from .errors import OutOfRangeError, UnsupportedSpecError
+from .errors import UnsupportedSpecError
 from .multfn import MultiplicativeSpec
-from .numerics import exact_sum, power_tail, sum_blocks
+from .numerics import exact_sum, power_tail, sum_blocks, tail_exponent
 from .primes import PrimeTable
 from .series import Params, TruncatedSum
 
@@ -43,8 +43,6 @@ def product_d(
         raise UnsupportedSpecError(
             f"spec {spec.name!r} declares no closed-form Euler factor"
         )
-    if prime_limit < 2:
-        raise OutOfRangeError(f"prime_limit={prime_limit} admits no primes")
     p = primes.upto(prime_limit).astype(np.float64)
 
     def block_sum(lo: int, hi: int) -> float:
@@ -54,14 +52,12 @@ def product_d(
     value = math.exp(log_sum)
 
     tail = None
-    g = spec.growth_exponent
-    if g is not None:
-        a = params.s - g * params.t
-        if a > 1.0:
-            slack = 1.0 / -math.expm1((g * params.t - params.s) * math.log(prime_limit + 1))
-            log_tail = slack * power_tail(prime_limit, a)
-            try:
-                tail = value * math.expm1(log_tail)
-            except OverflowError:
-                tail = math.inf
+    a = tail_exponent(params.s, params.t, spec.growth_exponent)
+    if a is not None:
+        slack = 1.0 / -math.expm1(-a * math.log(prime_limit + 1))
+        log_tail = slack * power_tail(prime_limit, a)
+        try:
+            tail = value * math.expm1(log_tail)
+        except OverflowError:
+            tail = math.inf
     return TruncatedSum(value=value, tail_bound=tail, terms_used=len(p))

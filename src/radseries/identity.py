@@ -20,26 +20,29 @@ reported next to every residual.  The same S_P, T_P are used for every n,
 since mixing truncations would bias the sum in a way the tolerance cannot
 absorb.
 
+The terms a_n and the sums L_N, L_R with their tails come from the series
+module's one term kernel and one truncated-sum rule.
+
 Classification never forms R(n)^(S/T): it compares T ln n with S ln R(n)
 in log space.  A comparison is committed only when the whole S/T enclosure
 lands on one side; borderline cases are reported as AMBIGUOUS rather than
-misclassified.
+misclassified.  One vectorised rule, ``class_masks``, classifies for the
+split, ``classify_interval`` and the abc scan alike.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import OutOfRangeError
-from .multfn import RADICAL_SPEC
+from .multfn import RADICAL_SPEC, range_values
 from .numerics import exact_sum, sum_blocks
 from .primes import PrimeTable
-from .radical import FactorSieve, radical, radical_range
-from .series import _WEIGHT_LOG_M, _WEIGHT_LOG_N, Params, TruncatedSum, _checked, _tail_bound
+from .radical import FactorSieve, radical
+from .series import Params, TruncatedSum, term_kernel, truncated_sum
 from .stkernel import StResult, st_ratio
 
 
@@ -83,30 +86,31 @@ class IdentityResidual:
         return abs(self.residual) <= self.tolerance
 
 
+def class_masks(
+    ln_n: np.ndarray, ln_r: np.ndarray, ratio_low: float, ratio_high: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(below, equal, above, ambiguous) masks over ln n and ln R(n), arrays or
+    numpy scalars, in the order of ``Classification``.
+
+    The one classification rule, committed over a whole S/T enclosure
+    [low, high]: n < R(n)^(S/T) for every ratio in it exactly when
+    ln n < low ln R(n), and n > R(n)^(S/T) exactly when ln n > high ln R(n).
+    """
+    equal = (ln_n == 0.0) & (ln_r == 0.0)
+    below = ln_n < ratio_low * ln_r
+    above = ln_n > ratio_high * ln_r
+    return below, equal, above, ~(below | above | equal)
+
+
 def classify_interval(
     sieve: FactorSieve, n: int, ratio_low: float, ratio_high: float
 ) -> Classification:
     """Classification committed over a whole S/T enclosure [low, high]."""
     if n < 1:
         raise OutOfRangeError(f"n={n} must be >= 1")
-    ln_n = math.log(n)
-    ln_r = math.log(radical(sieve, n))
-    if ln_n == 0.0 and ln_r == 0.0:
-        return Classification.EQUAL
-    if ln_n < ratio_low * ln_r:
-        return Classification.BELOW
-    if ln_n > ratio_high * ln_r:
-        return Classification.ABOVE
-    return Classification.AMBIGUOUS
-
-
-def _residual_tolerance(st: StResult, log_n_sum: TruncatedSum, log_m_sum: TruncatedSum) -> float:
-    return (
-        st.s_value.tail_bound * log_m_sum.upper
-        + st.t_value.tail_bound * log_n_sum.upper
-        + st.s_value.value * log_m_sum.tail_bound
-        + st.t_value.value * log_n_sum.tail_bound
-    )
+    ln_n, ln_r = np.log(float(n)), np.log(float(radical(sieve, n)))
+    masks = class_masks(ln_n, ln_r, ratio_low, ratio_high)
+    return next(c for c, mask in zip(Classification, masks) if mask)
 
 
 def identity_pass(
@@ -121,39 +125,32 @@ def identity_pass(
     S/T, the term arrays a_n, ln n, ln R(n) and the weights
     w = a_n (S ln R(n) - T ln n) are computed once; the residual, the two
     log-weighted series behind the tolerance (sum a_n ln n and
-    sum a_n ln R(n), summed over the same fixed blocks as ``series_d_log_n``
-    and ``series_d_log_m``) and the class sums all read those arrays.
+    sum a_n ln R(n), by the rule of ``series_d_log_n`` and
+    ``series_d_log_m``) and the class sums all read those arrays.
     """
-    _checked(sieve, limit)
+    sieve.check_range(limit)
     st = st_ratio(primes, params, prime_limit)
     s_p, t_p = st.s_value.value, st.t_value.value
-    low, high = st.ratio_interval
+    g = RADICAL_SPEC.growth_exponent
 
     n = np.arange(1, limit + 1, dtype=np.float64)
-    r = radical_range(sieve, limit)[1:].astype(np.float64)
+    r = range_values(RADICAL_SPEC, sieve, limit)[1:]
     ln_n = np.log(n)
     ln_r = np.log(r)
-    a_n = np.power(r, params.t)
-    a_n *= np.power(n, -params.s)
+    a_n = term_kernel(r, n, params)
     del n, r
     w = s_p * ln_r
     w -= t_p * ln_n
     w *= a_n
 
-    def log_sum(ln: np.ndarray, weight: str) -> TruncatedSum:
-        value = sum_blocks(limit, lambda lo, hi: exact_sum(a_n[lo:hi] * ln[lo:hi]))
-        tail = _tail_bound(params, limit, weight, RADICAL_SPEC.growth_exponent)
-        return TruncatedSum(value=value, tail_bound=tail, terms_used=limit)
+    def log_sum(ln: np.ndarray, log_bound: float) -> TruncatedSum:
+        return truncated_sum(lambda lo, hi: a_n[lo:hi] * ln[lo:hi], limit, params, g, log_bound)
 
     residual = sum_blocks(limit, lambda lo, hi: exact_sum(w[lo:hi]))
-    tolerance = _residual_tolerance(
-        st, log_sum(ln_n, _WEIGHT_LOG_N), log_sum(ln_r, _WEIGHT_LOG_M)
-    )
-
-    equal = (ln_n == 0.0) & (ln_r == 0.0)
-    below = ln_n < low * ln_r
-    above = ln_n > high * ln_r
-    ambiguous = ~(below | above | equal)
+    log_n, log_r = log_sum(ln_n, 1.0), log_sum(ln_r, g)
+    tolerance = (st.s_value.tail_bound * log_r.upper + st.t_value.tail_bound * log_n.upper
+                 + s_p * log_r.tail_bound + t_p * log_n.tail_bound)
+    below, equal, above, ambiguous = class_masks(ln_n, ln_r, *st.ratio_interval)
     split = SplitSums(
         below=exact_sum(w[below]),
         equal=exact_sum(w[equal]),

@@ -94,7 +94,6 @@ def sum_blocks(
     total: int,
     block_sum: Callable[[int, int], float],
     *,
-    block: int = DEFAULT_BLOCK,
     threads: int = 1,
 ) -> float:
     """Sum ``block_sum(lo, hi)`` over [0, total) split at fixed boundaries.
@@ -108,13 +107,22 @@ def sum_blocks(
     """
     if total <= 0:
         return 0.0
-    bounds = [(lo, min(lo + block, total)) for lo in range(0, total, block)]
+    bounds = [(lo, min(lo + DEFAULT_BLOCK, total)) for lo in range(0, total, DEFAULT_BLOCK)]
     if threads <= 1 or len(bounds) == 1:
         partials = [block_sum(lo, hi) for lo, hi in bounds]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             partials = list(pool.map(lambda b: block_sum(*b), bounds))
     return math.fsum(partials)
+
+
+def tail_exponent(s: float, t: float, growth: float | None) -> float | None:
+    """a = s - g*t of the tail majorant n^(-a) for M(n) <= n^g; None when no
+    tail exists: g is undeclared, or a <= 1 and the majorant diverges."""
+    if growth is None:
+        return None
+    a = s - growth * t
+    return a if a > 1.0 else None
 
 
 def power_tail(limit: int, exponent: float) -> float:

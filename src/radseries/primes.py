@@ -36,9 +36,12 @@ class PrimeTable:
     def upto(self, prime_limit: int) -> np.ndarray:
         """View of the primes <= prime_limit.
 
-        Raises OutOfRangeError when prime_limit exceeds the sieved limit
-        (the table cannot certify completeness beyond it).
+        Raises OutOfRangeError when prime_limit admits no primes (below 2)
+        or exceeds the sieved limit (the table cannot certify completeness
+        beyond it).
         """
+        if prime_limit < 2:
+            raise OutOfRangeError(f"prime_limit={prime_limit} admits no primes")
         if prime_limit > self.limit:
             raise OutOfRangeError(
                 f"prime_limit {prime_limit} exceeds sieved limit {self.limit}"

@@ -9,19 +9,24 @@ R(n)^t/n^s is at most n^(t-s), with equality exactly at squarefree n).
 Specs without a declared growth bound still evaluate; their truncations
 carry tail_bound = None.
 
-Each term is evaluated as np.power(M(n), t) * np.power(n, -s), in float64;
-the spec framework guarantees M(n) > 0.
+One kernel, ``term_kernel``, forms every term a_n as
+np.power(M(n), t) * np.power(n, -s) in float64 (the spec framework
+guarantees M(n) > 0), and one rule, ``truncated_sum``, sums terms over the
+fixed blocks of ``numerics.sum_blocks`` and attaches the tail of plain and
+log-weighted terms alike.  The zero identity takes its a_n and its two
+log-weighted sums from the same pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidParamsError, OutOfRangeError
+from .errors import InvalidParamsError
 from .multfn import MultiplicativeSpec, range_values
-from .numerics import exact_sum, log_power_tail, power_tail, sum_blocks
+from .numerics import exact_sum, log_power_tail, power_tail, sum_blocks, tail_exponent
 from .radical import FactorSieve
 
 
@@ -60,58 +65,50 @@ class TruncatedSum:
         return self.value + self.tail_bound
 
 
-_WEIGHT_PLAIN = "plain"
-_WEIGHT_LOG_N = "log_n"
-_WEIGHT_LOG_M = "log_m"
+def term_kernel(m: np.ndarray, n: np.ndarray, params: Params) -> np.ndarray:
+    """a_n = M(n)^t * n^-s over float64 arrays of M(n) and n: the one term kernel."""
+    a = np.power(m, params.t)
+    a *= np.power(n, -params.s)
+    return a
 
 
-def _series_sum(
-    spec: MultiplicativeSpec,
-    sieve: FactorSieve,
-    params: Params,
-    limit: int,
-    weight: str,
-    threads: int = 1,
-) -> float:
+def truncated_sum(block_terms: Callable[[int, int], np.ndarray], limit: int, params: Params,
+                  growth: float | None, log_bound: float | None = None, *,
+                  threads: int = 1) -> TruncatedSum:
+    """The sum over n <= limit of the terms ``block_terms(lo, hi)`` gives for
+    n = lo+1 .. hi, with the integral tail of its majorant.
+
+    The terms are a_n with M(n) <= n^growth, so the plain majorant is
+    n^(g*t - s).  With ``log_bound`` f each term also carries a logarithm
+    at most f ln n (f = 1 for ln n, f = g for ln M(n)), and so does the
+    majorant.  The tail is None where ``numerics.tail_exponent`` finds none.
+    """
+    value = sum_blocks(limit, lambda lo, hi: exact_sum(block_terms(lo, hi)), threads=threads)
+    a = tail_exponent(params.s, params.t, growth)
+    if a is None:
+        tail = None
+    elif log_bound is None:
+        tail = power_tail(limit, a)
+    else:
+        tail = log_bound * log_power_tail(limit, a)
+    return TruncatedSum(value=value, tail_bound=tail, terms_used=limit)
+
+
+def _series(spec, sieve, params, limit, log_of=None, log_bound=None, threads=1) -> TruncatedSum:
+    """The series of spec, each term weighted by ln(log_of(n, M(n))) if given."""
+    sieve.check_range(limit)
     values = range_values(spec, sieve, limit)
-    s, t = params.s, params.t
 
-    def block_sum(lo: int, hi: int) -> float:
+    def block_terms(lo: int, hi: int) -> np.ndarray:
         n = np.arange(lo + 1, hi + 1, dtype=np.float64)  # block over n-1
         m = values[lo + 1: hi + 1]
-        terms = np.power(m, t) * np.power(n, -s)
-        if weight == _WEIGHT_LOG_N:
-            terms *= np.log(n)
-        elif weight == _WEIGHT_LOG_M:
-            terms *= np.log(m)
-        return exact_sum(terms)
+        a = term_kernel(m, n, params)
+        if log_of is not None:
+            a *= np.log(log_of(n, m))
+        return a
 
-    return sum_blocks(limit, block_sum, threads=threads)
-
-
-def _tail_bound(params: Params, limit: int, weight: str, growth: float | None) -> float | None:
-    """Integral tail of the majorant; None when no growth bound is declared.
-
-    For M(n) <= n^g the plain tail majorant is sum n^(g*t-s); the two
-    log-weighted variants pick up a factor ln n (and ln M(n) <= g ln n).
-    """
-    if growth is None:
-        return None
-    a = params.s - growth * params.t
-    if a <= 1.0:
-        return None
-    if weight == _WEIGHT_PLAIN:
-        return power_tail(limit, a)
-    if weight == _WEIGHT_LOG_N:
-        return log_power_tail(limit, a)
-    if growth == 0.0:  # ln M(n) == 0 identically
-        return 0.0
-    return growth * log_power_tail(limit, a)
-
-
-def _checked(sieve: FactorSieve, limit: int) -> None:
-    if limit < 1 or limit > sieve.limit:
-        raise OutOfRangeError(f"limit={limit} outside sieve range [1, {sieve.limit}]")
+    return truncated_sum(block_terms, limit, params, spec.growth_exponent, log_bound,
+                         threads=threads)
 
 
 def series_d(
@@ -123,10 +120,7 @@ def series_d(
     threads: int = 1,
 ) -> TruncatedSum:
     """sum_{n<=limit} M(n)^t / n^s with compensated summation."""
-    _checked(sieve, limit)
-    value = _series_sum(spec, sieve, params, limit, _WEIGHT_PLAIN, threads)
-    tail = _tail_bound(params, limit, _WEIGHT_PLAIN, spec.growth_exponent)
-    return TruncatedSum(value=value, tail_bound=tail, terms_used=limit)
+    return _series(spec, sieve, params, limit, threads=threads)
 
 
 def series_d_log_n(
@@ -136,10 +130,7 @@ def series_d_log_n(
     limit: int,
 ) -> TruncatedSum:
     """sum_{n<=limit} M(n)^t ln(n) / n^s."""
-    _checked(sieve, limit)
-    value = _series_sum(spec, sieve, params, limit, _WEIGHT_LOG_N)
-    tail = _tail_bound(params, limit, _WEIGHT_LOG_N, spec.growth_exponent)
-    return TruncatedSum(value=value, tail_bound=tail, terms_used=limit)
+    return _series(spec, sieve, params, limit, lambda n, m: n, 1.0)
 
 
 def series_d_log_m(
@@ -148,8 +139,5 @@ def series_d_log_m(
     params: Params,
     limit: int,
 ) -> TruncatedSum:
-    """sum_{n<=limit} M(n)^t ln(M(n)) / n^s."""
-    _checked(sieve, limit)
-    value = _series_sum(spec, sieve, params, limit, _WEIGHT_LOG_M)
-    tail = _tail_bound(params, limit, _WEIGHT_LOG_M, spec.growth_exponent)
-    return TruncatedSum(value=value, tail_bound=tail, terms_used=limit)
+    """sum_{n<=limit} M(n)^t ln(M(n)) / n^s; ln M(n) <= g ln n."""
+    return _series(spec, sieve, params, limit, lambda n, m: m, spec.growth_exponent)

@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import OutOfRangeError
 from .multfn import RADICAL_SPEC, MultiplicativeSpec
-from .numerics import exact_sum, log_power_tail, sum_blocks
+from .numerics import exact_sum, log_power_tail, sum_blocks, tail_exponent
 from .primes import PrimeTable
 from .series import Params, TruncatedSum
 
@@ -101,8 +101,6 @@ class StKernel:
         The tails need a growth bound g, every M(p) >= 1 (so the local
         denominator dominates p^s) and, at each point, s - g*t > 1.
         """
-        if prime_limit < 2:
-            raise OutOfRangeError(f"prime_limit={prime_limit} admits no primes")
         p = primes.upto(prime_limit)
         if spec.prime_values is not None:
             m = np.asarray(spec.prime_values(p.astype(np.float64)), dtype=np.float64)
@@ -155,8 +153,8 @@ class StKernel:
         s_tail = t_tail = None
         if self._tail is not None:
             g, prime_limit = self._tail
-            a = params.s - g * params.t
-            if a > 1.0:  # always for g = 0, where the T tail g * lpt is 0.0
+            a = tail_exponent(params.s, params.t, g)
+            if a is not None:  # always for g = 0, where the T tail g * lpt is 0.0
                 lpt = log_power_tail(prime_limit, a)
                 s_tail, t_tail = 2.0 * lpt, g * lpt
         n = len(self._p)

@@ -230,6 +230,23 @@ def test_threads_flag_is_retired():
     assert "--threads" in r.stderr and "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ("st", "--s", "4", "--t", "1"),
+    ("product", "--s", "4", "--t", "1"),
+    ("ratio-grid", "--s-min", "3", "--s-max", "4", "--t-min", "0.5", "--t-max", "1"),
+    ("sieve", "--out"),
+], ids=["st", "product", "ratio-grid", "sieve"])
+@pytest.mark.parametrize("flag", [("--sieve-limit", "1000"), ("--sieve-file", "/nonexistent")],
+                         ids=["sieve-limit", "sieve-file"])
+def test_sieve_flags_only_where_a_sieve_is_used(argv, flag, tmp_path):
+    out = tmp_path / "unused.bin"
+    r = run_cli(*argv, *([str(out)] if argv[-1] == "--out" else []), *flag)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert flag[0] in r.stderr and "Traceback" not in r.stderr
+    assert not out.exists()
+
+
 def test_config_file_and_env(tmp_path):
     cfg = tmp_path / "radseries.conf"
     cfg.write_text("# test config\nsieve_limit = 50\nprime_limit = 50\n")

@@ -87,6 +87,9 @@ def test_upto_view():
     assert list(t.upto(8)) == [2, 3, 5, 7]
     with pytest.raises(OutOfRangeError):
         t.upto(101)
+    for no_primes in (1, 0, -5):
+        with pytest.raises(OutOfRangeError, match="admits no primes"):
+            t.upto(no_primes)
 
 
 def test_segmented_matches_simple():
