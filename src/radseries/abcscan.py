@@ -184,8 +184,9 @@ def scan(
     The arguments are checked and S/T is computed when scan is called,
     before the first batch.
     """
-    if c_max < 3 or c_max > sieve.limit:
-        raise OutOfRangeError(f"c_max={c_max} outside sieve range [3, {sieve.limit}]")
+    if c_max < 3:
+        raise OutOfRangeError(f"c_max={c_max} must be >= 3")
+    sieve.check_range(c_max)
     if sample is not None and sample < 0:
         raise InvalidArgumentError(f"sample must be >= 0, got {sample}")
     st = st_ratio(primes, params, prime_limit)

@@ -8,6 +8,11 @@ and scans print CSV; progress and diagnostics go to stderr only.
 Exit codes: 0 success, 2 invalid input, 3 verification failure.  A JSON
 result with a NaN or infinite field is a verification failure too: nothing
 goes to stdout and stderr names the field.
+
+The commands that use a factor sieve (radical, series, identity, abc) build
+it exactly as large as their input needs (n, --limit, --limit, --cmax),
+unless --sieve-limit or --sieve-file gives one.  A config file supplies
+only defaults for --prime-limit and --spec.
 """
 
 from __future__ import annotations
@@ -81,8 +86,8 @@ def _params(args) -> Params:
     return Params(s=args.s, t=args.t)
 
 
-def _limit(value: int | None, default: int, flag: str, least: int) -> int:
-    """The flag's value, or the config default when the flag is absent.
+def _limit(value: int | None, default: int | None, flag: str, least: int) -> int | None:
+    """The flag's value, or the default when the flag is absent.
 
     An explicit value below ``least`` is invalid input, never a request for
     the default.
@@ -98,22 +103,19 @@ def _prime_limit(args, cfg: Config) -> int:
     return _limit(args.prime_limit, cfg.prime_limit, "--prime-limit", 2)
 
 
-def _sieve(args, cfg: Config, needed: int | None = None) -> FactorSieve:
+def _sieve(args, needed: int) -> FactorSieve:
+    """The --sieve-file dump, else a sieve to --sieve-limit, else one to needed.
+
+    The library rejects a sieve too small for the command's input; a need
+    below 1 gets a one-entry sieve, whose range check rejects it the same way.
+    """
     if args.sieve_file:
         return FactorSieve.load(args.sieve_file)
-    limit = _limit(args.sieve_limit, cfg.sieve_limit, "--sieve-limit", 1)
-    if needed is not None and needed > limit:
-        raise RadseriesError(
-            f"n={needed} exceeds configured sieve limit {limit}; "
-            "raise --sieve-limit or point --sieve-file at a larger dump"
-        )
-    return FactorSieve.build(limit)
+    return FactorSieve.build(_limit(args.sieve_limit, max(needed, 1), "--sieve-limit", 1))
 
 
 def cmd_radical(args, cfg: Config) -> int:
-    if args.n < 1:
-        raise RadseriesError(f"n must be >= 1, got {args.n}")
-    sieve = _sieve(args, cfg, needed=args.n)
+    sieve = _sieve(args, args.n)
     _emit_json({
         "schema_version": SCHEMA_VERSION,
         "n": args.n,
@@ -125,7 +127,7 @@ def cmd_radical(args, cfg: Config) -> int:
 
 
 def cmd_sieve(args, cfg: Config) -> int:
-    limit = _limit(args.limit, cfg.sieve_limit, "--limit", 1)
+    limit = _limit(args.limit, None, "--limit", 1)  # --limit is required
     sieve = FactorSieve.build(limit, cache_values=False)
     sieve.dump(args.out)
     _emit_json({
@@ -140,9 +142,7 @@ def cmd_series(args, cfg: Config) -> int:
     params = _params(args)
     spec = builtin_spec(args.spec or cfg.spec)
     limit = args.limit
-    if args.sieve_limit is None and not args.sieve_file and limit > cfg.sieve_limit:
-        args.sieve_limit = limit  # a series over n <= N needs a sieve that far
-    sieve = _sieve(args, cfg, needed=limit)
+    sieve = _sieve(args, limit)
     result = series_d(spec, sieve, params, limit)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -158,7 +158,7 @@ def cmd_series(args, cfg: Config) -> int:
         table = sieve_primes(prime_limit)
         prod = product_d(spec, table, params, prime_limit)
         gap = abs(result.value - prod.value)
-        tolerance = cfg.tolerance_scale * (result.tail_bound + prod.tail_bound)
+        tolerance = result.tail_bound + prod.tail_bound
         payload["product"] = {**_sum_fields(prod), "prime_limit": prime_limit}
         payload["gap"] = gap
         payload["combined_tolerance"] = tolerance
@@ -257,12 +257,9 @@ def cmd_identity(args, cfg: Config) -> int:
     params = _params(args)
     prime_limit = _prime_limit(args, cfg)
     limit = args.limit
-    if args.sieve_limit is None and not args.sieve_file and limit > cfg.sieve_limit:
-        args.sieve_limit = limit
-    sieve = _sieve(args, cfg, needed=limit)
+    sieve = _sieve(args, limit)
     table = sieve_primes(prime_limit)
     res, split = identity_pass(sieve, table, params, limit, prime_limit)
-    tolerance = cfg.tolerance_scale * res.tolerance
     _emit_json({
         "schema_version": SCHEMA_VERSION,
         "command": "identity",
@@ -271,8 +268,8 @@ def cmd_identity(args, cfg: Config) -> int:
         "limit": limit,
         "prime_limit": prime_limit,
         "residual": res.residual,
-        "tolerance": tolerance,
-        "within_tolerance": abs(res.residual) <= tolerance,
+        "tolerance": res.tolerance,
+        "within_tolerance": res.within_tolerance,
         "split": {
             "below": split.below,
             "equal": split.equal,
@@ -280,7 +277,7 @@ def cmd_identity(args, cfg: Config) -> int:
             "counts": list(split.classification_counts),
             "ambiguous_count": split.ambiguous_count,
             "balance_gap": split.balance_gap,
-            "tolerance": cfg.tolerance_scale * split.tolerance,
+            "tolerance": split.tolerance,
         },
     })
     return EXIT_OK
@@ -302,9 +299,7 @@ def _abc_csv_rows(batch: AbcBatch) -> str:
 def cmd_abc(args, cfg: Config) -> int:
     params = _params(args)
     prime_limit = _prime_limit(args, cfg)
-    if args.sieve_limit is None and not args.sieve_file and args.cmax > cfg.sieve_limit:
-        args.sieve_limit = args.cmax
-    sieve = _sieve(args, cfg, needed=args.cmax)
+    sieve = _sieve(args, args.cmax)
     table = sieve_primes(prime_limit)
 
     progress = None
@@ -357,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_radical)
 
     p = sub.add_parser("sieve", help="build a factor sieve and dump it to disk")
-    p.add_argument("--limit", type=int, help="sieve limit (default from config)")
+    p.add_argument("--limit", type=int, required=True, help="sieve limit")
     p.add_argument("--out", required=True, help="output path for the binary dump")
     p.set_defaults(func=cmd_sieve)
 

@@ -2,12 +2,13 @@
 
 Resolution order: an explicit --config path, then $RADSERIES_CONFIG, then
 ./radseries.conf if present, then built-in defaults.  Command-line flags
-override whatever the file says.
+override whatever the file says.  The file holds defaults only: the factor
+sieve is sized by each command's input and every tolerance is the computed
+one, so neither has a key.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,9 +22,7 @@ DEFAULT_FILENAME = "radseries.conf"
 
 @dataclass
 class Config:
-    sieve_limit: int = 100_000
     prime_limit: int = 100_000
-    tolerance_scale: float = 1.0
     spec: str = "radical"  # default built-in multiplicative spec
 
 
@@ -59,9 +58,5 @@ def load_config(path: str | os.PathLike | None = None) -> Config:
         key = key.strip()
         if key not in kinds:
             raise InvalidArgumentError(f"{path}:{lineno}: unknown config key {key!r}")
-        value = _parse_value(key, raw, kinds[key])
-        if key == "tolerance_scale" and not (math.isfinite(value) and value > 0.0):
-            raise InvalidArgumentError(
-                f"{path}:{lineno}: tolerance_scale must be finite and > 0, got {raw.strip()!r}")
-        setattr(cfg, key, value)
+        setattr(cfg, key, _parse_value(key, raw, kinds[key]))
     return cfg

@@ -40,16 +40,19 @@ class MultiplicativeSpec:
     range_hook: Callable[[FactorSieve, int], np.ndarray] | None = None
 
 
+def _value(spec: MultiplicativeSpec, p: int, k: int) -> float:
+    """value(p, k) as a float; raises InvalidSpecError unless it is > 0."""
+    v = float(spec.value_at_prime_power(p, k))
+    if not v > 0.0:
+        raise InvalidSpecError(f"spec {spec.name!r} returned {v} at prime power {p}^{k}")
+    return v
+
+
 def evaluate(spec: MultiplicativeSpec, sieve: FactorSieve, n: int) -> float:
     """M(n) as a positive float; raises InvalidSpecError on a bad rule."""
     result = 1.0
     for p, k in factorize(sieve, n):
-        v = float(spec.value_at_prime_power(p, k))
-        if not v > 0.0:
-            raise InvalidSpecError(
-                f"spec {spec.name!r} returned {v} at prime power {p}^{k}"
-            )
-        result *= v
+        result *= _value(spec, p, k)
     return result
 
 
@@ -75,11 +78,7 @@ def range_values(spec: MultiplicativeSpec, sieve: FactorSieve, n_max: int) -> np
         pk = p
         k = 1
         while pk <= n_max:
-            v = float(spec.value_at_prime_power(p, k))
-            if not v > 0.0:
-                raise InvalidSpecError(
-                    f"spec {spec.name!r} returned {v} at prime power {p}^{k}"
-                )
+            v = _value(spec, p, k)
             vals[pk:: pk] *= v / prev
             prev = v
             pk *= p

@@ -1,9 +1,9 @@
-"""Prime enumeration via a (segmented) sieve of Eratosthenes.
+"""Prime enumeration via a segmented sieve of Eratosthenes.
 
 The table is the substrate for every Euler product and prime sum in the
 package.  Primes are stored as unsigned 64-bit integers; limits at or above
-2^63 are rejected outright instead of risking a silent wrap.  Limits above
-``SEGMENT_THRESHOLD`` are sieved in fixed-size segments so peak memory stays
+2^63 are rejected outright instead of risking a silent wrap.  Every limit
+is sieved in fixed-size segments, so the sieve's scratch memory stays
 bounded by the segment, not the limit.
 """
 
@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import InvalidArgumentError, OutOfRangeError
 
-SEGMENT_THRESHOLD = 10 ** 8
 SEGMENT_SIZE = 1 << 22
 MAX_LIMIT = 2 ** 63 - 1
 
@@ -60,14 +59,10 @@ def prime_mask(limit: int) -> np.ndarray:
     return is_prime
 
 
-def _simple_sieve(limit: int) -> np.ndarray:
-    """Primes <= limit as uint64, from one flat prime_mask."""
-    return np.flatnonzero(prime_mask(limit)).astype(np.uint64)
-
-
 def _segmented_sieve(limit: int, segment_size: int = SEGMENT_SIZE) -> np.ndarray:
-    """Segmented Eratosthenes for limits too large for one flat array."""
-    base = _simple_sieve(int(limit ** 0.5) + 1)
+    """Primes <= limit as uint64: the base primes up to sqrt(limit) + 1 from
+    one flat prime_mask, the rest one segment at a time."""
+    base = np.flatnonzero(prime_mask(int(limit ** 0.5) + 1)).astype(np.uint64)
     base_int = base.astype(np.int64)
     chunks = [base]
     low = int(base[-1]) + 1
@@ -94,11 +89,7 @@ def sieve_primes(limit: int) -> PrimeTable:
         raise InvalidArgumentError(f"sieve limit must be >= 2, got {limit}")
     if limit > MAX_LIMIT:
         raise OutOfRangeError(f"sieve limit {limit} exceeds 2^63 - 1")
-    if limit <= SEGMENT_THRESHOLD:
-        primes = _simple_sieve(limit)
-    else:
-        primes = _segmented_sieve(limit)
-    return PrimeTable(limit=limit, primes=primes)
+    return PrimeTable(limit=limit, primes=_segmented_sieve(limit))
 
 
 def nth_prime(table: PrimeTable, n: int) -> int:

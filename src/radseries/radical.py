@@ -45,7 +45,10 @@ class FactorSieve:
     def build(cls, limit: int, *, cache_values: bool = True) -> "FactorSieve":
         if limit < 1:
             raise InvalidArgumentError(f"sieve limit must be >= 1, got {limit}")
-        return cls._with_values(limit, _spf_sieve(limit), cache_values)
+        try:
+            return cls._with_values(limit, _spf_sieve(limit), cache_values)
+        except MemoryError:
+            raise OutOfRangeError(f"sieve limit {limit} does not fit in memory") from None
 
     @classmethod
     def _with_values(cls, limit: int, spf: np.ndarray, cache_values: bool) -> "FactorSieve":
@@ -54,7 +57,7 @@ class FactorSieve:
 
     def check_range(self, n: int) -> None:
         if n < 1 or n > self.limit:
-            raise OutOfRangeError(f"n={n} outside sieve range [1, {self.limit}]")
+            raise OutOfRangeError(f"n={n} outside [1, sieve limit {self.limit}]")
 
     def dump(self, path) -> None:
         """Write a versioned binary image (magic, limit, spf payload)."""
@@ -196,8 +199,7 @@ def is_squarefree(sieve: FactorSieve, n: int) -> bool:
 
 def radical_range(sieve: FactorSieve, n_max: int) -> np.ndarray:
     """radical(n) for n = 0..n_max as int64 (index 0 is a 1-sentinel)."""
-    if n_max > sieve.limit:
-        raise OutOfRangeError(f"n_max={n_max} exceeds sieve limit {sieve.limit}")
+    sieve.check_range(max(n_max, 1))
     if sieve.rad is not None:
         return sieve.rad[: n_max + 1]
     return _value_sieves(sieve.spf[: n_max + 1], phi=False)[0]

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfRangeError
+from .errors import InvalidSpecError, OutOfRangeError
 from .multfn import RADICAL_SPEC, MultiplicativeSpec
 from .numerics import exact_sum, log_power_tail, sum_blocks, tail_exponent
 from .primes import PrimeTable
@@ -98,14 +98,19 @@ class StKernel:
     ) -> "StKernel":
         """The kernel of spec over the primes <= prime_limit.
 
-        The tails need a growth bound g, every M(p) >= 1 (so the local
-        denominator dominates p^s) and, at each point, s - g*t > 1.
+        Raises InvalidSpecError unless every M(p) is > 0.  The tails need a
+        growth bound g, every M(p) >= 1 (so the local denominator dominates
+        p^s) and, at each point, s - g*t > 1.
         """
         p = primes.upto(prime_limit)
         if spec.prime_values is not None:
             m = np.asarray(spec.prime_values(p.astype(np.float64)), dtype=np.float64)
         else:
             m = np.array([spec.value_at_prime_power(int(q), 1) for q in p], dtype=np.float64)
+        bad = np.flatnonzero(~(m > 0.0))
+        if len(bad):
+            i = bad[0]
+            raise InvalidSpecError(f"spec {spec.name!r} returned {m[i]} at prime {p[i]}")
         g = spec.growth_exponent
         tail = (g, prime_limit) if g is not None and bool(m.min() >= 1.0) else None
         return cls(p, m, tail)

@@ -54,6 +54,48 @@ def test_radical_beyond_sieve_limit_exits_2():
     assert "sieve limit" in r.stderr
 
 
+def test_radical_sieve_sized_by_n():
+    # 100003 is prime; with no flag the sieve reaches exactly n
+    r = run_cli("radical", "100003")
+    assert r.returncode == 0
+    assert json.loads(r.stdout) == {
+        "schema_version": 1, "n": 100003, "radical": 100003, "phi": 100002, "squarefree": True,
+    }
+
+
+def test_radical_sieve_beyond_memory_exits_2():
+    # 8 * 10^15 bytes of spf exceed any address space: refused at once, never touched
+    r = run_cli("radical", str(10 ** 15))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "sieve limit" in r.stderr and "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("argv, need", [
+    (("radical", "360"), 360),
+    (("radical", "12", "--sieve-limit", "100"), 100),
+    (("series", "--s", "4", "--t", "1", "--limit", "300"), 300),
+    (("identity", "--s", "4", "--t", "1", "--limit", "300", "--prime-limit", "1000"), 300),
+    (("abc", "--s", "4", "--t", "1", "--cmax", "800", "--prime-limit", "1000", "--verify"), 800),
+], ids=["radical", "radical-sieve-limit", "series", "identity", "abc"])
+def test_sieve_sized_by_need(argv, need, monkeypatch, tmp_path, capsys):
+    from radseries import FactorSieve, cli
+
+    built = []
+    build = FactorSieve.build.__func__
+
+    def recording_build(cls, limit, **kwargs):
+        built.append(limit)
+        return build(cls, limit, **kwargs)
+
+    monkeypatch.setattr(FactorSieve, "build", classmethod(recording_build))
+    monkeypatch.delenv("RADSERIES_CONFIG", raising=False)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(list(argv)) == 0
+    assert built == [need]
+    assert capsys.readouterr().out
+
+
 def test_series_four_terms():
     r = run_cli("series", "--s", "4", "--t", "1", "--limit", "4", "--sieve-limit", "100")
     assert r.returncode == 0
@@ -234,7 +276,7 @@ def test_threads_flag_is_retired():
     ("st", "--s", "4", "--t", "1"),
     ("product", "--s", "4", "--t", "1"),
     ("ratio-grid", "--s-min", "3", "--s-max", "4", "--t-min", "0.5", "--t-max", "1"),
-    ("sieve", "--out"),
+    ("sieve", "--limit", "100", "--out"),
 ], ids=["st", "product", "ratio-grid", "sieve"])
 @pytest.mark.parametrize("flag", [("--sieve-limit", "1000"), ("--sieve-file", "/nonexistent")],
                          ids=["sieve-limit", "sieve-file"])
@@ -248,25 +290,30 @@ def test_sieve_flags_only_where_a_sieve_is_used(argv, flag, tmp_path):
 
 
 def test_config_file_and_env(tmp_path):
+    st = ("st", "--s", "4", "--t", "1")
     cfg = tmp_path / "radseries.conf"
-    cfg.write_text("# test config\nsieve_limit = 50\nprime_limit = 50\n")
-    r = run_cli("radical", "30", "--config", str(cfg))
+    cfg.write_text("# test config\nprime_limit = 50\n")
+    r = run_cli(*st, "--config", str(cfg))
     assert r.returncode == 0
-    assert json.loads(r.stdout)["radical"] == 30
-    # value above the configured sieve limit now fails
-    r2 = run_cli("radical", "51", "--config", str(cfg))
-    assert r2.returncode == 2
+    assert json.loads(r.stdout)["prime_limit"] == 50
     # same config through the environment variable
-    r3 = run_cli("radical", "51", env_extra={"RADSERIES_CONFIG": str(cfg)})
-    assert r3.returncode == 2
+    r2 = run_cli(*st, env_extra={"RADSERIES_CONFIG": str(cfg)})
+    assert r2.returncode == 0
+    assert json.loads(r2.stdout)["prime_limit"] == 50
     # explicit flag overrides the config
-    r4 = run_cli("radical", "51", "--config", str(cfg), "--sieve-limit", "100")
-    assert r4.returncode == 0
+    r3 = run_cli(*st, "--config", str(cfg), "--prime-limit", "100")
+    assert r3.returncode == 0
+    assert json.loads(r3.stdout)["prime_limit"] == 100
+    # a configured value that admits no primes fails like the flag would
+    cfg.write_text("prime_limit = 1\n")
+    r4 = run_cli(*st, "--config", str(cfg))
+    assert r4.returncode == 2
+    assert r4.stdout == ""
 
 
 def test_config_names_default_spec(tmp_path):
     cfg = tmp_path / "radseries.conf"
-    cfg.write_text("spec = unit\nsieve_limit = 1000\n")
+    cfg.write_text("spec = unit\n")
     r = run_cli("series", "--s", "2", "--t", "0.5", "--limit", "1000",
                 "--config", str(cfg))
     assert r.returncode == 0
@@ -281,6 +328,7 @@ def test_config_names_default_spec(tmp_path):
 
 @pytest.mark.parametrize("scale", ["-1", "0", "nan"])
 def test_bad_tolerance_scale_exits_2(tmp_path, scale):
+    # the key is retired: every value fails as an unknown key
     cfg = tmp_path / "radseries.conf"
     cfg.write_text(f"tolerance_scale = {scale}\n")
     r = run_cli("series", "--s", "4", "--t", "1", "--limit", "10000", "--compare",
@@ -288,6 +336,17 @@ def test_bad_tolerance_scale_exits_2(tmp_path, scale):
     assert r.returncode == 2
     assert r.stdout == ""
     assert "tolerance_scale" in r.stderr and "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("line", ["sieve_limit = 100000", "tolerance_scale = 1.0"])
+def test_retired_config_key_exits_2(tmp_path, line):
+    # the sieve is sized by each command's input and tolerances are the computed ones
+    cfg = tmp_path / "radseries.conf"
+    cfg.write_text(line + "\n")
+    r = run_cli("radical", "12", "--config", str(cfg))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert f"unknown config key {line.split()[0]!r}" in r.stderr and "Traceback" not in r.stderr
 
 
 def test_bad_config_key_exits_2(tmp_path):
@@ -300,6 +359,10 @@ def test_bad_config_key_exits_2(tmp_path):
 
 def test_sieve_dump_and_reuse(tmp_path):
     dump = tmp_path / "sieve.bin"
+    # no config key sizes a dump: --limit is required
+    r0 = run_cli("sieve", "--out", str(dump))
+    assert r0.returncode == 2
+    assert "--limit" in r0.stderr and not dump.exists()
     r = run_cli("sieve", "--limit", "500", "--out", str(dump))
     assert r.returncode == 0
     assert json.loads(r.stdout)["limit"] == 500

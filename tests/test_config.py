@@ -8,15 +8,13 @@ from radseries.config import Config, load_config
 
 def test_every_key_parses_as_its_field_type(tmp_path):
     cfg = tmp_path / "radseries.conf"
-    cfg.write_text("sieve_limit = 5000\nprime_limit = 700\ntolerance_scale = 2.5\n"
-                   "spec = unit\n")
+    cfg.write_text("prime_limit = 700\nspec = unit\n")
     got = load_config(cfg)
-    assert got == Config(sieve_limit=5000, prime_limit=700, tolerance_scale=2.5,
-                         spec="unit")
-    assert [type(getattr(got, f.name)) for f in fields(Config)] == [int, int, float, str]
+    assert got == Config(prime_limit=700, spec="unit")
+    assert [type(getattr(got, f.name)) for f in fields(Config)] == [int, str]
 
 
-@pytest.mark.parametrize("line", ["sieve_limit = 1e5", "prime_limit = two", "tolerance_scale = x"])
+@pytest.mark.parametrize("line", ["prime_limit = 1e5", "prime_limit = two"])
 def test_unparsable_value_is_rejected(tmp_path, line):
     cfg = tmp_path / "radseries.conf"
     cfg.write_text(line + "\n")
@@ -40,9 +38,11 @@ def test_threads_key_is_retired(tmp_path):
         load_config(cfg)
 
 
-@pytest.mark.parametrize("raw", ["-1", "0", "-0.0", "nan", "inf"])
-def test_tolerance_scale_must_be_finite_and_positive(tmp_path, raw):
+@pytest.mark.parametrize("line", ["sieve_limit = 5000", "tolerance_scale = 2.5"])
+def test_sieve_limit_and_tolerance_scale_keys_are_retired(tmp_path, line):
+    # each command sizes its factor sieve from its input, and every
+    # tolerance is the computed one: a file that still sets either is stale
     cfg = tmp_path / "radseries.conf"
-    cfg.write_text(f"tolerance_scale = {raw}\n")
-    with pytest.raises(InvalidArgumentError, match="tolerance_scale must be finite and > 0"):
+    cfg.write_text(line + "\n")
+    with pytest.raises(InvalidArgumentError, match=f"unknown config key '{line.split()[0]}'"):
         load_config(cfg)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from radseries import InvalidArgumentError, OutOfRangeError, nth_prime, sieve_primes
-from radseries.primes import _segmented_sieve, _simple_sieve
+from radseries.primes import _segmented_sieve, prime_mask
 
 
 def trial_division_primes(limit):
@@ -94,6 +94,6 @@ def test_upto_view():
 
 def test_segmented_matches_simple():
     # tiny segment size forces many segment crossings
-    simple = _simple_sieve(100_000)
+    simple = np.flatnonzero(prime_mask(100_000))
     segmented = _segmented_sieve(100_000, segment_size=1_000)
     assert np.array_equal(simple, segmented)

@@ -8,6 +8,7 @@ from hypothesis import strategies as hst
 
 from radseries import (
     IDENTITY_SPEC,
+    InvalidSpecError,
     MultiplicativeSpec,
     OutOfRangeError,
     Params,
@@ -373,3 +374,19 @@ def test_prepared_sweep_equals_reference_bit_for_bit():
             assert repr(kernel.sums(params)) == repr((want_s, want_t)), spec.name
             assert repr(s_general(spec, table, params, 1_000_000)) == repr(want_s)
             assert repr(t_general(spec, table, params, 1_000_000)) == repr(want_t)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("vectorised", [True, False], ids=["prime_values", "scalar-rule"])
+def test_non_positive_prime_value_is_rejected(table_10k, bad, vectorised):
+    # M(3) <= 0 or NaN has no logarithm: the kernel refuses the spec, as
+    # evaluate and range_values do, instead of summing to NaN
+    spec = MultiplicativeSpec(
+        name="bad-at-three",
+        value_at_prime_power=lambda p, k: bad if p == 3 else float(p),
+        growth_exponent=1.0,
+        prime_values=(lambda p: np.where(p == 3.0, bad, p)) if vectorised else None,
+    )
+    for fn in (s_general, t_general):
+        with pytest.raises(InvalidSpecError, match="'bad-at-three' returned .* at prime 3$"):
+            fn(spec, table_10k, P41, 10_000)
