@@ -17,8 +17,7 @@ from .errors import (
 from .euler import product_d
 from .identity import (
     Classification,
-    IdentityResidual,
-    SplitSums,
+    IdentityResult,
     classify_interval,
     identity_pass,
     identity_residual,
@@ -48,7 +47,7 @@ __all__ = [
     "Classification",
     "FactorSieve",
     "IDENTITY_SPEC",
-    "IdentityResidual",
+    "IdentityResult",
     "InvalidArgumentError",
     "InvalidParamsError",
     "InvalidSpecError",
@@ -58,7 +57,6 @@ __all__ = [
     "PrimeTable",
     "RADICAL_SPEC",
     "RadseriesError",
-    "SplitSums",
     "StResult",
     "Theorem2Report",
     "TruncatedSum",

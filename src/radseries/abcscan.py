@@ -46,6 +46,9 @@ from .stkernel import st_ratio
 # memory independently of c_max.
 BATCH_PAIRS = 1 << 16
 
+# Rows kept in Theorem2Report.top_quality.
+TOP_QUALITY = 10
+
 # rad(a)*rad(b)*rad(c) <= c^3 fits int64 up to here; above it rad_abc is a
 # column of exact Python ints.
 _INT64_RAD_ABC_CMAX = 2_000_000
@@ -225,12 +228,12 @@ def _scan(sieve, ratio_interval, c_max, sample, seed, progress) -> Iterator[AbcB
         yield _batch(rad, segments, exact_objects)
 
 
-def verify_theorem2(batches: Iterable[AbcBatch], *, keep_top: int = 10) -> Theorem2Report:
+def verify_theorem2(batches: Iterable[AbcBatch]) -> Theorem2Report:
     """Check hypothesis => conclusion on every row; collect statistics.
 
     Counterexamples are collected, not raised.  ``top_quality`` ranks the
-    rows with the smallest conclusion margin (highest quality); among equal
-    qualities the later row ranks first.
+    TOP_QUALITY rows with the smallest conclusion margin (highest quality);
+    among equal qualities the later row ranks first.
     """
     report = Theorem2Report(counterexamples=[])
     heap: list[tuple[float, int, AbcRecord]] = []
@@ -252,7 +255,7 @@ def verify_theorem2(batches: Iterable[AbcBatch], *, keep_top: int = 10) -> Theor
         # Top-k in row order: fill the heap, then replay only the rows that
         # beat its current minimum (the minimum only rises, so every other
         # row would have been a no-op).
-        fill = min(max(keep_top - len(heap), 0), n)
+        fill = min(max(TOP_QUALITY - len(heap), 0), n)
         for rec in batch.take(slice(0, fill)).records():
             heapq.heappush(heap, (rec.quality, tie, rec))
             tie += 1

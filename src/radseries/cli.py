@@ -18,7 +18,6 @@ only defaults for --prime-limit and --spec.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -27,7 +26,7 @@ import numpy as np
 
 from .abcscan import AbcBatch, scan, verify_theorem2
 from .config import Config, load_config
-from .errors import RadseriesError
+from .errors import InvalidParamsError, RadseriesError
 from .euler import product_d
 from .identity import identity_pass
 from .multfn import BUILTIN_SPECS, RADICAL_SPEC, builtin_spec
@@ -226,15 +225,14 @@ def cmd_ratio_grid(args, cfg: Config) -> int:
     out_of_bound = 0
     for s in _grid_axis(args.s_min, args.s_max, args.steps):
         for t in _grid_axis(args.t_min, args.t_max, args.steps):
-            if not (t > 0.0 and s > 1.0 + t):
-                rows.append([SCHEMA_VERSION, _fmt(s), _fmt(t), "", "", "", "", "", "outside_rc"])
+            try:
+                params = Params(s=s, t=t)
+            except InvalidParamsError:
+                rows.append(f"{SCHEMA_VERSION},{_fmt(s)},{_fmt(t)},,,,,,outside_rc\n")
                 continue
-            st = kernel.ratio(Params(s=s, t=t))
-            rows.append([
-                SCHEMA_VERSION, _fmt(s), _fmt(t),
-                _fmt(st.s_value.value), _fmt(st.t_value.value), _fmt(st.ratio),
-                _fmt(st.ratio_interval[0]), _fmt(st.ratio_interval[1]), "ok",
-            ])
+            st = kernel.ratio(params)
+            values = (s, t, st.s_value.value, st.t_value.value, st.ratio, *st.ratio_interval)
+            rows.append(f"{SCHEMA_VERSION},{','.join(map(_fmt, values))},ok\n")
             evaluated += 1
             if not st.in_bound:
                 out_of_bound += 1
@@ -242,10 +240,8 @@ def cmd_ratio_grid(args, cfg: Config) -> int:
         print("ratio-grid: no grid point lies inside the region of convergence "
               "(t > 0, s > 1 + t)", file=sys.stderr)
         return EXIT_INVALID
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["schema_version", "s", "t", "S", "T",
-                     "ratio", "ratio_low", "ratio_high", "status"])
-    writer.writerows(rows)
+    sys.stdout.write("schema_version,s,t,S,T,ratio,ratio_low,ratio_high,status\n")
+    sys.stdout.write("".join(rows))
     if args.check_bounds and out_of_bound:
         print(f"ratio-grid: {out_of_bound} enclosing interval(s) leave (1, 2)",
               file=sys.stderr)
@@ -259,7 +255,7 @@ def cmd_identity(args, cfg: Config) -> int:
     limit = args.limit
     sieve = _sieve(args, limit)
     table = sieve_primes(prime_limit)
-    res, split = identity_pass(sieve, table, params, limit, prime_limit)
+    r = identity_pass(sieve, table, params, limit, prime_limit)
     _emit_json({
         "schema_version": SCHEMA_VERSION,
         "command": "identity",
@@ -267,17 +263,17 @@ def cmd_identity(args, cfg: Config) -> int:
         "t": args.t,
         "limit": limit,
         "prime_limit": prime_limit,
-        "residual": res.residual,
-        "tolerance": res.tolerance,
-        "within_tolerance": res.within_tolerance,
+        "residual": r.residual,
+        "tolerance": r.tolerance,
+        "within_tolerance": r.within_tolerance,
         "split": {
-            "below": split.below,
-            "equal": split.equal,
-            "above": split.above,
-            "counts": list(split.classification_counts),
-            "ambiguous_count": split.ambiguous_count,
-            "balance_gap": split.balance_gap,
-            "tolerance": split.tolerance,
+            "below": r.below,
+            "equal": r.equal,
+            "above": r.above,
+            "counts": list(r.classification_counts),
+            "ambiguous_count": r.ambiguous_count,
+            "balance_gap": r.balance_gap,
+            "tolerance": r.tolerance,
         },
     })
     return EXIT_OK

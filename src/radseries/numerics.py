@@ -32,7 +32,6 @@ x >= e; small cutoffs are patched with explicit terms.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 import numpy as np
@@ -111,6 +110,8 @@ def sum_blocks(
     if threads <= 1 or len(bounds) == 1:
         partials = [block_sum(lo, hi) for lo, hi in bounds]
     else:
+        # imported here: only the benchmark's per-layer timings start a pool
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             partials = list(pool.map(lambda b: block_sum(*b), bounds))
     return math.fsum(partials)

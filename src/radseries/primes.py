@@ -59,7 +59,7 @@ def prime_mask(limit: int) -> np.ndarray:
     return is_prime
 
 
-def _segmented_sieve(limit: int, segment_size: int = SEGMENT_SIZE) -> np.ndarray:
+def _segmented_sieve(limit: int) -> np.ndarray:
     """Primes <= limit as uint64: the base primes up to sqrt(limit) + 1 from
     one flat prime_mask, the rest one segment at a time."""
     base = np.flatnonzero(prime_mask(int(limit ** 0.5) + 1)).astype(np.uint64)
@@ -67,7 +67,7 @@ def _segmented_sieve(limit: int, segment_size: int = SEGMENT_SIZE) -> np.ndarray
     chunks = [base]
     low = int(base[-1]) + 1
     while low <= limit:
-        high = min(low + segment_size, limit + 1)  # exclusive
+        high = min(low + SEGMENT_SIZE, limit + 1)  # exclusive
         mask = np.ones(high - low, dtype=bool)
         for p in base_int:
             start = max(p * p, ((low + p - 1) // p) * p)

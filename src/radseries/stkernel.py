@@ -69,10 +69,9 @@ class StKernel:
     evaluated at any number of points (s, t).
 
     Holds p as given (``for_spec`` passes the prime table's own uint64 array,
-    which every ufunc reads as the float64 values a copy would hold), ln p
-    and ln M(p) (one array when m equals p, the radical and identity specs),
-    two work buffers of len(p), and the S factor 1/(1 - p^-s) of the last s
-    evaluated: a grid walked s-major forms p^-s once per row.  Every
+    which every ufunc reads as the float64 values a copy would hold), ln p,
+    ln M(p), two work buffers of len(p), and the S factor 1/(1 - p^-s) of
+    the last s evaluated: a grid walked s-major forms p^-s once per row.  Every
     evaluation runs the same ufuncs in the same order, only into reused
     buffers, so its bits do not depend on what the kernel evaluated before.
     Each evaluation overwrites those buffers, so a kernel serves one caller
@@ -85,8 +84,7 @@ class StKernel:
     def __init__(self, p: np.ndarray, m: np.ndarray, tail: tuple[float, int] | None = None):
         self._p = p
         self._ln_p = np.log(p)
-        self._same = np.array_equal(m, p)
-        self._ln_m = self._ln_p if self._same else np.log(m)
+        self._ln_m = np.log(m)
         self._tail = tail
         self._work = (np.empty(len(p)), np.empty(len(p)))
         self._factor = np.empty(len(p))
@@ -143,11 +141,9 @@ class StKernel:
         np.subtract(den, other, out=den)
         np.add(den, 1.0, out=den)
         factor = self._s_factor(s)
-        if self._same:
-            # one logarithm serves both weights and each S-term is the factor
-            # times its T-term: the termwise sandwich is in the arithmetic
-            t_terms = np.divide(ln_m, den, out=den)
-            return t_terms, np.multiply(factor, t_terms, out=other)
+        # where m equals p, ln m and ln p are the same bits, so each S-term is
+        # exactly the factor times its T-term: the termwise sandwich is in the
+        # arithmetic
         t_terms = np.divide(ln_m, den, out=other)
         s_weight = np.divide(ln_p, den, out=den)
         return t_terms, np.multiply(factor, s_weight, out=s_weight)

@@ -271,8 +271,8 @@ def test_report_matches_reference_full_scan(sieve_10k, table_10k):
     for params, c_max in ((P41, 2_000), (Params(2.6, 0.5), 1_000)):
         recs = rows(scan(sieve_10k, table_10k, params, c_max, 10_000))
         for keep_top in (10, 1):
-            got = verify_theorem2(scan(sieve_10k, table_10k, params, c_max, 10_000),
-                                  keep_top=keep_top)
+            with mock.patch.object(abcscan, "TOP_QUALITY", keep_top):
+                got = verify_theorem2(scan(sieve_10k, table_10k, params, c_max, 10_000))
             assert got == reference_verify(recs, keep_top=keep_top)
 
 
@@ -292,7 +292,8 @@ def test_report_matches_reference_on_forced_counterexamples():
     full = AbcBatch(a, 100 - a, np.full(8, 100), 30 * a, hyp, concl, q)
     batches = [full.take(slice(0, 3)), full.take(slice(3, 3)), full.take(slice(3, 8))]
     for keep_top in (0, 1, 3, 20):
-        got = verify_theorem2(batches, keep_top=keep_top)
+        with mock.patch.object(abcscan, "TOP_QUALITY", keep_top):
+            got = verify_theorem2(batches)
         if keep_top:
             assert got == reference_verify(full.records(), keep_top=keep_top)
         assert got.counterexamples == list(full.take(hyp & ~concl).records())
@@ -372,7 +373,7 @@ def test_every_classification_matches_the_scalar_oracle(sieve_100k, table_100k, 
     want = [reference_class(n, rad[n], low, high) for n in range(1, limit + 1)]
     assert [classify_interval(sieve_100k, n, low, high) for n in range(1, limit + 1)] == want
 
-    _, split = identity_pass(sieve_100k, table_100k, params, limit, prime_limit)
+    split = identity_pass(sieve_100k, table_100k, params, limit, prime_limit)
     counts = Counter(want)
     assert split.classification_counts == (
         counts[Classification.BELOW], counts[Classification.EQUAL], counts[Classification.ABOVE])

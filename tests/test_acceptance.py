@@ -27,7 +27,7 @@ from radseries import (
     classify_interval,
     decompositions,
     euler_phi,
-    identity_residual,
+    identity_pass,
     product_d,
     radical,
     s_general,
@@ -36,7 +36,6 @@ from radseries import (
     series_d_log_m,
     series_d_log_n,
     sieve_primes,
-    split_identity,
     st_ratio,
     t_general,
     verify_theorem2,
@@ -146,9 +145,9 @@ def test_criterion_3_ratio_bound_grid(table_100k):
 def test_criterion_4_identity_residual(sieve_100k, table_100k):
     for s, t in POINTS:
         params = Params(s, t)
-        fine = identity_residual(sieve_100k, table_100k, params, 100_000, 100_000)
+        fine = identity_pass(sieve_100k, table_100k, params, 100_000, 100_000)
         assert abs(fine.residual) <= fine.tolerance, f"(s={s},t={t})"
-        coarse = identity_residual(sieve_100k, table_100k, params, 1_000, 100_000)
+        coarse = identity_pass(sieve_100k, table_100k, params, 1_000, 100_000)
         norm_fine = abs(fine.residual) / fine.tolerance
         norm_coarse = abs(coarse.residual) / coarse.tolerance
         assert norm_fine < norm_coarse, \
@@ -182,11 +181,11 @@ def _prime_power_exponent(n):
 def test_criterion_5_split(sieve_100k, table_100k):
     for s, t in POINTS:
         params = Params(s, t)
-        tiny = split_identity(sieve_100k, table_100k, params, 4, 100_000)
+        tiny = identity_pass(sieve_100k, table_100k, params, 4, 100_000)
         assert tiny.classification_counts[0] > 0, "Below empty at limit 4"
         assert tiny.classification_counts[2] > 0, "Above empty at limit 4"
 
-        full = split_identity(sieve_100k, table_100k, params, 10_000, 100_000)
+        full = identity_pass(sieve_100k, table_100k, params, 10_000, 100_000)
         assert full.balance_gap <= full.tolerance, f"(s={s},t={t})"
         assert full.classification_counts[1] == 1  # exactly n = 1
 

@@ -73,3 +73,14 @@ def test_only_benchmark_entry_points_take_threads():
         fn.__name__ for fn in exported if callable(fn) and "threads" in _parameters(fn)
     )
     assert with_threads == ["series_d", "sum_blocks"]
+
+
+def test_identity_wrappers_are_distinct_functions(sieve_10k, table_10k):
+    # instrument keys its wrappers on id(fn): were either name an alias of
+    # identity_pass, every identity_pass call would open that name's span
+    fns = (radseries.identity_pass, radseries.identity_residual, radseries.split_identity)
+    assert len({id(fn) for fn in fns}) == 3
+    args = (sieve_10k, table_10k, radseries.Params(4, 1), 2_000, 10_000)
+    want = radseries.identity_pass(*args)
+    for wrapper in fns[1:]:
+        assert wrapper(*args) == want

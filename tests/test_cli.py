@@ -386,21 +386,21 @@ def test_corrupt_sieve_dump_exits_2(tmp_path):
 
 
 def test_identity_output_matches_library(tmp_path):
-    from radseries import FactorSieve, Params, identity_residual, sieve_primes, split_identity
+    from radseries import FactorSieve, Params, identity_pass, sieve_primes
 
     r = run_cli("identity", "--s", "2.6", "--t", "0.5", "--limit", "70000",
                 "--prime-limit", "5000")
     assert r.returncode == 0
     out = json.loads(r.stdout)
     sieve, table = FactorSieve.build(100_000), sieve_primes(5000)
-    res = identity_residual(sieve, table, Params(2.6, 0.5), 70_000, 5000)
-    split = split_identity(sieve, table, Params(2.6, 0.5), 70_000, 5000)
-    assert (out["residual"], out["tolerance"]) == (res.residual, res.tolerance)
+    got = identity_pass(sieve, table, Params(2.6, 0.5), 70_000, 5000)
+    assert (out["residual"], out["tolerance"]) == (got.residual, got.tolerance)
+    assert out["within_tolerance"] == got.within_tolerance
     assert out["split"] == {
-        "below": split.below, "equal": split.equal, "above": split.above,
-        "counts": list(split.classification_counts),
-        "ambiguous_count": split.ambiguous_count,
-        "balance_gap": split.balance_gap, "tolerance": split.tolerance,
+        "below": got.below, "equal": got.equal, "above": got.above,
+        "counts": list(got.classification_counts),
+        "ambiguous_count": got.ambiguous_count,
+        "balance_gap": got.balance_gap, "tolerance": got.tolerance,
     }
 
 

@@ -10,11 +10,9 @@ from radseries import (
     Params,
     classify_interval,
     identity_pass,
-    identity_residual,
     radical,
     series_d_log_m,
     series_d_log_n,
-    split_identity,
     st_ratio,
 )
 from radseries.numerics import sum_blocks
@@ -51,14 +49,14 @@ def test_classify_ambiguous_knife_edge(sieve_10k):
 
 
 def test_residual_single_term(sieve_10k, table_10k):
-    got = identity_residual(sieve_10k, table_10k, P41, 1, 10_000)
+    got = identity_pass(sieve_10k, table_10k, P41, 1, 10_000)
     assert got.residual == 0.0
 
 
 def test_residual_within_tolerance(sieve_10k, table_10k):
     for s, t in [(4, 1), (2.6, 0.5)]:
         params = Params(s, t)
-        got = identity_residual(sieve_10k, table_10k, params, 10_000, 10_000)
+        got = identity_pass(sieve_10k, table_10k, params, 10_000, 10_000)
         assert got.within_tolerance
         assert got.tolerance > 0
 
@@ -76,21 +74,21 @@ def test_squarefree_restriction_is_positive(sieve_10k, table_10k):
 
 
 def test_split_single_term(sieve_10k, table_10k):
-    got = split_identity(sieve_10k, table_10k, P41, 1, 10_000)
+    got = identity_pass(sieve_10k, table_10k, P41, 1, 10_000)
     assert got.classification_counts == (0, 1, 0)
     assert got.below == got.above == got.equal == 0.0
 
 
 def test_split_signs_and_balance(sieve_10k, table_10k):
     for s, t in [(4, 1), (2.6, 0.5), (5, 2.5)]:
-        got = split_identity(sieve_10k, table_10k, Params(s, t), 10_000, 10_000)
+        got = identity_pass(sieve_10k, table_10k, Params(s, t), 10_000, 10_000)
         assert got.below > 0
         assert got.above < 0
         assert got.equal == 0.0
         assert got.balance_gap <= got.tolerance
     # tight enclosures commit every n <= 1e4
     for s, t in [(4, 1), (5, 2.5)]:
-        got = split_identity(sieve_10k, table_10k, Params(s, t), 10_000, 10_000)
+        got = identity_pass(sieve_10k, table_10k, Params(s, t), 10_000, 10_000)
         assert got.ambiguous_count == 0
 
 
@@ -98,8 +96,8 @@ def test_ambiguity_shrinks_with_prime_limit(sieve_10k, table_100k):
     # (2.6, 0.5) converges slowly; borderline n resolve as the S/T
     # enclosure tightens
     params = Params(2.6, 0.5)
-    coarse = split_identity(sieve_10k, table_100k, params, 10_000, 10_000)
-    fine = split_identity(sieve_10k, table_100k, params, 10_000, 100_000)
+    coarse = identity_pass(sieve_10k, table_100k, params, 10_000, 10_000)
+    fine = identity_pass(sieve_10k, table_100k, params, 10_000, 100_000)
     assert fine.ambiguous_count < coarse.ambiguous_count
 
 
@@ -109,7 +107,7 @@ def test_split_counts_match_classifier(sieve_10k, table_10k):
     want = {Classification.BELOW: 0, Classification.EQUAL: 0, Classification.ABOVE: 0}
     for n in range(1, 2_001):
         want[classify_interval(sieve_10k, n, lo, hi)] += 1
-    got = split_identity(sieve_10k, table_10k, P41, 2_000, 10_000)
+    got = identity_pass(sieve_10k, table_10k, P41, 2_000, 10_000)
     assert got.classification_counts == (
         want[Classification.BELOW],
         want[Classification.EQUAL],
@@ -128,14 +126,14 @@ def test_primes_below_squares_above(sieve_10k, table_10k):
 def test_equal_class_is_singleton(sieve_10k, table_10k):
     # over a generic parameter sample only n = 1 lands exactly on the threshold
     for s, t in [(4, 1), (3.1, 1.7), (2.6, 0.5)]:
-        got = split_identity(sieve_10k, table_10k, Params(s, t), 10_000, 10_000)
+        got = identity_pass(sieve_10k, table_10k, Params(s, t), 10_000, 10_000)
         assert got.classification_counts[1] == 1
 
 
 def test_residual_improves_with_limit(sieve_100k, table_100k):
     # empirical monotone improvement, prime truncation held fixed
-    r_coarse = identity_residual(sieve_100k, table_100k, P41, 1_000, 100_000)
-    r_fine = identity_residual(sieve_100k, table_100k, P41, 100_000, 100_000)
+    r_coarse = identity_pass(sieve_100k, table_100k, P41, 1_000, 100_000)
+    r_fine = identity_pass(sieve_100k, table_100k, P41, 100_000, 100_000)
     assert abs(r_fine.residual) / r_fine.tolerance < abs(r_coarse.residual) / r_coarse.tolerance
 
 
@@ -190,18 +188,18 @@ def test_shared_pass_is_bit_identical_to_separate_passes(sieve_100k, table_100k,
     # 100_000 terms span two summation blocks of 2^16
     for limit in (1, 65_536, 100_000):
         want = reference_identity(sieve_100k, table_100k, params, limit, prime_limit)
-        res, split = identity_pass(sieve_100k, table_100k, params, limit, prime_limit)
-        assert res.st == want["st"]
-        assert res.residual == want["residual"]
-        assert res.tolerance == split.tolerance == want["tolerance"]
-        assert res.terms_used == limit
-        assert (split.below, split.equal, split.above) == (
+        got = identity_pass(sieve_100k, table_100k, params, limit, prime_limit)
+        assert got.st == want["st"]
+        assert got.residual == want["residual"]
+        assert got.tolerance == want["tolerance"]
+        assert got.terms_used == limit
+        assert (got.below, got.equal, got.above) == (
             want["below"], want["equal"], want["above"])
-        assert split.classification_counts == want["counts"]
-        assert split.ambiguous_count == want["ambiguous_count"]
-        assert split.ambiguous_sum == want["ambiguous_sum"]
-        assert identity_residual(sieve_100k, table_100k, params, limit, prime_limit) == res
-        assert split_identity(sieve_100k, table_100k, params, limit, prime_limit) == split
+        assert got.classification_counts == want["counts"]
+        assert got.ambiguous_count == want["ambiguous_count"]
+        assert got.ambiguous_sum == want["ambiguous_sum"]
+        # a second pass reproduces every field
+        assert identity_pass(sieve_100k, table_100k, params, limit, prime_limit) == got
 
 
 def test_identity_limit_outside_sieve(sieve_10k, table_10k):

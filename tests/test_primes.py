@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from radseries import InvalidArgumentError, OutOfRangeError, nth_prime, sieve_primes
+from radseries import InvalidArgumentError, OutOfRangeError, nth_prime, primes, sieve_primes
 from radseries.primes import _segmented_sieve, prime_mask
 
 
@@ -92,8 +92,9 @@ def test_upto_view():
             t.upto(no_primes)
 
 
-def test_segmented_matches_simple():
+def test_segmented_matches_simple(monkeypatch):
     # tiny segment size forces many segment crossings
     simple = np.flatnonzero(prime_mask(100_000))
-    segmented = _segmented_sieve(100_000, segment_size=1_000)
+    monkeypatch.setattr(primes, "SEGMENT_SIZE", 1_000)
+    segmented = _segmented_sieve(100_000)
     assert np.array_equal(simple, segmented)
