@@ -105,12 +105,16 @@ def _prime_limit(args, cfg: Config) -> int:
 def _sieve(args, needed: int) -> FactorSieve:
     """The --sieve-file dump, else a sieve to --sieve-limit, else one to needed.
 
-    The library rejects a sieve too small for the command's input; a need
-    below 1 gets a one-entry sieve, whose range check rejects it the same way.
+    Always spf-only: no command reads cached value arrays, since
+    ``radical_range`` forms the radical from spf and the scalar queries
+    factor n.  The library rejects a sieve too small for the command's
+    input; a need below 1 gets a one-entry sieve, whose range check rejects
+    it the same way.
     """
     if args.sieve_file:
-        return FactorSieve.load(args.sieve_file)
-    return FactorSieve.build(_limit(args.sieve_limit, max(needed, 1), "--sieve-limit", 1))
+        return FactorSieve.load(args.sieve_file, cache_values=False)
+    return FactorSieve.build(_limit(args.sieve_limit, max(needed, 1), "--sieve-limit", 1),
+                             cache_values=False)
 
 
 def cmd_radical(args, cfg: Config) -> int:

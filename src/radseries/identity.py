@@ -21,7 +21,9 @@ since mixing truncations would bias the sum in a way the tolerance cannot
 absorb.
 
 The terms a_n and the sums L_N, L_R with their tails come from the series
-module's one term kernel and one truncated-sum rule.
+module's one term kernel and one truncated-sum rule.  The pass walks n over
+the fixed summation blocks, so its per-n memory is one block, not N, and
+every sum keeps the bits of a whole-array pass (see ``identity_pass``).
 
 Classification never forms R(n)^(S/T): it compares T ln n with S ln R(n)
 in log space.  A comparison is committed only when the whole S/T enclosure
@@ -33,16 +35,17 @@ split, ``classify_interval`` and the abc scan alike.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import OutOfRangeError
-from .multfn import RADICAL_SPEC, range_values
-from .numerics import exact_sum, sum_blocks
+from .multfn import RADICAL_SPEC
+from .numerics import block_bounds, exact_parts, exact_sum
 from .primes import PrimeTable
-from .radical import FactorSieve, radical
-from .series import Params, TruncatedSum, term_kernel, truncated_sum
+from .radical import FactorSieve, radical, radical_range
+from .series import Params, term_kernel, truncated_sum
 from .stkernel import StResult, st_ratio
 
 
@@ -119,48 +122,62 @@ def identity_pass(
 ) -> IdentityResult:
     """Residual and class split of the identity from one per-n pass.
 
-    S/T, the term arrays a_n, ln n, ln R(n) and the weights
-    w = a_n (S ln R(n) - T ln n) are computed once; the residual, the two
-    log-weighted series behind the tolerance (sum a_n ln n and
-    sum a_n ln R(n), by the rule of ``series_d_log_n`` and
-    ``series_d_log_m``) and the class sums all read those arrays.
+    S/T is computed once.  n then walks the fixed blocks of
+    ``numerics.sum_blocks``; each block forms a_n, ln n, ln R(n) and the
+    weights w = a_n (S ln R(n) - T ln n) once, and keeps only what the sums
+    need: the block sums of the residual and of the two log-weighted series
+    behind the tolerance (sum a_n ln n and sum a_n ln R(n), by the rule of
+    ``series_d_log_n`` and ``series_d_log_m``), and the exact parts of its
+    w in each class.  Memory is one block of each array, plus R(n) where
+    the sieve has not cached it.
+
+    Each class sum is one ``math.fsum`` over its blocks' ``exact_parts``,
+    which equals ``math.fsum`` of the whole masked w bit for bit away from
+    overflow.  w stays far from it: a_n <= n^(t-s) <= 1, and each T-term is
+    below ln p and each S-term below twice its T-term, so
+    |w_n| <= 3 theta(P) ln n < 4 P ln n, below 2^72 for any int64 P and n.
+    A non-finite a_n (R(n)^t overflowing) keeps fsum's own NaN and inf.
     """
     sieve.check_range(limit)
     st = st_ratio(primes, params, prime_limit)
     s_p, t_p = st.s_value.value, st.t_value.value
     g = RADICAL_SPEC.growth_exponent
 
-    n = np.arange(1, limit + 1, dtype=np.float64)
-    r = range_values(RADICAL_SPEC, sieve, limit)[1:]
-    ln_n = np.log(n)
-    ln_r = np.log(r)
-    a_n = term_kernel(r, n, params)
-    del n, r
-    w = s_p * ln_r
-    w -= t_p * ln_n
-    w *= a_n
+    rad = radical_range(sieve, limit)
+    residual, log_n, log_r = [], [], []  # block sums
+    parts = ([], [], [], [])  # exact parts of w, by class
+    counts = [0, 0, 0, 0]
+    for lo, hi in block_bounds(limit):
+        n = np.arange(lo + 1, hi + 1, dtype=np.float64)
+        r = rad[lo + 1: hi + 1].astype(np.float64)
+        ln_n, ln_r = np.log(n), np.log(r)
+        a_n = term_kernel(r, n, params)
+        w = s_p * ln_r
+        w -= t_p * ln_n
+        w *= a_n
+        residual.append(exact_sum(w))
+        log_n.append(exact_sum(a_n * ln_n))
+        log_r.append(exact_sum(a_n * ln_r))
+        for i, mask in enumerate(class_masks(ln_n, ln_r, *st.ratio_interval)):
+            parts[i].extend(exact_parts(w[mask]))
+            counts[i] += int(np.count_nonzero(mask))
 
-    def log_sum(ln: np.ndarray, log_bound: float) -> TruncatedSum:
-        return truncated_sum(lambda lo, hi: a_n[lo:hi] * ln[lo:hi], limit, params, g, log_bound)
-
-    residual = sum_blocks(limit, lambda lo, hi: exact_sum(w[lo:hi]))
-    log_n, log_r = log_sum(ln_n, 1.0), log_sum(ln_r, g)
-    tolerance = (st.s_value.tail_bound * log_r.upper + st.t_value.tail_bound * log_n.upper
-                 + s_p * log_r.tail_bound + t_p * log_n.tail_bound)
-    below, equal, above, ambiguous = class_masks(ln_n, ln_r, *st.ratio_interval)
+    sum_n = truncated_sum(math.fsum(log_n), limit, params, g, 1.0)
+    sum_r = truncated_sum(math.fsum(log_r), limit, params, g, g)
+    tolerance = (st.s_value.tail_bound * sum_r.upper + st.t_value.tail_bound * sum_n.upper
+                 + s_p * sum_r.tail_bound + t_p * sum_n.tail_bound)
+    below, equal, above, ambiguous = (math.fsum(p) for p in parts)
     return IdentityResult(
-        residual=residual,
+        residual=math.fsum(residual),
         tolerance=tolerance,
         st=st,
         terms_used=limit,
-        below=exact_sum(w[below]),
-        equal=exact_sum(w[equal]),
-        above=exact_sum(w[above]),
-        classification_counts=(
-            int(below.sum()), int(equal.sum()), int(above.sum())
-        ),
-        ambiguous_count=int(ambiguous.sum()),
-        ambiguous_sum=exact_sum(w[ambiguous]),
+        below=below,
+        equal=equal,
+        above=above,
+        classification_counts=tuple(counts[:3]),
+        ambiguous_count=counts[3],
+        ambiguous_sum=ambiguous,
     )
 
 

@@ -18,6 +18,9 @@ total.  ``math.fsum`` rounds that total correctly, as it would the terms
 themselves, so the two results agree bit for bit.  The levels are peeled
 off in place, in two reusable chunk buffers, so a sum allocates no
 temporary per level and never writes into the caller's array.
+``exact_parts`` returns those level sums unrounded, so a sum whose terms
+come one block at a time (the identity's class sums) is one ``math.fsum``
+over the parts of its blocks.
 
 Tail bounds compare a series with non-negative, eventually decreasing
 terms against the integral of its continuous majorant:
@@ -47,10 +50,24 @@ def exact_sum(x) -> float:
     could add up past 2^1023, take ``math.fsum`` itself, so NaN, inf and
     its errors (inf - inf, intermediate overflow) are those of ``math.fsum``.
     """
+    return math.fsum(exact_parts(x))
+
+
+def exact_parts(x) -> list[float]:
+    """Floats whose exact total is the exact total of the float array x.
+
+    The exact level sums of x, or, where ``math.fsum`` must decide (non-finite
+    or huge terms, or only zeros, whose sign is fsum's), the terms of x
+    themselves.  So one ``math.fsum`` over the parts of consecutive slices
+    returns ``math.fsum`` of their concatenation bit for bit, signed zero,
+    NaN, inf and inf - inf included, except near overflow: fsum's
+    intermediate-overflow error depends on the order in which finite terms
+    are added, which level sums do not keep, so the two can disagree once
+    running sums approach 2^1024.  (A slice holding a finite term of
+    2^(1023 - bit_length(len + 1)) or more is always passed as its terms.)
+    """
     x = np.asarray(x, dtype=np.float64)
-    # no level sums: non-finite or huge terms, or only zeros, whose sign
-    # is math.fsum's to decide
-    return math.fsum(_level_sums(x) or x.tolist())
+    return _level_sums(x) or x.tolist()
 
 
 def _level_sums(x: np.ndarray) -> list[float]:
@@ -89,6 +106,11 @@ def _max_abs(p: np.ndarray) -> float:
     return max(float(p.max()), -float(p.min()))
 
 
+def block_bounds(total: int) -> list[tuple[int, int]]:
+    """The fixed summation blocks [lo, hi) of DEFAULT_BLOCK indices over [0, total)."""
+    return [(lo, min(lo + DEFAULT_BLOCK, total)) for lo in range(0, total, DEFAULT_BLOCK)]
+
+
 def sum_blocks(
     total: int,
     block_sum: Callable[[int, int], float],
@@ -104,10 +126,8 @@ def sum_blocks(
     ``threads`` (here and through ``series.series_d``); the package sums
     serially.
     """
-    if total <= 0:
-        return 0.0
-    bounds = [(lo, min(lo + DEFAULT_BLOCK, total)) for lo in range(0, total, DEFAULT_BLOCK)]
-    if threads <= 1 or len(bounds) == 1:
+    bounds = block_bounds(total)
+    if threads <= 1 or len(bounds) <= 1:
         partials = [block_sum(lo, hi) for lo, hi in bounds]
     else:
         # imported here: only the benchmark's per-layer timings start a pool

@@ -2,13 +2,15 @@
 
 One O(limit) pass builds the spf array; each query then factors n in
 O(log n) divisions.  With ``cache_values`` on (the default), the radical
-and totient are also stored as parallel int64 arrays so the series modules
-can gather them for every n <= limit in bulk; a lean sieve
-(``cache_values=False``) answers scalar queries through ``factorize``.
-Both arrays come from one recurrence over spf (``_value_sieves``) that
-takes ~log2(limit) vectorized passes, not one pass per prime.  A loaded dump is checked exactly before
-use, since every value is derived from spf.  The sieve is immutable after
-construction and all queries are pure.
+and totient are also stored as parallel int64 arrays; a lean sieve
+(``cache_values=False``) answers scalar queries through ``factorize`` and
+forms the radical of a whole range from spf on demand (``radical_range``).
+The CLI builds and loads lean sieves only.  Both arrays come from one
+recurrence over spf (``_value_sieves``) in chunked vectorized passes, not
+one pass per prime, whose temporaries are bounded by the chunk, not by
+limit.  A loaded dump is checked exactly before use, since every value is
+derived from spf.  The sieve is immutable after construction and all
+queries are pure.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .primes import prime_mask
 _DUMP_MAGIC = b"RADSIEVE"
 _DUMP_VERSION = 1
 _DUMP_HEADER = struct.Struct("<8sIIQ")  # magic, version, reserved, limit
-_CHECK_CHUNK = 1 << 16  # entries per pass when a loaded spf is checked (cache-sized)
+_CHUNK = 1 << 16  # entries per vectorized pass over spf: the dump check and the values
 
 
 @dataclass(frozen=True)
@@ -110,8 +112,8 @@ def _spf_defect(spf: np.ndarray) -> str | None:
     if limit < 1 or spf[0] != 0 or spf[1] != 1:
         return "limit below 1 or sentinels spf[0], spf[1] not 0, 1"
     is_prime = prime_mask(limit)
-    for lo in range(2, limit + 1, _CHECK_CHUNK):
-        hi = min(lo + _CHECK_CHUNK, limit + 1)
+    for lo in range(2, limit + 1, _CHUNK):
+        hi = min(lo + _CHUNK, limit + 1)
         n = np.arange(lo, hi, dtype=np.int64)
         p = spf[lo:hi]
         ok = (p >= 2) & (p <= n)
@@ -133,10 +135,12 @@ def _value_sieves(spf: np.ndarray, *, phi: bool = True) -> tuple[np.ndarray, np.
         rad[n] = rad[m] * (p if m % p else 1)
         phi[n] = phi[m] * (p - 1 if m % p else p).
 
-    Every m <= n // 2 lies in an earlier block [2^k, 2^(k+1)), so each block
-    is one vectorized pass over finished values: ~log2(limit) passes in all
-    (the recurrence of Gries & Misra's linear sieve, CACM 1978).  Index 0
-    holds the sentinels rad[0] = 1, phi[0] = 0.
+    Every m <= n // 2 lies below a chunk [lo, hi) with hi <= 2 lo, so each
+    chunk is one vectorized pass over finished values (the recurrence of
+    Gries & Misra's linear sieve, CACM 1978).  The chunks double up to
+    _CHUNK entries and then stay at that size, so the passes number
+    ~log2(_CHUNK) + limit / _CHUNK and their temporaries stay cache-sized.
+    Index 0 holds the sentinels rad[0] = 1, phi[0] = 0.
     """
     size = len(spf)
     rad = np.empty(size, dtype=np.int64)
@@ -148,7 +152,7 @@ def _value_sieves(spf: np.ndarray, *, phi: bool = True) -> tuple[np.ndarray, np.
         tot[0] = 0
     lo = 2
     while lo < size:
-        hi = min(2 * lo, size)
+        hi = min(2 * lo, lo + _CHUNK, size)
         p = spf[lo:hi]
         m = np.arange(lo, hi, dtype=np.int64) // p
         new = m % p != 0

@@ -11,16 +11,16 @@ carry tail_bound = None.
 
 One kernel, ``term_kernel``, forms every term a_n as
 np.power(M(n), t) * np.power(n, -s) in float64 (the spec framework
-guarantees M(n) > 0), and one rule, ``truncated_sum``, sums terms over the
-fixed blocks of ``numerics.sum_blocks`` and attaches the tail of plain and
-log-weighted terms alike.  The zero identity takes its a_n and its two
-log-weighted sums from the same pair.
+guarantees M(n) > 0), summed over the fixed blocks of
+``numerics.sum_blocks``, and one rule, ``truncated_sum``, attaches the tail
+of plain and log-weighted sums alike.  The zero identity takes its a_n and
+the tails of its two log-weighted sums from the same pair, in its own
+block walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -72,18 +72,16 @@ def term_kernel(m: np.ndarray, n: np.ndarray, params: Params) -> np.ndarray:
     return a
 
 
-def truncated_sum(block_terms: Callable[[int, int], np.ndarray], limit: int, params: Params,
-                  growth: float | None, log_bound: float | None = None, *,
-                  threads: int = 1) -> TruncatedSum:
-    """The sum over n <= limit of the terms ``block_terms(lo, hi)`` gives for
-    n = lo+1 .. hi, with the integral tail of its majorant.
+def truncated_sum(value: float, limit: int, params: Params, growth: float | None,
+                  log_bound: float | None = None) -> TruncatedSum:
+    """``value``, the sum of terms a_n over n <= limit, with the integral
+    tail of its majorant.
 
     The terms are a_n with M(n) <= n^growth, so the plain majorant is
     n^(g*t - s).  With ``log_bound`` f each term also carries a logarithm
     at most f ln n (f = 1 for ln n, f = g for ln M(n)), and so does the
     majorant.  The tail is None where ``numerics.tail_exponent`` finds none.
     """
-    value = sum_blocks(limit, lambda lo, hi: exact_sum(block_terms(lo, hi)), threads=threads)
     a = tail_exponent(params.s, params.t, growth)
     if a is None:
         tail = None
@@ -99,16 +97,16 @@ def _series(spec, sieve, params, limit, log_of=None, log_bound=None, threads=1) 
     sieve.check_range(limit)
     values = range_values(spec, sieve, limit)
 
-    def block_terms(lo: int, hi: int) -> np.ndarray:
+    def block_sum(lo: int, hi: int) -> float:
         n = np.arange(lo + 1, hi + 1, dtype=np.float64)  # block over n-1
         m = values[lo + 1: hi + 1]
         a = term_kernel(m, n, params)
         if log_of is not None:
             a *= np.log(log_of(n, m))
-        return a
+        return exact_sum(a)
 
-    return truncated_sum(block_terms, limit, params, spec.growth_exponent, log_bound,
-                         threads=threads)
+    value = sum_blocks(limit, block_sum, threads=threads)
+    return truncated_sum(value, limit, params, spec.growth_exponent, log_bound)
 
 
 def series_d(

@@ -81,19 +81,53 @@ def test_radical_sieve_beyond_memory_exits_2():
 def test_sieve_sized_by_need(argv, need, monkeypatch, tmp_path, capsys):
     from radseries import FactorSieve, cli
 
-    built = []
-    build = FactorSieve.build.__func__
+    built, loaded = [], []
+    build, load = FactorSieve.build.__func__, FactorSieve.load.__func__
 
     def recording_build(cls, limit, **kwargs):
-        built.append(limit)
-        return build(cls, limit, **kwargs)
+        built.append(build(cls, limit, **kwargs))
+        return built[-1]
+
+    def recording_load(cls, path, **kwargs):
+        loaded.append(load(cls, path, **kwargs))
+        return loaded[-1]
 
     monkeypatch.setattr(FactorSieve, "build", classmethod(recording_build))
+    monkeypatch.setattr(FactorSieve, "load", classmethod(recording_load))
     monkeypatch.delenv("RADSERIES_CONFIG", raising=False)
     monkeypatch.chdir(tmp_path)
     assert cli.main(list(argv)) == 0
-    assert built == [need]
-    assert capsys.readouterr().out
+    # every sieve the CLI builds or loads is spf-only: no command reads rad or phi
+    assert [(s.limit, s.rad is None, s.phi is None) for s in built] == [(need, True, True)]
+    out = capsys.readouterr().out
+    assert out
+    built[0].dump("sieve.bin")
+    argv = list(argv)
+    if "--sieve-limit" in argv:  # the dump takes its place
+        i = argv.index("--sieve-limit")
+        del argv[i:i + 2]
+    assert cli.main(argv + ["--sieve-file", "sieve.bin"]) == 0
+    assert [(s.limit, s.rad is None, s.phi is None) for s in loaded] == [(need, True, True)]
+    assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 65537, 196608, 720720, 9999991])
+def test_radical_json_equals_a_cached_sieve(n, monkeypatch, tmp_path, capsys):
+    # the CLI factors n on a lean sieve; a cached sieve reads its arrays
+    from radseries import FactorSieve, cli, euler_phi, is_squarefree, radical
+
+    monkeypatch.delenv("RADSERIES_CONFIG", raising=False)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["radical", str(n)]) == 0
+    got = json.loads(capsys.readouterr().out)
+    cached = FactorSieve.build(n)
+    assert got == {
+        "schema_version": 1,
+        "n": n,
+        "radical": radical(cached, n),
+        "phi": euler_phi(cached, n),
+        "squarefree": is_squarefree(cached, n),
+    }
 
 
 def test_series_four_terms():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from radseries import (
     RADICAL_SPEC,
     Classification,
+    FactorSieve,
     OutOfRangeError,
     Params,
     classify_interval,
@@ -15,7 +17,7 @@ from radseries import (
     series_d_log_n,
     st_ratio,
 )
-from radseries.numerics import sum_blocks
+from radseries.numerics import DEFAULT_BLOCK, sum_blocks
 from radseries.radical import radical_range
 
 P41 = Params(4, 1)
@@ -181,14 +183,22 @@ def reference_identity(sieve, table, params, limit, prime_limit):
     }
 
 
+@pytest.fixture(scope="module")
+def sieves_512k():
+    """{cache_values: sieve} at 2^19, cached and lean (the CLI's kind)."""
+    return {cached: FactorSieve.build(1 << 19, cache_values=cached) for cached in (True, False)}
+
+
 @pytest.mark.parametrize("s,t,prime_limit", [(4, 1, 100_000), (2.6, 0.5, 10_000), (5, 2.5, 100_000)])
-def test_shared_pass_is_bit_identical_to_separate_passes(sieve_100k, table_100k, s, t,
+def test_shared_pass_is_bit_identical_to_separate_passes(sieves_512k, table_100k, s, t,
                                                          prime_limit):
     params = Params(s, t)
-    # 100_000 terms span two summation blocks of 2^16
-    for limit in (1, 65_536, 100_000):
-        want = reference_identity(sieve_100k, table_100k, params, limit, prime_limit)
-        got = identity_pass(sieve_100k, table_100k, params, limit, prime_limit)
+    # on a cached sieve and a lean one, the pass walks summation blocks of
+    # 2^16: part of one block, exactly one, two, and three ending inside a fourth
+    for sieve, limit in itertools.product(sieves_512k.values(),
+                                          (1, 65_536, 100_000, 3 * DEFAULT_BLOCK + 7)):
+        want = reference_identity(sieve, table_100k, params, limit, prime_limit)
+        got = identity_pass(sieve, table_100k, params, limit, prime_limit)
         assert got.st == want["st"]
         assert got.residual == want["residual"]
         assert got.tolerance == want["tolerance"]
@@ -199,7 +209,28 @@ def test_shared_pass_is_bit_identical_to_separate_passes(sieve_100k, table_100k,
         assert got.ambiguous_count == want["ambiguous_count"]
         assert got.ambiguous_sum == want["ambiguous_sum"]
         # a second pass reproduces every field
-        assert identity_pass(sieve_100k, table_100k, params, limit, prime_limit) == got
+        assert identity_pass(sieve, table_100k, params, limit, prime_limit) == got
+
+
+@pytest.mark.parametrize("cached", [True, False], ids=["cached", "lean"])
+def test_identity_pass_memory_is_bounded_by_the_block(sieves_512k, table_10k, traced_peak,
+                                                      cached):
+    # the per-n arrays live one block at a time, so the bound does not grow
+    # with the limit; a lean sieve adds the int64 radical formed from spf
+    sieve = sieves_512k[cached]
+    limit = sieve.limit
+    bound = 16 * 8 * DEFAULT_BLOCK + (0 if cached else 8 * (limit + 1))
+    assert traced_peak(lambda: identity_pass(sieve, table_10k, P41, limit, 10_000)) <= bound
+
+
+@pytest.mark.parametrize("s,t", [(2.05, 1), (4, 1), (2.6, 0.5), (60, 50)])
+def test_class_weights_stay_far_from_the_overflow_of_exact_parts(table_10k, s, t):
+    # identity_pass bounds |w_n| by (S_P + T_P) ln n <= 3 theta(P) ln n; the
+    # class sums agree with fsum over the whole masked w only away from 2^1023
+    st = st_ratio(table_10k, Params(s, t), 10_000)
+    theta = math.fsum(np.log(table_10k.primes.astype(np.float64)))
+    assert st.t_value.value <= theta
+    assert st.s_value.value + st.t_value.value <= 3 * theta
 
 
 def test_identity_limit_outside_sieve(sieve_10k, table_10k):

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radseries.numerics import DEFAULT_BLOCK, exact_sum, log_power_tail, power_tail, sum_blocks
+from radseries.numerics import (
+    DEFAULT_BLOCK,
+    exact_parts,
+    exact_sum,
+    log_power_tail,
+    power_tail,
+    sum_blocks,
+)
 
 
 def test_power_tail_covers_partial_tails():
@@ -186,3 +193,35 @@ def test_exact_sum_non_finite_behind_larger_terms_like_fsum(value, where, seed):
     x = np.random.default_rng(seed).uniform(1e299, 1e300, size=2 * DEFAULT_BLOCK + 1)
     x[where] = value
     assert_matches_fsum(x)
+
+
+@st.composite
+def slices(draw):
+    """A slice for exact_parts: empty, only signed zeros, or terms of magnitude
+    2^-1074 (subnormal) up to 2^1000, with optional exact (v, -v)
+    cancellations and optional NaN / inf terms."""
+    kind = draw(st.sampled_from(["empty", "zeros", "terms"]))
+    if kind == "empty":
+        return np.empty(0)
+    n = draw(st.integers(1, 300) | st.sampled_from([DEFAULT_BLOCK - 1, DEFAULT_BLOCK]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "zeros":
+        return rng.choice([-0.0, 0.0], size=n) if draw(st.booleans()) else np.full(n, -0.0)
+    lo = draw(st.integers(-1074, 999))
+    hi = draw(st.integers(lo, 999))
+    x = np.ldexp(rng.uniform(1.0, 2.0, size=n), rng.integers(lo, hi, size=n, endpoint=True))
+    x *= rng.choice([-1.0, 1.0], size=n)
+    if draw(st.booleans()):
+        half = x[: n // 2]
+        x = rng.permutation(np.concatenate([half, -half, x[2 * len(half):]]))
+    special = draw(st.lists(st.sampled_from([math.nan, math.inf, -math.inf]), max_size=3))
+    x[rng.choice(n, size=min(len(special), n), replace=False)] = special[:n]
+    return x
+
+
+@settings(max_examples=100, deadline=None)
+@given(slices(), slices())
+def test_exact_parts_of_two_slices_sum_like_their_concatenation(a, b):
+    # the identity's class sums add the parts of one block after another
+    joined = np.concatenate([a, b]).tolist()
+    assert outcome(math.fsum, exact_parts(a) + exact_parts(b)) == outcome(math.fsum, joined)

@@ -189,6 +189,25 @@ def test_value_sieves_match_strided_kernels_at_block_edges(k):
             assert_values_match_strided(FactorSieve.build(limit))
 
 
+@pytest.mark.parametrize("limit", [
+    2 ** 17 + 2 ** 16 - 1, 2 ** 17 + 2 ** 16 + 1, 2 ** 18 - 1, 2 ** 18 + 1, 2 ** 19 + 3,
+])
+def test_value_sieves_match_strided_kernels_at_chunk_edges(limit):
+    # past 2^17 the blocks are cut into chunks of 2^16: end one short of,
+    # and one past, a chunk edge, and a few past 2^19
+    assert_values_match_strided(FactorSieve.build(limit))
+
+
+@pytest.mark.parametrize("cache_values, kept_arrays", [(True, 3), (False, 1)])
+def test_build_memory_is_the_kept_arrays_plus_chunks(traced_peak, cache_values, kept_arrays):
+    # spf is kept, and rad and phi when cached; the value passes add a few
+    # chunk-sized temporaries at a time, however large the limit
+    limit = 1_000_000
+    kept = kept_arrays * 8 * (limit + 1)
+    peak = traced_peak(lambda: FactorSieve.build(limit, cache_values=cache_values))
+    assert peak <= kept + 8 * 8 * (1 << 16)
+
+
 def test_lean_radical_range_equals_cached_rad():
     cached = FactorSieve.build(70_000)
     lean = FactorSieve.build(70_000, cache_values=False)
@@ -231,7 +250,7 @@ def test_load_rejects_corrupt_spf(tmp_path, edits):
 
 
 def test_load_checks_every_chunk(tmp_path, monkeypatch):
-    monkeypatch.setattr(sys.modules["radseries.radical"], "_CHECK_CHUNK", 7)
+    monkeypatch.setattr(sys.modules["radseries.radical"], "_CHUNK", 7)
     path = tmp_path / "sieve.bin"
     FactorSieve.build(1_000).dump(path)
     assert np.array_equal(FactorSieve.load(path).rad, FactorSieve.build(1_000).rad)
