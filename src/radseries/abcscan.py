@@ -231,9 +231,11 @@ def _scan(sieve, ratio_interval, c_max, sample, seed, progress) -> Iterator[AbcB
 def verify_theorem2(batches: Iterable[AbcBatch]) -> Theorem2Report:
     """Check hypothesis => conclusion on every row; collect statistics.
 
-    Counterexamples are collected, not raised.  ``top_quality`` ranks the
-    TOP_QUALITY rows with the smallest conclusion margin (highest quality);
-    among equal qualities the later row ranks first.
+    Counterexamples are collected, not raised.  ``top_quality`` lists the
+    TOP_QUALITY rows with the smallest conclusion margin (highest quality),
+    highest first.  A row enters only by beating the lowest quality kept, so
+    on a tie at that boundary the earlier row stays; among the rows kept,
+    equal qualities list the later row first.
     """
     report = Theorem2Report(counterexamples=[])
     heap: list[tuple[float, int, AbcRecord]] = []

@@ -6,6 +6,12 @@ construction.  The radical is the canonical instance; identity and unit are
 shipped as closed-form sanity anchors (their series reduce to zeta(s - t)
 and zeta(s)).
 
+The rule value(p, k) is called on int64 arrays of primes and exponents
+(``evaluate`` passes ints); a scalar result broadcasts.  ``range_values``
+forms M(n) over a range from the one spf recurrence,
+``radical.multiplicative_values``: M(n) = M(m) / value(p, k-1) * value(p, k)
+with p = spf[n] and m = n / p.
+
 Optional declarations unlock extra machinery:
 
 * ``growth_exponent`` g certifies 1 <= M(n) <= n^g and is what the series
@@ -16,7 +22,6 @@ Optional declarations unlock extra machinery:
   vectorized over a float64 prime array; the Euler-product module refuses
   specs that do not declare one rather than truncate an inner series of
   unknown error.
-* ``prime_values`` vectorizes M(p) for the generalized prime sums.
 """
 
 from __future__ import annotations
@@ -27,24 +32,27 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidSpecError
-from .radical import FactorSieve, factorize, radical_range
+from .radical import FactorSieve, factorize, multiplicative_values
 
 
 @dataclass(frozen=True)
 class MultiplicativeSpec:
     name: str
-    value_at_prime_power: Callable[[int, int], float]
+    value_at_prime_power: Callable[[np.ndarray, np.ndarray], np.ndarray | float]
     growth_exponent: float | None = None
     log_local_factor: Callable[[np.ndarray, float, float], np.ndarray] | None = None
-    prime_values: Callable[[np.ndarray], np.ndarray] | None = None
-    range_hook: Callable[[FactorSieve, int], np.ndarray] | None = None
 
 
-def _value(spec: MultiplicativeSpec, p: int, k: int) -> float:
-    """value(p, k) as a float; raises InvalidSpecError unless it is > 0."""
-    v = float(spec.value_at_prime_power(p, k))
-    if not v > 0.0:
-        raise InvalidSpecError(f"spec {spec.name!r} returned {v} at prime power {p}^{k}")
+def prime_power_values(spec: MultiplicativeSpec, p, k) -> np.ndarray:
+    """value(p, k) as float64 in the shape of p; raises InvalidSpecError
+    unless every value is > 0."""
+    v = np.empty(np.shape(p))
+    v[...] = spec.value_at_prime_power(p, k)
+    bad = np.flatnonzero(~(v > 0.0))
+    if len(bad):
+        i = bad[0]
+        raise InvalidSpecError(f"spec {spec.name!r} returned {v.flat[i]} at prime power "
+                               f"{np.ravel(p)[i]}^{np.ravel(k)[i]}")
     return v
 
 
@@ -52,38 +60,23 @@ def evaluate(spec: MultiplicativeSpec, sieve: FactorSieve, n: int) -> float:
     """M(n) as a positive float; raises InvalidSpecError on a bad rule."""
     result = 1.0
     for p, k in factorize(sieve, n):
-        result *= _value(spec, p, k)
+        result *= float(prime_power_values(spec, p, k))
     return result
 
 
 def range_values(spec: MultiplicativeSpec, sieve: FactorSieve, n_max: int) -> np.ndarray:
-    """M(n) for n = 0..n_max as float64 (index 0 is a 1.0 sentinel).
-
-    Generic path: one strided multiply per prime power p^k <= n_max, scaling
-    the multiples of p^k by value(p,k)/value(p,k-1), which leaves every n
-    with p^e || n carrying exactly value(p,e).
-    """
-    if spec.range_hook is not None:
-        return spec.range_hook(sieve, n_max)
+    """M(n) for n = 0..n_max as float64 (index 0 is a 1.0 sentinel)."""
     sieve.check_range(max(n_max, 1))
-    vals = np.ones(n_max + 1, dtype=np.float64)
-    if n_max < 2:
-        return vals
-    spf = sieve.spf[: n_max + 1]
-    is_prime = spf == np.arange(n_max + 1, dtype=np.int64)
-    is_prime[:2] = False
-    for p in np.flatnonzero(is_prime):
-        p = int(p)
-        prev = 1.0
-        pk = p
-        k = 1
-        while pk <= n_max:
-            v = _value(spec, p, k)
-            vals[pk:: pk] *= v / prev
-            prev = v
-            pk *= p
-            k += 1
-    return vals
+
+    def extend(m_values: np.ndarray, p: np.ndarray, k: np.ndarray) -> np.ndarray:
+        # M(n) = M(m) / value(p, k-1) * value(p, k): the division undoes
+        # m's own factor, so integer values below 2^53 stay exact
+        deep = np.flatnonzero(k > 1)
+        m_values[deep] /= prime_power_values(spec, p[deep], k[deep] - 1)
+        m_values *= prime_power_values(spec, p, k)
+        return m_values
+
+    return multiplicative_values(sieve.spf[: n_max + 1], (np.float64, 1.0, extend))[0]
 
 
 def _radical_log_factor(p: np.ndarray, s: float, t: float) -> np.ndarray:
@@ -103,22 +96,16 @@ def _unit_log_factor(p: np.ndarray, s: float, t: float) -> np.ndarray:
 
 RADICAL_SPEC = MultiplicativeSpec(
     name="radical",
-    value_at_prime_power=lambda p, k: float(p),
+    value_at_prime_power=lambda p, k: p,
     growth_exponent=1.0,
     log_local_factor=_radical_log_factor,
-    prime_values=lambda p: p,
-    range_hook=lambda sieve, n_max: radical_range(sieve, n_max).astype(np.float64),
 )
 
 IDENTITY_SPEC = MultiplicativeSpec(
     name="identity",
-    value_at_prime_power=lambda p, k: float(p ** k),
+    value_at_prime_power=lambda p, k: p ** k,
     growth_exponent=1.0,
     log_local_factor=_identity_log_factor,
-    prime_values=lambda p: p,
-    range_hook=lambda sieve, n_max: np.maximum(
-        np.arange(n_max + 1, dtype=np.float64), 1.0
-    ),
 )
 
 UNIT_SPEC = MultiplicativeSpec(
@@ -126,8 +113,6 @@ UNIT_SPEC = MultiplicativeSpec(
     value_at_prime_power=lambda p, k: 1.0,
     growth_exponent=0.0,
     log_local_factor=_unit_log_factor,
-    prime_values=lambda p: np.ones_like(p),
-    range_hook=lambda sieve, n_max: np.ones(n_max + 1, dtype=np.float64),
 )
 
 BUILTIN_SPECS = {

@@ -5,12 +5,13 @@ O(log n) divisions.  With ``cache_values`` on (the default), the radical
 and totient are also stored as parallel int64 arrays; a lean sieve
 (``cache_values=False``) answers scalar queries through ``factorize`` and
 forms the radical of a whole range from spf on demand (``radical_range``).
-The CLI builds and loads lean sieves only.  Both arrays come from one
-recurrence over spf (``_value_sieves``) in chunked vectorized passes, not
-one pass per prime, whose temporaries are bounded by the chunk, not by
-limit.  A loaded dump is checked exactly before use, since every value is
-derived from spf.  The sieve is immutable after construction and all
-queries are pure.
+The CLI builds and loads lean sieves only.  ``multiplicative_values`` is
+the one kernel for a multiplicative function over a range: a recurrence
+over spf, in chunked vectorized passes whose temporaries are bounded by the
+chunk, not by limit.  It gives rad and phi (in one pass when both are
+cached) and every spec's M(n) (``multfn.range_values``).  A loaded dump is
+checked exactly before use, since every value is derived from spf.  The
+sieve is immutable after construction and all queries are pure.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ class FactorSieve:
 
     @classmethod
     def _with_values(cls, limit: int, spf: np.ndarray, cache_values: bool) -> "FactorSieve":
-        rad, phi = _value_sieves(spf) if cache_values else (None, None)
+        rad, phi = multiplicative_values(spf, _RAD, _PHI) if cache_values else (None, None)
         return cls(limit=limit, spf=spf, rad=rad, phi=phi)
 
     def check_range(self, n: int) -> None:
@@ -126,41 +127,50 @@ def _spf_defect(spf: np.ndarray) -> str | None:
     return None
 
 
-def _value_sieves(spf: np.ndarray, *, phi: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
-    """rad and (unless ``phi`` is False) phi for n = 0..len(spf)-1, as int64.
+def multiplicative_values(spf: np.ndarray, *rules) -> list[np.ndarray]:
+    """A multiplicative f over n = 0..len(spf)-1 for each (dtype, f0, extend) rule.
 
-    With p = spf[n] and m = n // p, p is new to n exactly when p does not
-    divide m, and
+    With p = spf[n], m = n // p and k the exponent of p in n,
 
-        rad[n] = rad[m] * (p if m % p else 1)
-        phi[n] = phi[m] * (p - 1 if m % p else p).
+        f[n] = extend(f[m], p, k),
 
-    Every m <= n // 2 lies below a chunk [lo, hi) with hi <= 2 lo, so each
-    chunk is one vectorized pass over finished values (the recurrence of
-    Gries & Misra's linear sieve, CACM 1978).  The chunks double up to
-    _CHUNK entries and then stay at that size, so the passes number
+    called on arrays of f[m] (a fresh copy the rule may overwrite) and of
+    int64 primes and exponents.  k is 1 unless spf[m] == p, and then the
+    exponent of p in m plus one, kept in one uint8 per n.  Every
+    m <= n // 2 lies below a chunk [lo, hi) with hi <= 2 lo, so each chunk
+    is one vectorized pass over finished values (the recurrence of Gries &
+    Misra's linear sieve, CACM 1978).  The chunks double up to _CHUNK
+    entries and then stay at that size, so the passes number
     ~log2(_CHUNK) + limit / _CHUNK and their temporaries stay cache-sized.
-    Index 0 holds the sentinels rad[0] = 1, phi[0] = 0.
+    f[1] = 1, and f[0] = f0 is a sentinel.
     """
     size = len(spf)
-    rad = np.empty(size, dtype=np.int64)
-    rad[:2] = 1
-    tot = None
-    if phi:
-        tot = np.empty(size, dtype=np.int64)
-        tot[:2] = 1
-        tot[0] = 0
+    values = []
+    for dtype, f0, _ in rules:
+        f = np.empty(size, dtype=dtype)
+        f[:2] = 1
+        f[:1] = f0
+        values.append(f)
+    exponent = np.zeros(size, dtype=np.uint8)
     lo = 2
     while lo < size:
         hi = min(2 * lo, lo + _CHUNK, size)
         p = spf[lo:hi]
         m = np.arange(lo, hi, dtype=np.int64) // p
-        new = m % p != 0
-        np.multiply(rad[m], np.where(new, p, 1), out=rad[lo:hi])
-        if phi:
-            np.multiply(tot[m], p - new, out=tot[lo:hi])
+        k = exponent[m]
+        k *= spf[m] == p
+        k += 1
+        exponent[lo:hi] = k
+        k = k.astype(np.int64)
+        for f, (_, _, extend) in zip(values, rules):
+            f[lo:hi] = extend(f[m], p, k)
         lo = hi
-    return rad, tot
+    return values
+
+
+# rad(p^k) = p and phi(p^k) = (p - 1) p^(k-1); index 0 holds rad 1, phi 0
+_RAD = (np.int64, 1, lambda rad, p, k: rad * np.where(k == 1, p, 1))
+_PHI = (np.int64, 0, lambda phi, p, k: phi * np.where(k == 1, p - 1, p))
 
 
 def factorize(sieve: FactorSieve, n: int) -> list[tuple[int, int]]:
@@ -206,4 +216,4 @@ def radical_range(sieve: FactorSieve, n_max: int) -> np.ndarray:
     sieve.check_range(max(n_max, 1))
     if sieve.rad is not None:
         return sieve.rad[: n_max + 1]
-    return _value_sieves(sieve.spf[: n_max + 1], phi=False)[0]
+    return multiplicative_values(sieve.spf[: n_max + 1], _RAD)[0]

@@ -41,8 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpecError, OutOfRangeError
-from .multfn import RADICAL_SPEC, MultiplicativeSpec
+from .errors import OutOfRangeError
+from .multfn import RADICAL_SPEC, MultiplicativeSpec, prime_power_values
 from .numerics import exact_sum, log_power_tail, sum_blocks, tail_exponent
 from .primes import PrimeTable
 from .series import Params, TruncatedSum
@@ -101,14 +101,8 @@ class StKernel:
         p^s) and, at each point, s - g*t > 1.
         """
         p = primes.upto(prime_limit)
-        if spec.prime_values is not None:
-            m = np.asarray(spec.prime_values(p.astype(np.float64)), dtype=np.float64)
-        else:
-            m = np.array([spec.value_at_prime_power(int(q), 1) for q in p], dtype=np.float64)
-        bad = np.flatnonzero(~(m > 0.0))
-        if len(bad):
-            i = bad[0]
-            raise InvalidSpecError(f"spec {spec.name!r} returned {m[i]} at prime {p[i]}")
+        p64 = p.astype(np.int64)
+        m = prime_power_values(spec, p64, np.ones_like(p64))
         g = spec.growth_exponent
         tail = (g, prime_limit) if g is not None and bool(m.min() >= 1.0) else None
         return cls(p, m, tail)

@@ -283,6 +283,18 @@ def test_report_matches_reference_sample(sieve_10k, table_10k):
     assert got.top_quality == reference_verify(recs).top_quality
 
 
+def test_top_quality_tie_at_the_boundary_keeps_the_earlier_row():
+    # a row enters only by beating the lowest kept quality
+    a = np.arange(1, 4, dtype=np.int64)
+    q = np.full(3, 0.9)
+    yes = np.ones(3, dtype=bool)
+    batch = AbcBatch(a, 100 - a, np.full(3, 100), 30 * a, yes, yes, q)
+    with mock.patch.object(abcscan, "TOP_QUALITY", 1):
+        assert [r.a for r in verify_theorem2([batch]).top_quality] == [1]
+    with mock.patch.object(abcscan, "TOP_QUALITY", 2):
+        assert [r.a for r in verify_theorem2([batch]).top_quality] == [2, 1]
+
+
 def test_report_matches_reference_on_forced_counterexamples():
     # Hand-built batches: counterexample rows and quality ties, split over batches.
     q = np.array([0.5, 0.9, 0.9, 0.1, 0.9, 0.95, 0.2, 0.95])

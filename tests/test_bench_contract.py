@@ -2,8 +2,10 @@
 
 bench/spans.py wraps functions and methods named in TRACED_FUNCTIONS and
 TRACED_METHODS, and bench/layers.py passes ``threads=`` and
-``cache_values=``; removing or renaming any of them breaks the traced
-benchmark run (``bench/run.py --trace 1``), so it is caught here first.
+``cache_values=`` and builds its own MultiplicativeSpec; removing or
+renaming any of them, or changing the spec contract under that spec, breaks
+the traced benchmark run (``bench/run.py --trace 1``), so it is caught here
+first.
 """
 
 import importlib
@@ -12,23 +14,29 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import radseries
+from radseries.stkernel import StKernel
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def load_spans():
+def load_bench(name):
     # registered before it runs: its dataclasses look their module up there
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS_PATH)
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
+    sys.path.insert(0, str(BENCH))  # bench modules import their siblings by bare name
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(BENCH))
     return module
 
 
-SPANS = load_spans()
+SPANS = load_bench("spans")
 
 
 @pytest.mark.parametrize("module, name", [
@@ -84,3 +92,18 @@ def test_identity_wrappers_are_distinct_functions(sieve_10k, table_10k):
     want = radseries.identity_pass(*args)
     for wrapper in fns[1:]:
         assert wrapper(*args) == want
+
+
+def test_benchmark_spec_runs_through_both_spec_kernels(sieve_10k, table_10k):
+    # bench/layers.py times range_values on its own sqrt-radical spec and
+    # checks the values against sqrt(rad) with this allclose
+    spec = load_bench("layers").sqrt_radical_spec()
+    n = 10_000
+    vals = radseries.range_values(spec, sieve_10k, n)
+    assert np.allclose(vals[1:], np.sqrt(sieve_10k.rad[1:n + 1]), rtol=1e-12, atol=0.0)
+    s_sum, t_sum = StKernel.for_spec(spec, table_10k, n).sums(radseries.Params(4, 1))
+    p = table_10k.upto(n).astype(np.float64)
+    want_s, want_t = StKernel(p, np.sqrt(p)).sums(radseries.Params(4, 1))
+    assert np.allclose([s_sum.value, t_sum.value], [want_s.value, want_t.value],
+                       rtol=1e-12, atol=0.0)
+    assert s_sum.tail_bound is not None and t_sum.tail_bound is not None

@@ -8,6 +8,7 @@ from radseries import (
     IDENTITY_SPEC,
     RADICAL_SPEC,
     UNIT_SPEC,
+    FactorSieve,
     InvalidSpecError,
     MultiplicativeSpec,
     builtin_spec,
@@ -15,6 +16,7 @@ from radseries import (
     radical,
     range_values,
 )
+from radseries.multfn import prime_power_values
 
 
 def test_radical_spec_matches_radical_module(sieve_10k):
@@ -59,7 +61,7 @@ def test_range_values_builtin_hooks(sieve_10k):
 
 
 def test_range_values_generic_stride_path(sieve_10k):
-    # no range_hook, so this exercises the prime-power stride construction
+    # a rule with no closed form over a range: M(n) from the spf recurrence
     spec = MultiplicativeSpec(name="sqrt", value_at_prime_power=lambda p, k: p ** (k / 2))
     vals = range_values(spec, sieve_10k, 2_000)
     for n in range(1, 2_001):
@@ -82,7 +84,66 @@ def test_builtin_lookup():
         builtin_spec("mobius")
 
 
-def test_prime_values_vectorized():
-    p = np.array([2.0, 3.0, 5.0])
-    assert np.array_equal(RADICAL_SPEC.prime_values(p), p)
-    assert np.array_equal(UNIT_SPEC.prime_values(p), np.ones(3))
+def test_builtin_rules_take_int64_arrays():
+    # a rule is called on int64 arrays of primes and exponents; a scalar
+    # result (the unit's 1.0) broadcasts to their shape
+    p = np.array([2, 3, 5], dtype=np.int64)
+    k = np.array([1, 2, 3], dtype=np.int64)
+    for spec, want in [(RADICAL_SPEC, [2.0, 3.0, 5.0]),
+                       (IDENTITY_SPEC, [2.0, 9.0, 125.0]),
+                       (UNIT_SPEC, [1.0, 1.0, 1.0])]:
+        got = prime_power_values(spec, p, k)
+        assert got.dtype == np.float64 and got.tolist() == want, spec.name
+
+
+# Past 2^17 the recurrence runs in chunks of 2^16: end one short of, and one
+# past, a chunk edge, and a few past 2^19 (as the sieve tests do).
+EDGE_LIMITS = [2 ** 17 - 1, 2 ** 17 + 1, 2 ** 18 - 1, 2 ** 18 + 1, 2 ** 19 + 3]
+DIVISOR_COUNT = MultiplicativeSpec(name="d", value_at_prime_power=lambda p, k: k + 1)
+# positive and irregular in k: a rule that ignored or misread the exponent
+# of p in n would change M(n)
+IRREGULAR = MultiplicativeSpec(
+    name="irregular",
+    value_at_prime_power=lambda p, k: np.sqrt(p) * (1 + (k * k) % 5) / (k + 0.5),
+)
+
+
+@pytest.fixture(scope="module")
+def divisor_counts():
+    """d(n) for n <= max(EDGE_LIMITS) by brute force: +1 at every multiple of each j."""
+    limit = max(EDGE_LIMITS)
+    d = np.zeros(limit + 1, dtype=np.int64)
+    for j in range(1, limit + 1):
+        d[j:: j] += 1
+    return d
+
+
+def chunk_edge_window(limit):
+    # n around each chunk start (2^j, then every multiple of 2^16) and the last n
+    starts = [2 ** j for j in range(14, 18)] + list(range(2 ** 17, limit + 1, 2 ** 16))
+    ns = {n for start in starts for n in range(start - 32, start + 32)}
+    ns |= set(range(limit - 64, limit + 1))
+    return sorted(n for n in ns if 1 <= n <= limit)
+
+
+@pytest.mark.parametrize("limit", [10_000] + EDGE_LIMITS)
+def test_range_values_divisor_count_is_exact(divisor_counts, limit):
+    sieve = FactorSieve.build(limit, cache_values=False)
+    got = range_values(DIVISOR_COUNT, sieve, limit)
+    assert got[0] == 1.0
+    assert np.array_equal(got[1:], divisor_counts[1: limit + 1])
+
+
+def test_range_values_exponent_rule_matches_evaluate(sieve_10k):
+    got = range_values(IRREGULAR, sieve_10k, 10_000)
+    want = [evaluate(IRREGULAR, sieve_10k, n) for n in range(1, 10_001)]
+    np.testing.assert_allclose(got[1:], want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("limit", EDGE_LIMITS)
+def test_range_values_exponent_rule_matches_evaluate_at_chunk_edges(limit):
+    sieve = FactorSieve.build(limit, cache_values=False)
+    got = range_values(IRREGULAR, sieve, limit)
+    ns = chunk_edge_window(limit)
+    want = [evaluate(IRREGULAR, sieve, n) for n in ns]
+    np.testing.assert_allclose(got[ns], want, rtol=1e-12, atol=0.0)

@@ -147,11 +147,23 @@ def test_unknown_growth_gives_value_only(sieve_10k):
 def test_declared_growth_tightens_rc(sieve_10k):
     # growth 2 at (4, 1): s - g*t = 2 > 1, tail exists; at (2.2, 1): 0.2, none
     spec = MultiplicativeSpec(
-        name="square", value_at_prime_power=lambda p, k: float(p ** (2 * k)),
+        name="square", value_at_prime_power=lambda p, k: p ** (2 * k),
         growth_exponent=2.0,
     )
     assert series_d(spec, sieve_10k, Params(4, 1), 100).tail_bound is not None
     assert series_d(spec, sieve_10k, Params(2.2, 1), 100).tail_bound is None
+
+
+def test_series_memory_is_one_value_array_plus_chunks(traced_peak):
+    # on a lean sieve M(n) comes from spf as one float64 array, with one
+    # uint8 exponent per n and chunk-sized temporaries beside it, not as an
+    # int64 radical and a float64 copy of it
+    from radseries import FactorSieve
+
+    limit = 1_000_000
+    sieve = FactorSieve.build(limit, cache_values=False)
+    peak = traced_peak(lambda: series_d(RADICAL_SPEC, sieve, P41, limit))
+    assert peak <= (8 + 1) * (limit + 1) + 8 * 8 * (1 << 16)
 
 
 def test_limit_out_of_range(sieve_10k):

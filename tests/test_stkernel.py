@@ -257,10 +257,7 @@ def test_st_ratio_flags_s_minus_t_rounding_to_one(table_10k):
 def _reference_sums(spec, primes, params, prime_limit):
     s, t = params.s, params.t
     p = primes.upto(prime_limit).astype(np.float64)
-    if spec.prime_values is not None:
-        mv = np.asarray(spec.prime_values(p), dtype=np.float64)
-    else:
-        mv = np.array([spec.value_at_prime_power(int(q), 1) for q in p], dtype=np.float64)
+    mv = np.array([spec.value_at_prime_power(int(q), 1) for q in p], dtype=np.float64)
 
     def denominator(ln_p, ln_m):
         with np.errstate(over="ignore"):
@@ -299,16 +296,15 @@ def reference_st_ratio(primes, params, prime_limit):
     return StResult(s_value=s_val, t_value=t_val, ratio=ratio, ratio_interval=(low, high))
 
 
-SQRT_LIST_SPEC = MultiplicativeSpec(   # no prime_values: M(p) from the scalar rule
+SQRT_SPEC = MultiplicativeSpec(
     name="sqrt-radical", value_at_prime_power=lambda p, k: p ** 0.5, growth_exponent=0.5,
 )
 HALF_AT_TWO_SPEC = MultiplicativeSpec(  # M(2) = 1/2 < 1: value-only tails
     name="half-at-two",
-    value_at_prime_power=lambda p, k: 0.5 if p == 2 else float(p),
+    value_at_prime_power=lambda p, k: np.where(p == 2, 0.5, p),
     growth_exponent=1.0,
-    prime_values=lambda p: np.where(p == 2.0, 0.5, p),
 )
-REFERENCE_SPECS = [RADICAL_SPEC, IDENTITY_SPEC, UNIT_SPEC, SQRT_LIST_SPEC, HALF_AT_TWO_SPEC]
+REFERENCE_SPECS = [RADICAL_SPEC, IDENTITY_SPEC, UNIT_SPEC, SQRT_SPEC, HALF_AT_TWO_SPEC]
 
 
 @settings(max_examples=60, deadline=None)
@@ -377,16 +373,15 @@ def test_prepared_sweep_equals_reference_bit_for_bit():
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
-@pytest.mark.parametrize("vectorised", [True, False], ids=["prime_values", "scalar-rule"])
-def test_non_positive_prime_value_is_rejected(table_10k, bad, vectorised):
+def test_non_positive_prime_value_is_rejected(table_10k, bad):
     # M(3) <= 0 or NaN has no logarithm: the kernel refuses the spec, as
     # evaluate and range_values do, instead of summing to NaN
     spec = MultiplicativeSpec(
         name="bad-at-three",
-        value_at_prime_power=lambda p, k: bad if p == 3 else float(p),
+        value_at_prime_power=lambda p, k: np.where(p == 3, bad, p),
         growth_exponent=1.0,
-        prime_values=(lambda p: np.where(p == 3.0, bad, p)) if vectorised else None,
     )
     for fn in (s_general, t_general):
-        with pytest.raises(InvalidSpecError, match="'bad-at-three' returned .* at prime 3$"):
+        with pytest.raises(InvalidSpecError,
+                           match=r"'bad-at-three' returned .* at prime power 3\^1$"):
             fn(spec, table_10k, P41, 10_000)
