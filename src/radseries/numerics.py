@@ -18,7 +18,20 @@ total.  ``math.fsum`` rounds that total correctly, as it would the terms
 themselves, so the two results agree bit for bit.  The levels are peeled
 off in place, in two reusable chunk buffers, so a sum allocates no
 temporary per level and never writes into the caller's array.
-``exact_parts`` returns those level sums unrounded, so a sum whose terms
+
+``exact_sum`` of at most DEFAULT_BLOCK terms stops once the rounding is
+decided, the stop test of AccSum/NearSum (Rump, Ogita & Oishi, parts I-II
+of the paper above, SIAM J. Sci. Comput. 31, 2008).  After a level with
+sigma = 2^(m+e), every remainder term has |p - q| <= 2^-53 sigma, so
+numpy's sum r of the n remainders lies within b = gamma_(n-1) n 2^-53 sigma
+of their exact total, in any summation order (Higham, "Accuracy and
+Stability of Numerical Algorithms", 2nd ed., 2002, ch. 4; gamma_k =
+k 2^-53 / (1 - k 2^-53), rounded up).  Rounding to nearest is monotone, so
+when ``math.fsum`` of the levels plus r - b and of the levels plus r + b
+(each rounded outward) agree, that is ``math.fsum`` of the terms; otherwise
+the next level is peeled.  Two different exact totals never both round to
+zero, so an agreed value is never a signed zero.  ``exact_parts`` returns
+the level sums unrounded and still peels every level, so a sum whose terms
 come one block at a time (the identity's class sums) is one ``math.fsum``
 over the parts of its blocks.
 
@@ -46,11 +59,14 @@ def exact_sum(x) -> float:
     """``math.fsum(x)`` bit for bit, signed zero included, for a float array.
 
     Works on chunks of at most DEFAULT_BLOCK terms and combines their exact
-    level sums with one ``math.fsum``.  Non-finite input, and terms that
+    level sums with one ``math.fsum``; a single chunk stops at the first
+    level that decides the rounding.  Non-finite input, and terms that
     could add up past 2^1023, take ``math.fsum`` itself, so NaN, inf and
     its errors (inf - inf, intermediate overflow) are those of ``math.fsum``.
     """
-    return math.fsum(exact_parts(x))
+    x = np.asarray(x, dtype=np.float64)
+    levels, decided = _level_sums(x, len(x) <= DEFAULT_BLOCK)
+    return decided if decided is not None else math.fsum(levels or x.tolist())
 
 
 def exact_parts(x) -> list[float]:
@@ -67,11 +83,13 @@ def exact_parts(x) -> list[float]:
     2^(1023 - bit_length(len + 1)) or more is always passed as its terms.)
     """
     x = np.asarray(x, dtype=np.float64)
-    return _level_sums(x) or x.tolist()
+    return _level_sums(x, False)[0] or x.tolist()
 
 
-def _level_sums(x: np.ndarray) -> list[float]:
-    """Exact level sums of x, chunk by chunk; [] where math.fsum must sum x.
+def _level_sums(x: np.ndarray, stop: bool) -> tuple[list[float], float | None]:
+    """Exact level sums of x, chunk by chunk ([] where math.fsum must sum x),
+    and ``math.fsum(x)`` if ``stop`` (x is one chunk) and a level decided it,
+    else None.
 
     Levels are extracted in place, in two chunk-sized buffers reused over
     every chunk and level; x itself is only read.
@@ -87,18 +105,31 @@ def _level_sums(x: np.ndarray) -> list[float]:
         q = level[:n]
         top = _max_abs(p)
         if not math.isfinite(top):
-            return []
+            return [], None
         while top != 0.0:
             e = math.frexp(top)[1]  # top < 2^e
             if e + guard > 1023:  # keeps sigma and sum |x| below 2^1023
-                return []
+                return [], None
             sigma = math.ldexp(1.0, m + e)
             np.add(p, sigma, out=q)
             q -= sigma
             levels.append(float(q.sum()))
             p = np.subtract(p, q, out=rest[:n])
+            if stop:
+                r, b = float(p.sum()), _sum_error(n, sigma)
+                low = math.fsum(levels + [math.nextafter(r - b, -math.inf)])
+                if low == math.fsum(levels + [math.nextafter(r + b, math.inf)]):
+                    return levels, low
             top = _max_abs(p)
-    return levels
+    return levels, None
+
+
+def _sum_error(n: int, sigma: float) -> float:
+    """gamma_(n-1) n 2^-53 sigma rounded up: bounds the error of any float sum
+    of n terms of magnitude at most 2^-53 sigma."""
+    k = (n - 1) * 2.0**-53
+    gamma = math.nextafter(k / (1.0 - k), math.inf)
+    return math.nextafter(gamma * (n * math.ldexp(sigma, -53)), math.inf)
 
 
 def _max_abs(p: np.ndarray) -> float:

@@ -441,8 +441,6 @@ def test_identity_output_matches_library(tmp_path):
 @pytest.mark.parametrize("args, field", [
     # expm1 of the product's log tail overflows
     (("product", "--s", "2.0001", "--t", "1"), "tail_bound"),
-    # R(n)^t overflows and n^-s underflows: inf * 0 is NaN
-    (("series", "--s", "400", "--t", "350", "--limit", "100000"), "value"),
 ])
 def test_non_finite_result_exits_3_with_empty_stdout(args, field):
     r = run_cli(*args)
@@ -451,6 +449,27 @@ def test_non_finite_result_exits_3_with_empty_stdout(args, field):
     assert "Traceback" not in r.stderr
     errors = [line for line in r.stderr.splitlines() if line.startswith("radseries:")]
     assert len(errors) == 1 and repr(field) in errors[0]
+
+
+def test_overflowing_term_power_gives_a_finite_series_value():
+    # R(n)^t overflows where n^-s underflows (inf * 0); those terms are formed
+    # as exp(t ln R(n) - s ln n), and past n = 2 they are below half an ulp of 1
+    r = run_cli("series", "--s", "400", "--t", "350", "--limit", "100000")
+    assert (r.returncode, r.stderr) == (0, "")
+    assert json.loads(r.stdout)["value"] == 1.0 + 2.0**-50
+
+
+@pytest.mark.parametrize("args", [
+    ("series", "--s", "400", "--t", "350", "--limit", "1000"),
+    ("identity", "--s", "400", "--t", "350", "--limit", "1000", "--prime-limit", "1000"),
+    ("st", "--s", "2.0001", "--t", "1"),
+    ("product", "--s", "400", "--t", "350"),
+], ids=["series", "identity", "st", "product"])
+def test_edge_points_write_nothing_to_stderr(args):
+    # no numpy RuntimeWarning (overflow, inf * 0) reaches the user
+    r = run_cli(*args)
+    assert r.returncode in (0, 2, 3)
+    assert r.stderr == ""
 
 
 @pytest.mark.parametrize("args", [

@@ -6,14 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from radseries import RADICAL_SPEC, sieve_primes
 from radseries.numerics import (
     DEFAULT_BLOCK,
+    _level_sums,
+    block_bounds,
     exact_parts,
     exact_sum,
     log_power_tail,
     power_tail,
     sum_blocks,
 )
+from radseries.stkernel import StKernel
 
 
 def test_power_tail_covers_partial_tails():
@@ -225,3 +229,83 @@ def test_exact_parts_of_two_slices_sum_like_their_concatenation(a, b):
     # the identity's class sums add the parts of one block after another
     joined = np.concatenate([a, b]).tolist()
     assert outcome(math.fsum, exact_parts(a) + exact_parts(b)) == outcome(math.fsum, joined)
+
+
+MIDPOINT_SIZES = [2, 3, 4, DEFAULT_BLOCK - 1, DEFAULT_BLOCK]
+
+
+def midpoint_arrays(n):
+    """Length-n arrays whose exact total is on, just above or just below
+    1 + 2^-53, the midpoint between 1 and its successor, padded with zeros.
+    Level 1 takes only the 1.0: the half ulp and the nudge that decide the
+    rounding are all in its remainder."""
+    half = 2.0**-53
+    heads = [[1.0, half], [1.0, half + 2.0**-105], [1.0, half - 2.0**-106]]
+    if n >= 3:
+        heads += [[1.0, half, 2.0**-200], [1.0, half, -(2.0**-200)]]
+    for head in heads:
+        x = np.zeros(n)
+        x[: len(head)] = head
+        for scale in (1.0, -1.0, 2.0**-800, -(2.0**900)):
+            yield x * scale
+        yield x[::-1].copy()
+
+
+@pytest.mark.parametrize("n", MIDPOINT_SIZES)
+def test_exact_sum_at_a_rounding_midpoint(n):
+    for x in midpoint_arrays(n):
+        levels, decided = _level_sums(x, True)
+        assert decided is None or len(levels) > 1  # level 1 left it open
+        assert_matches_fsum(x)
+
+
+@pytest.mark.parametrize("n", MIDPOINT_SIZES)
+def test_exact_sum_of_an_exact_zero_total_keeps_fsums_sign(n):
+    for head in ([-0.0], [1.0, -1.0], [1.0, 2.0**-60, -1.0, -(2.0**-60)], [2.0**-1074, -(2.0**-1074)]):
+        if len(head) > n:
+            continue
+        for pad in (0.0, -0.0):
+            x = np.full(n, pad)
+            x[: len(head)] = head
+            assert_matches_fsum(x)
+            assert_matches_fsum(-x)
+
+
+@st.composite
+def midpoint_cases(draw):
+    """Terms whose exact total is 0 or lies on, just above or just below the
+    midpoint between a float v and its successor, shuffled among cancelling
+    pairs (w, -w) and signed zeros.  The half ulp and the nudge lie below the
+    first level's grid, so only its remainder decides the rounding."""
+    n = draw(st.sampled_from(MIDPOINT_SIZES) | st.integers(2, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = draw(st.floats(2.0**-900, 2.0**900) | st.just(0.0))
+    half = math.ulp(v) / 2 if v else 0.0
+    shift = draw(st.integers(1, 52 if n == 2 else 200))
+    nudge = draw(st.sampled_from([0.0, 1.0, -1.0])) * math.ldexp(half, -shift)
+    head = [v, half + nudge] if n == 2 else [v, half, nudge]
+    pairs = (n - len(head)) // 2
+    spread = math.frexp(v)[1] + rng.integers(-60, 61, size=pairs) if v else rng.integers(-1000, 900, size=pairs)
+    w = np.ldexp(rng.uniform(1.0, 2.0, size=pairs), spread)
+    zeros = rng.choice([-0.0, 0.0], size=n - len(head) - 2 * pairs)
+    x = rng.permutation(np.concatenate([head, w, -w, zeros]))
+    return -x if draw(st.booleans()) else x
+
+
+@settings(max_examples=80, deadline=None)
+@given(midpoint_cases())
+def test_exact_sum_equals_fsum_around_rounding_midpoints(x):
+    assert_matches_fsum(x)
+
+
+def test_st_blocks_stop_after_one_level():
+    # the S/T sums of the benchmark point decide fsum's rounding on level 1
+    limit = 1_000_000
+    kernel = StKernel.for_spec(RADICAL_SPEC, sieve_primes(limit), limit)
+    blocks = [terms[lo:hi] for terms in kernel.terms(4.0, 1.0) for lo, hi in block_bounds(len(terms))]
+    once = 0
+    for block in blocks:
+        levels, decided = _level_sums(block, True)
+        assert decided == math.fsum(block.tolist()) or decided is None
+        once += decided is not None and len(levels) == 1
+    assert once >= 0.9 * len(blocks)
