@@ -1,10 +1,10 @@
 """Prime enumeration via a segmented sieve of Eratosthenes.
 
 The table is the substrate for every Euler product and prime sum in the
-package.  Primes are stored as unsigned 64-bit integers; limits at or above
-2^63 are rejected outright instead of risking a silent wrap.  Every limit
-is sieved in fixed-size segments, so the sieve's scratch memory stays
-bounded by the segment, not the limit.
+package.  Primes are stored as int64, like the factor sieve's tables;
+limits at or above 2^63 are rejected outright instead of risking a silent
+wrap.  Every limit is sieved in fixed-size segments, so the sieve's scratch
+memory stays bounded by the segment, not the limit.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ class PrimeTable:
     """
 
     limit: int
-    primes: np.ndarray  # uint64, sorted ascending
+    primes: np.ndarray  # int64, sorted ascending
 
     def __len__(self) -> int:
         return len(self.primes)
@@ -60,21 +60,18 @@ def prime_mask(limit: int) -> np.ndarray:
 
 
 def _segmented_sieve(limit: int) -> np.ndarray:
-    """Primes <= limit as uint64: the base primes up to sqrt(limit) + 1 from
+    """Primes <= limit as int64: the base primes up to sqrt(limit) + 1 from
     one flat prime_mask, the rest one segment at a time."""
-    base = np.flatnonzero(prime_mask(int(limit ** 0.5) + 1)).astype(np.uint64)
-    base_int = base.astype(np.int64)
+    base = np.flatnonzero(prime_mask(int(limit ** 0.5) + 1))
     chunks = [base]
     low = int(base[-1]) + 1
     while low <= limit:
         high = min(low + SEGMENT_SIZE, limit + 1)  # exclusive
         mask = np.ones(high - low, dtype=bool)
-        for p in base_int:
+        for p in base:
             start = max(p * p, ((low + p - 1) // p) * p)
-            if start >= high:
-                continue
-            mask[start - low:: p] = False
-        chunks.append((np.flatnonzero(mask) + low).astype(np.uint64))
+            mask[start - low:: p] = False  # empty once start >= high
+        chunks.append(np.flatnonzero(mask) + low)
         low = high
     return np.concatenate(chunks)
 

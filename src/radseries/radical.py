@@ -10,8 +10,9 @@ the one kernel for a multiplicative function over a range: a recurrence
 over spf, in chunked vectorized passes whose temporaries are bounded by the
 chunk, not by limit.  It gives rad and phi (in one pass when both are
 cached) and every spec's M(n) (``multfn.range_values``).  A loaded dump is
-checked exactly before use, since every value is derived from spf.  The
-sieve is immutable after construction and all queries are pure.
+checked exactly against the sieve built for its limit, whose spf table is
+the only one, so a load costs one build plus one read.  The sieve is
+immutable after construction and all queries are pure.
 """
 
 from __future__ import annotations
@@ -23,12 +24,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError, OutOfRangeError
-from .primes import prime_mask
 
 _DUMP_MAGIC = b"RADSIEVE"
 _DUMP_VERSION = 1
 _DUMP_HEADER = struct.Struct("<8sIIQ")  # magic, version, reserved, limit
-_CHUNK = 1 << 16  # entries per vectorized pass over spf: the dump check and the values
+_CHUNK = 1 << 16  # entries per vectorized pass over spf for the values
 
 
 @dataclass(frozen=True)
@@ -49,13 +49,10 @@ class FactorSieve:
         if limit < 1:
             raise InvalidArgumentError(f"sieve limit must be >= 1, got {limit}")
         try:
-            return cls._with_values(limit, _spf_sieve(limit), cache_values)
+            spf = _spf_sieve(limit)
+            rad, phi = multiplicative_values(spf, _RAD, _PHI) if cache_values else (None, None)
         except MemoryError:
             raise OutOfRangeError(f"sieve limit {limit} does not fit in memory") from None
-
-    @classmethod
-    def _with_values(cls, limit: int, spf: np.ndarray, cache_values: bool) -> "FactorSieve":
-        rad, phi = multiplicative_values(spf, _RAD, _PHI) if cache_values else (None, None)
         return cls(limit=limit, spf=spf, rad=rad, phi=phi)
 
     def check_range(self, n: int) -> None:
@@ -64,31 +61,43 @@ class FactorSieve:
 
     def dump(self, path) -> None:
         """Write a versioned binary image (magic, limit, spf payload)."""
-        with open(path, "wb") as fh:
-            fh.write(_DUMP_HEADER.pack(_DUMP_MAGIC, _DUMP_VERSION, 0, self.limit))
-            fh.write(self.spf.astype("<i8").tobytes())
+        try:
+            with open(path, "wb") as fh:
+                fh.write(_DUMP_HEADER.pack(_DUMP_MAGIC, _DUMP_VERSION, 0, self.limit))
+                fh.write(self.spf.astype("<i8").tobytes())
+        except OSError as exc:
+            raise InvalidArgumentError(f"cannot write sieve dump {path}: {exc}") from None
 
     @classmethod
     def load(cls, path, *, cache_values: bool = True) -> "FactorSieve":
-        with open(path, "rb") as fh:
-            header = fh.read(_DUMP_HEADER.size)
-            if len(header) != _DUMP_HEADER.size:
-                raise InvalidArgumentError(f"{path}: truncated sieve header")
-            magic, version, _reserved, limit = _DUMP_HEADER.unpack(header)
-            if magic != _DUMP_MAGIC:
-                raise InvalidArgumentError(f"{path}: not a sieve dump")
-            if version != _DUMP_VERSION:
-                raise InvalidArgumentError(f"{path}: unsupported version {version}")
-            payload = fh.read()
-        spf = np.frombuffer(payload, dtype="<i8").astype(np.int64)
-        if len(spf) != limit + 1:
+        """The sieve of the dump's limit, if the dump holds exactly its spf table;
+        the header and payload length are checked before the build."""
+        try:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        except OSError as exc:
+            raise InvalidArgumentError(f"cannot read sieve dump {path}: {exc}") from None
+        if len(data) < _DUMP_HEADER.size:
+            raise InvalidArgumentError(f"{path}: truncated sieve header")
+        magic, version, _reserved, limit = _DUMP_HEADER.unpack_from(data)
+        if magic != _DUMP_MAGIC:
+            raise InvalidArgumentError(f"{path}: not a sieve dump")
+        if version != _DUMP_VERSION:
+            raise InvalidArgumentError(f"{path}: unsupported version {version}")
+        if limit < 1:
+            raise InvalidArgumentError(f"{path}: sieve limit must be >= 1, got {limit}")
+        size = len(data) - _DUMP_HEADER.size
+        if size != 8 * (limit + 1):
+            raise InvalidArgumentError(f"{path}: payload holds {size} bytes, "
+                                       f"expected {8 * (limit + 1)} for limit {limit}")
+        payload = np.frombuffer(data, dtype="<i8", offset=_DUMP_HEADER.size)
+        sieve = cls.build(limit, cache_values=cache_values)
+        if not np.array_equal(payload, sieve.spf):
+            bad = int(np.argmin(payload == sieve.spf))
             raise InvalidArgumentError(
-                f"{path}: payload holds {len(spf)} entries, expected {limit + 1}"
-            )
-        defect = _spf_defect(spf)
-        if defect is not None:
-            raise InvalidArgumentError(f"{path}: corrupt sieve dump: {defect}")
-        return cls._with_values(int(limit), spf, cache_values)
+                f"{path}: corrupt sieve dump: spf[{bad}] = {int(payload[bad])} "
+                f"is not the smallest prime factor of {bad}")
+        return sieve
 
 
 def _spf_sieve(limit: int) -> np.ndarray:
@@ -98,33 +107,6 @@ def _spf_sieve(limit: int) -> np.ndarray:
             sl = spf[p * p:: p]
             np.minimum(sl, p, out=sl)
     return spf
-
-
-def _spf_defect(spf: np.ndarray) -> str | None:
-    """Why spf is not the smallest-prime-factor table of 0..len(spf)-1, or None.
-
-    Exact, in O(limit): past the sentinels spf[0] = 0 and spf[1] = 1, every
-    spf[n] must be a prime (by a fresh Eratosthenes mask) dividing n, so the
-    fixed points spf[q] = q are exactly the primes.  It must also be the
-    least one: spf[n] <= spf[m] for the cofactor m = n // spf[n] >= 2, whose
-    own entry is the least prime factor of m by induction on n.
-    """
-    limit = len(spf) - 1
-    if limit < 1 or spf[0] != 0 or spf[1] != 1:
-        return "limit below 1 or sentinels spf[0], spf[1] not 0, 1"
-    is_prime = prime_mask(limit)
-    for lo in range(2, limit + 1, _CHUNK):
-        hi = min(lo + _CHUNK, limit + 1)
-        n = np.arange(lo, hi, dtype=np.int64)
-        p = spf[lo:hi]
-        ok = (p >= 2) & (p <= n)
-        if ok.all():
-            m = n // p
-            ok = (m * p == n) & is_prime[p] & ((m == 1) | (p <= spf[m]))
-        if not ok.all():
-            bad = lo + int(np.argmin(ok))
-            return f"spf[{bad}] = {int(spf[bad])} is not the smallest prime factor of {bad}"
-    return None
 
 
 def multiplicative_values(spf: np.ndarray, *rules) -> list[np.ndarray]:
@@ -207,7 +189,6 @@ def euler_phi(sieve: FactorSieve, n: int) -> int:
 
 def is_squarefree(sieve: FactorSieve, n: int) -> bool:
     """True iff no prime divides n twice; equivalently radical(n) == n."""
-    sieve.check_range(n)
     return radical(sieve, n) == n
 
 

@@ -12,11 +12,11 @@ carry tail_bound = None.
 One kernel, ``term_kernel``, forms every term a_n as
 np.power(M(n), t) * np.power(n, -s) in float64 (the spec framework
 guarantees M(n) > 0), or as exp(t ln M(n) - s ln n) where that product is
-not finite, summed over the fixed blocks of
-``numerics.sum_blocks``, and one rule, ``truncated_sum``, attaches the tail
-of plain and log-weighted sums alike.  The zero identity takes its a_n and
-the tails of its two log-weighted sums from the same pair, in its own
-block walk.
+not finite or n^-s is below the least normal float, summed over the
+fixed blocks of ``numerics.sum_blocks``, and one rule, ``truncated_sum``,
+attaches the tail of plain and log-weighted sums alike.  The zero
+identity takes its a_n and the tails of its two log-weighted sums from
+the same pair, in its own block walk.
 """
 
 from __future__ import annotations
@@ -69,14 +69,16 @@ class TruncatedSum:
 def term_kernel(m: np.ndarray, n: np.ndarray, params: Params) -> np.ndarray:
     """a_n = M(n)^t * n^-s over float64 arrays of M(n) and n: the one term kernel.
 
-    Where M(n)^t overflows (inf * 0 or inf * tiny), that a_n alone is formed
-    as exp(t ln M(n) - s ln n); every finite product keeps its bits.
+    Where M(n)^t overflows (inf * 0 or inf * tiny) or n^-s is not a normal
+    float, that a_n alone is formed as exp(t ln M(n) - s ln n); every finite
+    product with a normal n^-s keeps its bits.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         a = np.power(m, params.t)
-        a *= np.power(n, -params.s)
-        if not np.isfinite(a.max(initial=0.0)):
-            bad = ~np.isfinite(a)
+        n_s = np.power(n, -params.s)
+        a *= n_s
+        bad = ~np.isfinite(a) | (n_s < np.finfo(np.float64).tiny)
+        if bad.any():
             a[bad] = np.exp(params.t * np.log(m[bad]) - params.s * np.log(n[bad]))
     return a
 

@@ -13,8 +13,8 @@ any M(p) (M(p) = p for the radical), sums them and attaches both tails.  It
 is built once per (prime table, prime limit, spec): p, ln p, ln M(p) and its
 work buffers are made once, and the S factor p^s/(p^s-1) is formed once per
 value of s, so a grid walked s-major pays for p^-s once per row.
-``st_terms``, ``st_ratio``, ``s_general`` and ``t_general`` are one-point
-uses of it; ``ratio-grid`` keeps one kernel for its whole grid.
+``st_ratio``, ``s_general`` and ``t_general`` are one-point uses of it;
+``ratio-grid`` keeps one kernel for its whole grid.
 
 Tail bounds: each T term is below ln(p) p^(t-s) (the denominator exceeds
 p^s because p^t > 1), and the primes above P are a subset of the integers
@@ -68,7 +68,7 @@ class StKernel:
     """S and T over fixed primes p with values m = M(p), prepared once and
     evaluated at any number of points (s, t).
 
-    Holds p as given (``for_spec`` passes the prime table's own uint64 array,
+    Holds p as given (``for_spec`` passes the prime table's own int64 array,
     which every ufunc reads as the float64 values a copy would hold), ln p,
     ln M(p), two work buffers of len(p), and the S factor 1/(1 - p^-s) of
     the last s evaluated: a grid walked s-major forms p^-s once per row.  Every
@@ -101,16 +101,15 @@ class StKernel:
         p^s) and, at each point, s - g*t > 1.
         """
         p = primes.upto(prime_limit)
-        p64 = p.astype(np.int64)
-        m = prime_power_values(spec, p64, np.ones_like(p64))
+        m = prime_power_values(spec, p, np.ones_like(p))
         g = spec.growth_exponent
         tail = (g, prime_limit) if g is not None and bool(m.min() >= 1.0) else None
         return cls(p, m, tail)
 
     def _s_factor(self, s: float) -> np.ndarray:
         # p^s/(p^s-1) = 1/(1-p^-s), in (1, 2) for p^s > 2; kept for the next
-        # point with the same s.  The exponent goes in as a float, since an
-        # integer s does not cast to the uint64 of a prime table's p.
+        # point with the same s.  The exponent goes in as a float, since
+        # numpy refuses an integer array to a negative integer power.
         if self._factor_s != s:
             f = np.power(self._p, -float(s), out=self._factor)
             np.subtract(1.0, f, out=f)
@@ -181,11 +180,6 @@ class StKernel:
 
 def _total(terms: np.ndarray) -> float:
     return sum_blocks(len(terms), lambda lo, hi: exact_sum(terms[lo:hi]))
-
-
-def st_terms(p: np.ndarray, m: np.ndarray, s: float, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-prime (T-terms, S-terms) for M(p) = m, from a kernel used once."""
-    return StKernel(p, m).terms(s, t)
 
 
 def st_ratio(primes: PrimeTable, params: Params, prime_limit: int) -> StResult:

@@ -40,7 +40,7 @@ from radseries import (
     t_general,
     verify_theorem2,
 )
-from radseries.stkernel import st_terms
+from radseries.stkernel import StKernel
 
 POINTS = [(4.0, 1.0), (3.5, 1.0), (2.6, 0.5), (5.0, 2.5)]
 
@@ -128,7 +128,7 @@ def test_criterion_3_ratio_bound_grid(table_100k):
             assert 1.0 < lo <= hi < 2.0, f"(s={s},t={t}): [{lo},{hi}]"
             assert lo <= st.ratio <= hi  # closed enclosure; ties at float resolution
 
-            t_terms, s_terms = st_terms(p, p, params.s, params.t)
+            t_terms, s_terms = StKernel(p, p).terms(params.s, params.t)
             assert np.all(t_terms > 0.0)
             assert np.all(s_terms < 2.0 * t_terms)
             assert np.all(s_terms >= t_terms)

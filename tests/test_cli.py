@@ -419,6 +419,21 @@ def test_corrupt_sieve_dump_exits_2(tmp_path):
     assert "corrupt sieve dump" in r.stderr and "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("case", ["missing", "directory", "unwritable"])
+def test_unusable_dump_path_exits_2_naming_it(tmp_path, case):
+    missing = str(tmp_path / "no_such_dir" / "x.bin")
+    argv = {
+        "missing": ("radical", "10", "--sieve-file", missing),
+        "directory": ("radical", "10", "--sieve-file", str(tmp_path)),
+        "unwritable": ("sieve", "--limit", "10", "--out", missing),
+    }[case]
+    r = run_cli(*argv)
+    assert (r.returncode, r.stdout) == (2, "")
+    assert "Traceback" not in r.stderr
+    errors = [line for line in r.stderr.splitlines() if line.startswith("radseries:")]
+    assert len(errors) == 1 and argv[-1] in errors[0]
+
+
 def test_identity_output_matches_library(tmp_path):
     from radseries import FactorSieve, Params, identity_pass, sieve_primes
 

@@ -1,5 +1,9 @@
-"""The README's examples stay in step with the CLI parser and the config keys."""
+"""The README's examples stay in step with the CLI parser, the config keys
+and the library's names."""
 
+import ast
+import importlib
+import re
 import shlex
 from dataclasses import fields
 from pathlib import Path
@@ -43,3 +47,40 @@ def test_config_block_names_every_config_key():
     keys = [line.split("=")[0].strip() for line in code_block("Configuration")
             if line.strip() and not line.lstrip().startswith("#")]
     assert keys == [f.name for f in fields(Config)]
+
+
+def resolves(dotted: str) -> bool:
+    """True iff the longest importable module prefix of dotted has the rest
+    as a chain of attributes."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for name in parts[cut:]:
+            if not hasattr(obj, name):
+                return False
+            obj = getattr(obj, name)
+        return True
+    return False
+
+
+def test_every_backticked_library_name_resolves():
+    names = re.findall(r"`(radseries(?:\.[A-Za-z_]\w*)+)", README.read_text())
+    assert len(names) >= 3
+    stale = [name for name in names if not resolves(name)]
+    assert not stale, f"README names what the package does not have: {stale}"
+
+
+def test_every_name_the_library_example_imports_resolves():
+    text = README.read_text()
+    library = text[text.index("\n## Library\n"):]
+    blocks = re.findall(r"```python\n(.*?)```", library, re.S)
+    imports = [(node.module, alias.name)
+               for block in blocks for node in ast.walk(ast.parse(block))
+               if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert len(imports) >= 10
+    missing = [f"{module}.{name}" for module, name in imports
+               if not resolves(f"{module}.{name}")]
+    assert not missing, f"the Library example imports missing names: {missing}"

@@ -44,6 +44,11 @@ def test_agrees_with_trial_division_for_every_limit():
         assert np.array_equal(got, oracle[:cut]), f"limit={limit}"
 
 
+@pytest.mark.parametrize("limit", [2, 100, 5_000_000])
+def test_primes_are_int64(limit):
+    assert sieve_primes(limit).primes.dtype == np.int64
+
+
 def test_invariants_increasing_first_two():
     t = sieve_primes(10_000)
     assert int(t.primes[0]) == 2

@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radseries import (
     FactorSieve,
@@ -259,8 +261,73 @@ def test_load_checks_every_chunk(tmp_path, monkeypatch):
         FactorSieve.load(path)
 
 
+@st.composite
+def corruptions(draw):
+    """(limit, index, value): one entry of the spf table of limit made wrong."""
+    limit = draw(st.integers(1, 2_000))
+    index = draw(st.integers(0, limit))
+    true = int(FactorSieve.build(limit, cache_values=False).spf[index])
+    value = draw(st.one_of(st.integers(-3, limit + 3), st.integers(-2 ** 63, 2 ** 63 - 1))
+                 .filter(lambda v: v != true))
+    return limit, index, value
+
+
+@settings(max_examples=150, deadline=None)
+@given(corruptions(), st.booleans())
+def test_any_single_entry_corruption_is_rejected_at_its_index(
+        tmp_path_factory, corruption, cache_values):
+    limit, index, value = corruption
+    path = tmp_path_factory.mktemp("dump") / "corrupt.bin"
+    corrupt_dump(path, limit, {index: value})
+    with pytest.raises(InvalidArgumentError,
+                       match=rf"corrupt sieve dump: spf\[{index}\] = {value} is not"):
+        FactorSieve.load(path, cache_values=cache_values)
+
+
+@pytest.mark.parametrize("cache_values", [True, False])
+def test_load_returns_the_sieve_build_returns(tmp_path, cache_values):
+    path = tmp_path / "sieve.bin"
+    built = FactorSieve.build(70_000, cache_values=cache_values)
+    built.dump(path)
+    loaded = FactorSieve.load(path, cache_values=cache_values)
+    assert loaded.limit == built.limit
+    for name in ("spf", "rad", "phi"):
+        got, want = getattr(loaded, name), getattr(built, name)
+        if want is None:
+            assert got is None, name
+        else:
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+@pytest.fixture
+def no_build(monkeypatch):
+    monkeypatch.setattr(FactorSieve, "build", classmethod(
+        lambda cls, *a, **k: pytest.fail("build ran before the payload was checked")))
+
+
+def test_header_limit_is_checked_against_the_payload_before_build(tmp_path, no_build):
+    # the header claims 2^62 entries: a build from it could never be allocated
+    path = tmp_path / "claims.bin"
+    FactorSieve(limit=100, spf=np.arange(101, dtype=np.int64)).dump(path)
+    data = bytearray(path.read_bytes())
+    data[16:24] = (2 ** 62).to_bytes(8, "little")
+    path.write_bytes(bytes(data))
+    with pytest.raises(InvalidArgumentError, match=f"payload holds 808 bytes, expected {8 * (2 ** 62 + 1)}"):
+        FactorSieve.load(path)
+
+
+@pytest.mark.parametrize("extra_bytes", [3, 8])
+def test_load_rejects_a_partial_or_extra_entry(tmp_path, no_build, extra_bytes):
+    path = tmp_path / "long.bin"
+    FactorSieve(limit=100, spf=np.arange(101, dtype=np.int64)).dump(path)
+    path.write_bytes(path.read_bytes() + bytes(extra_bytes))
+    with pytest.raises(InvalidArgumentError, match=f"payload holds {808 + extra_bytes} bytes, "
+                                                   "expected 808 for limit 100"):
+        FactorSieve.load(path)
+
+
 def test_load_rejects_limit_zero(tmp_path):
     path = tmp_path / "zero.bin"
     FactorSieve(limit=0, spf=np.zeros(1, dtype=np.int64)).dump(path)
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(InvalidArgumentError, match=f"{path}: sieve limit must be >= 1"):
         FactorSieve.load(path)

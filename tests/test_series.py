@@ -1,5 +1,7 @@
 import math
 
+import mpmath
+import numpy as np
 import pytest
 
 from radseries import (
@@ -14,6 +16,8 @@ from radseries import (
     series_d_log_m,
     series_d_log_n,
 )
+from radseries.radical import radical_range
+from radseries.series import term_kernel
 
 P41 = Params(4, 1)
 
@@ -177,3 +181,25 @@ def test_threads_bit_identical(sieve_100k):
     serial = series_d(RADICAL_SPEC, sieve_100k, P41, 100_000, threads=1)
     threaded = series_d(RADICAL_SPEC, sieve_100k, P41, 100_000, threads=4)
     assert serial.value == threaded.value
+
+
+@pytest.mark.parametrize("s, t", [(400.0, 350.0), (4.0, 1.0), (2.6, 0.5)])
+def test_term_kernel_keeps_every_normal_term(sieve_10k, s, t):
+    # at (400, 350) n^-s leaves the normal range from n = 7 while R(n)^t is
+    # still finite; the plain product lost those terms (n = 8 gave 0.0)
+    n = np.arange(1, 1_001, dtype=np.float64)
+    r = radical_range(sieve_10k, 1_000)[1:].astype(np.float64)
+    got = term_kernel(r, n, Params(s, t))
+    tiny = float(np.finfo(np.float64).tiny)
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = np.power(r, t) * np.power(n, -s)
+    normal_n_s = np.power(n, -s) >= tiny
+    assert got[normal_n_s].tobytes() == product[normal_n_s].tobytes()
+    checked = 0
+    with mpmath.workdps(50):
+        for ni, ri, ai in zip(n.tolist(), r.tolist(), got.tolist()):
+            want = mpmath.mpf(int(ri)) ** t / mpmath.mpf(int(ni)) ** s
+            if want >= tiny:
+                assert abs(ai - want) <= 1e-12 * want, (ni, ai, want)
+                checked += 1
+    assert checked >= 700

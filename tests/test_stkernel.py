@@ -21,7 +21,7 @@ from radseries import (
     t_general,
 )
 from radseries.numerics import DEFAULT_BLOCK, log_power_tail, power_tail, sum_blocks
-from radseries.stkernel import StKernel, StResult, st_terms
+from radseries.stkernel import StKernel, StResult
 
 P41 = Params(4, 1)
 s_radical = functools.partial(s_general, RADICAL_SPEC)
@@ -46,7 +46,7 @@ def test_terms_against_direct_formula(table_10k):
         p = np.array([2.0, 3.0, 101.0])
         want_t = np.array([q ** t / (q ** s - 1 + q ** t) * math.log(q) for q in p])
         want_s = np.array([q ** s / (q ** s - 1) for q in p]) * want_t
-        got_t, got_s = st_terms(p, p, s, t)
+        got_t, got_s = StKernel(p, p).terms(s, t)
         assert got_t == pytest.approx(want_t, rel=1e-13)
         assert got_s == pytest.approx(want_s, rel=1e-13)
 
@@ -55,7 +55,7 @@ def test_termwise_sandwich(table_10k):
     # primes small enough that p^(-s) is representable: strict inequalities
     p = table_10k.upto(1_000).astype(np.float64)
     for s, t in [(4.0, 1.0), (3.5, 1.0), (2.6, 0.5), (5.0, 2.5)]:
-        t_terms, s_terms = st_terms(p, p, s, t)
+        t_terms, s_terms = StKernel(p, p).terms(s, t)
         assert np.all(t_terms > 0)
         assert np.all(s_terms > t_terms)
         assert np.all(s_terms < 2 * t_terms)
@@ -64,7 +64,7 @@ def test_termwise_sandwich(table_10k):
 def test_terms_decreasing_from_three(table_10k):
     p = table_10k.upto(10_000).astype(np.float64)
     for s, t in [(4.0, 1.0), (2.6, 0.5)]:
-        terms = st_terms(p, p, s, t)[0]
+        terms = StKernel(p, p).terms(s, t)[0]
         from_three = terms[1:]  # p = 3, 5, 7, ...
         assert np.all(np.diff(from_three) < 0)
 
@@ -118,7 +118,7 @@ def test_t_below_coarse_majorant_partial_sums(table_10k):
     for s, t in [(4.0, 1.0), (5.0, 2.5), (3.51, 1.5)]:
         params = Params(s, t)
         p = table_10k.upto(10_000).astype(np.float64)
-        terms = st_terms(p, p, s, t)[0]
+        terms = StKernel(p, p).terms(s, t)[0]
         k = np.arange(1, len(p) + 1, dtype=np.float64)
         majorant = k ** (t + 1 - s)
         assert np.all(terms < majorant)
@@ -250,7 +250,7 @@ def test_st_ratio_flags_s_minus_t_rounding_to_one(table_10k):
         st_ratio(table_10k, params, 100)
 
 
-# The S/T arithmetic before st_terms, kept as the reference: a separate
+# The S/T arithmetic before StKernel, kept as the reference: a separate
 # np.log(M(p)) and a separate division for S, each kernel with its own tail
 # rule, and math.fsum per block.
 
@@ -326,7 +326,7 @@ def test_single_pass_equals_reference_bit_for_bit(table_100k, s, share, prime_li
         (want_t, want_s), (want_s_val, want_t_val) = _reference_sums(
             spec, table_100k, params, prime_limit)
         m = np.asarray([spec.value_at_prime_power(int(q), 1) for q in p], dtype=np.float64)
-        got_t, got_s = st_terms(p, m, s, t)
+        got_t, got_s = StKernel(p, m).terms(s, t)
         assert got_t.tobytes() == want_t.tobytes(), spec.name
         assert got_s.tobytes() == want_s.tobytes(), spec.name
         assert repr(s_general(spec, table_100k, params, prime_limit)) == repr(want_s_val)
