@@ -30,7 +30,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -94,13 +94,13 @@ class Theorem2Report:
     hypothesis_true: int = 0
     hypothesis_false: int = 0
     conclusion_true: int = 0
-    counterexamples: list[AbcRecord] | None = None
+    counterexamples: list[AbcRecord] = field(default_factory=list)
     max_quality_hypothesis: float | None = None
-    top_quality: list[AbcRecord] | None = None
+    top_quality: list[AbcRecord] = field(default_factory=list)
 
     @property
     def counterexample_count(self) -> int:
-        return len(self.counterexamples or [])
+        return len(self.counterexamples)
 
 
 def _prime_divisors(sieve: FactorSieve, c: int) -> list[int]:
@@ -126,7 +126,6 @@ def decompositions(sieve: FactorSieve, c: int) -> np.ndarray:
     """
     if c < 3:
         raise OutOfRangeError(f"c={c} must be >= 3 (phi(2)/2 is not a pair count)")
-    sieve.check_range(c)
     a = _coprime_a(_prime_divisors(sieve, c), 1, c // 2 + 1)
     return np.column_stack((a, c - a))
 
@@ -237,7 +236,7 @@ def verify_theorem2(batches: Iterable[AbcBatch]) -> Theorem2Report:
     on a tie at that boundary the earlier row stays; among the rows kept,
     equal qualities list the later row first.
     """
-    report = Theorem2Report(counterexamples=[])
+    report = Theorem2Report()
     heap: list[tuple[float, int, AbcRecord]] = []
     tie = 0
     best: float | None = None

@@ -26,7 +26,7 @@ import numpy as np
 
 from .abcscan import AbcBatch, scan, verify_theorem2
 from .config import Config, load_config
-from .errors import InvalidParamsError, RadseriesError
+from .errors import InvalidParamsError, OutOfRangeError, RadseriesError
 from .euler import product_d
 from .identity import identity_pass
 from .multfn import BUILTIN_SPECS, RADICAL_SPEC, builtin_spec
@@ -70,7 +70,7 @@ def _non_finite_field(obj, path: str = "") -> str | None:
 
 def _emit_json(obj) -> None:
     try:
-        text = json.dumps(obj, allow_nan=False)
+        text = json.dumps({"schema_version": SCHEMA_VERSION, **obj}, allow_nan=False)
     except ValueError:
         field = _non_finite_field(obj)
         raise NonFiniteResult(f"result field {field!r} is not finite") from None
@@ -79,10 +79,6 @@ def _emit_json(obj) -> None:
 
 def _sum_fields(ts: TruncatedSum) -> dict:
     return {"value": ts.value, "tail_bound": ts.tail_bound, "terms_used": ts.terms_used}
-
-
-def _params(args) -> Params:
-    return Params(s=args.s, t=args.t)
 
 
 def _limit(value: int | None, default: int | None, flag: str, least: int) -> int | None:
@@ -120,7 +116,6 @@ def _sieve(args, needed: int) -> FactorSieve:
 def cmd_radical(args, cfg: Config) -> int:
     sieve = _sieve(args, args.n)
     _emit_json({
-        "schema_version": SCHEMA_VERSION,
         "n": args.n,
         "radical": radical(sieve, args.n),
         "phi": euler_phi(sieve, args.n),
@@ -134,7 +129,6 @@ def cmd_sieve(args, cfg: Config) -> int:
     sieve = FactorSieve.build(limit, cache_values=False)
     sieve.dump(args.out)
     _emit_json({
-        "schema_version": SCHEMA_VERSION,
         "limit": limit,
         "path": args.out,
     })
@@ -142,13 +136,12 @@ def cmd_sieve(args, cfg: Config) -> int:
 
 
 def cmd_series(args, cfg: Config) -> int:
-    params = _params(args)
+    params = Params(s=args.s, t=args.t)
     spec = builtin_spec(args.spec or cfg.spec)
     limit = args.limit
     sieve = _sieve(args, limit)
     result = series_d(spec, sieve, params, limit)
     payload = {
-        "schema_version": SCHEMA_VERSION,
         "command": "series",
         "spec": spec.name,
         "s": args.s,
@@ -160,6 +153,9 @@ def cmd_series(args, cfg: Config) -> int:
         prime_limit = _prime_limit(args, cfg)
         table = sieve_primes(prime_limit)
         prod = product_d(spec, table, params, prime_limit)
+        if result.tail_bound is None or prod.tail_bound is None:
+            raise OutOfRangeError(f"the gap has no tolerance in float64 at s={args.s}, "
+                                  f"t={args.t}: s - g*t rounds to 1.0 (g={spec.growth_exponent})")
         gap = abs(result.value - prod.value)
         tolerance = result.tail_bound + prod.tail_bound
         payload["product"] = {**_sum_fields(prod), "prime_limit": prime_limit}
@@ -173,13 +169,12 @@ def cmd_series(args, cfg: Config) -> int:
 
 
 def cmd_product(args, cfg: Config) -> int:
-    params = _params(args)
+    params = Params(s=args.s, t=args.t)
     spec = builtin_spec(args.spec or cfg.spec)
     prime_limit = _prime_limit(args, cfg)
     table = sieve_primes(prime_limit)
     result = product_d(spec, table, params, prime_limit)
     _emit_json({
-        "schema_version": SCHEMA_VERSION,
         "command": "product",
         "spec": spec.name,
         "s": args.s,
@@ -191,12 +186,11 @@ def cmd_product(args, cfg: Config) -> int:
 
 
 def cmd_st(args, cfg: Config) -> int:
-    params = _params(args)
+    params = Params(s=args.s, t=args.t)
     prime_limit = _prime_limit(args, cfg)
     table = sieve_primes(prime_limit)
     st = st_ratio(table, params, prime_limit)
     _emit_json({
-        "schema_version": SCHEMA_VERSION,
         "command": "st",
         "s": args.s,
         "t": args.t,
@@ -254,14 +248,13 @@ def cmd_ratio_grid(args, cfg: Config) -> int:
 
 
 def cmd_identity(args, cfg: Config) -> int:
-    params = _params(args)
+    params = Params(s=args.s, t=args.t)
     prime_limit = _prime_limit(args, cfg)
     limit = args.limit
     sieve = _sieve(args, limit)
     table = sieve_primes(prime_limit)
     r = identity_pass(sieve, table, params, limit, prime_limit)
     _emit_json({
-        "schema_version": SCHEMA_VERSION,
         "command": "identity",
         "s": args.s,
         "t": args.t,
@@ -297,7 +290,7 @@ def _abc_csv_rows(batch: AbcBatch) -> str:
 
 
 def cmd_abc(args, cfg: Config) -> int:
-    params = _params(args)
+    params = Params(s=args.s, t=args.t)
     prime_limit = _prime_limit(args, cfg)
     sieve = _sieve(args, args.cmax)
     table = sieve_primes(prime_limit)
@@ -313,7 +306,6 @@ def cmd_abc(args, cfg: Config) -> int:
     if args.verify:
         report = verify_theorem2(batches)
         _emit_json({
-            "schema_version": SCHEMA_VERSION,
             "command": "abc-verify",
             "s": args.s,
             "t": args.t,
@@ -325,7 +317,7 @@ def cmd_abc(args, cfg: Config) -> int:
             "conclusion_true": report.conclusion_true,
             "counterexamples": [list(r) for r in report.counterexamples],
             "max_quality_hypothesis": report.max_quality_hypothesis,
-            "top_quality": [list(r) for r in (report.top_quality or [])],
+            "top_quality": [list(r) for r in report.top_quality],
         })
         return EXIT_VERIFICATION if report.counterexample_count else EXIT_OK
     sys.stdout.write("schema_version,a,b,c,rad_abc,hypothesis_holds,conclusion_holds,quality\n")

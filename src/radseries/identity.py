@@ -45,7 +45,7 @@ from .multfn import RADICAL_SPEC
 from .numerics import block_bounds, exact_parts, exact_sum
 from .primes import PrimeTable
 from .radical import FactorSieve, radical, radical_range
-from .series import Params, term_kernel, truncated_sum
+from .series import Params, tail_bound, term_kernel
 from .stkernel import StResult, st_ratio
 
 
@@ -162,10 +162,10 @@ def identity_pass(
             parts[i].extend(exact_parts(w[mask]))
             counts[i] += int(np.count_nonzero(mask))
 
-    sum_n = truncated_sum(math.fsum(log_n), limit, params, g, 1.0)
-    sum_r = truncated_sum(math.fsum(log_r), limit, params, g, g)
-    tolerance = (st.s_value.tail_bound * sum_r.upper + st.t_value.tail_bound * sum_n.upper
-                 + s_p * sum_r.tail_bound + t_p * sum_n.tail_bound)
+    tail_n, tail_r = tail_bound(limit, params, g, 1.0), tail_bound(limit, params, g, g)
+    tolerance = (st.s_value.tail_bound * (math.fsum(log_r) + tail_r)
+                 + st.t_value.tail_bound * (math.fsum(log_n) + tail_n)
+                 + s_p * tail_r + t_p * tail_n)
     below, equal, above, ambiguous = (math.fsum(p) for p in parts)
     return IdentityResult(
         residual=math.fsum(residual),

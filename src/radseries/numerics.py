@@ -198,7 +198,9 @@ def log_power_tail(limit: int, exponent: float) -> float:
         raise ValueError("limit must be >= 1")
     a = exponent
     start = max(limit, 3)
-    tail = (math.log(start) * (a - 1.0) + 1.0) * start ** (1.0 - a) / (a - 1.0) ** 2
+    power = start ** (1.0 - a)
+    # (a - 1)^2 overflows only where the power has underflowed to 0.0
+    tail = 0.0 if power == 0.0 else (math.log(start) * (a - 1.0) + 1.0) * power / (a - 1.0) ** 2
     for n in range(limit + 1, start + 1):
         tail += math.log(n) * n ** (-a)
     return tail

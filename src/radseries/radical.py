@@ -10,14 +10,15 @@ the one kernel for a multiplicative function over a range: a recurrence
 over spf, in chunked vectorized passes whose temporaries are bounded by the
 chunk, not by limit.  It gives rad and phi (in one pass when both are
 cached) and every spec's M(n) (``multfn.range_values``).  A loaded dump is
-checked exactly against the sieve built for its limit, whose spf table is
-the only one, so a load costs one build plus one read.  The sieve is
-immutable after construction and all queries are pure.
+checked exactly against the sieve built for its limit (each limit has one
+spf table), reading the payload _CHUNK entries at a time after the build.
+The sieve is immutable after construction and all queries are pure.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -28,7 +29,7 @@ from .errors import InvalidArgumentError, OutOfRangeError
 _DUMP_MAGIC = b"RADSIEVE"
 _DUMP_VERSION = 1
 _DUMP_HEADER = struct.Struct("<8sIIQ")  # magic, version, reserved, limit
-_CHUNK = 1 << 16  # entries per vectorized pass over spf for the values
+_CHUNK = 1 << 16  # entries per vectorized pass over spf, and per dump read
 
 
 @dataclass(frozen=True)
@@ -70,33 +71,35 @@ class FactorSieve:
 
     @classmethod
     def load(cls, path, *, cache_values: bool = True) -> "FactorSieve":
-        """The sieve of the dump's limit, if the dump holds exactly its spf table;
-        the header and payload length are checked before the build."""
+        """The sieve of the dump's limit, if the dump holds exactly its spf table; the
+        header and payload length are checked before the build, the payload streamed after."""
         try:
             with open(path, "rb") as fh:
-                data = fh.read()
+                header = fh.read(_DUMP_HEADER.size)
+                if len(header) < _DUMP_HEADER.size:
+                    raise InvalidArgumentError(f"{path}: truncated sieve header")
+                magic, version, _reserved, limit = _DUMP_HEADER.unpack(header)
+                if magic != _DUMP_MAGIC:
+                    raise InvalidArgumentError(f"{path}: not a sieve dump")
+                if version != _DUMP_VERSION:
+                    raise InvalidArgumentError(f"{path}: unsupported version {version}")
+                if limit < 1:
+                    raise InvalidArgumentError(f"{path}: sieve limit must be >= 1, got {limit}")
+                size = os.fstat(fh.fileno()).st_size - _DUMP_HEADER.size
+                if size != 8 * (limit + 1):
+                    raise InvalidArgumentError(f"{path}: payload holds {size} bytes, "
+                                               f"expected {8 * (limit + 1)} for limit {limit}")
+                sieve = cls.build(limit, cache_values=cache_values)
+                for lo in range(0, limit + 1, _CHUNK):
+                    spf = sieve.spf[lo:lo + _CHUNK]
+                    payload = np.frombuffer(fh.read(8 * len(spf)), dtype="<i8")
+                    if not np.array_equal(payload, spf):
+                        bad = lo + int(np.argmin(payload == spf))
+                        raise InvalidArgumentError(
+                            f"{path}: corrupt sieve dump: spf[{bad}] = {int(payload[bad - lo])} "
+                            f"is not the smallest prime factor of {bad}")
         except OSError as exc:
             raise InvalidArgumentError(f"cannot read sieve dump {path}: {exc}") from None
-        if len(data) < _DUMP_HEADER.size:
-            raise InvalidArgumentError(f"{path}: truncated sieve header")
-        magic, version, _reserved, limit = _DUMP_HEADER.unpack_from(data)
-        if magic != _DUMP_MAGIC:
-            raise InvalidArgumentError(f"{path}: not a sieve dump")
-        if version != _DUMP_VERSION:
-            raise InvalidArgumentError(f"{path}: unsupported version {version}")
-        if limit < 1:
-            raise InvalidArgumentError(f"{path}: sieve limit must be >= 1, got {limit}")
-        size = len(data) - _DUMP_HEADER.size
-        if size != 8 * (limit + 1):
-            raise InvalidArgumentError(f"{path}: payload holds {size} bytes, "
-                                       f"expected {8 * (limit + 1)} for limit {limit}")
-        payload = np.frombuffer(data, dtype="<i8", offset=_DUMP_HEADER.size)
-        sieve = cls.build(limit, cache_values=cache_values)
-        if not np.array_equal(payload, sieve.spf):
-            bad = int(np.argmin(payload == sieve.spf))
-            raise InvalidArgumentError(
-                f"{path}: corrupt sieve dump: spf[{bad}] = {int(payload[bad])} "
-                f"is not the smallest prime factor of {bad}")
         return sieve
 
 

@@ -13,10 +13,10 @@ One kernel, ``term_kernel``, forms every term a_n as
 np.power(M(n), t) * np.power(n, -s) in float64 (the spec framework
 guarantees M(n) > 0), or as exp(t ln M(n) - s ln n) where that product is
 not finite or n^-s is below the least normal float, summed over the
-fixed blocks of ``numerics.sum_blocks``, and one rule, ``truncated_sum``,
-attaches the tail of plain and log-weighted sums alike.  The zero
-identity takes its a_n and the tails of its two log-weighted sums from
-the same pair, in its own block walk.
+fixed blocks of ``numerics.sum_blocks``; one rule, ``tail_bound``, gives the
+tail of plain and log-weighted sums and of the prime sums S and T.  The zero
+identity takes its a_n and the tails of its two log-weighted sums from the
+same pair, in its own block walk.
 """
 
 from __future__ import annotations
@@ -83,24 +83,21 @@ def term_kernel(m: np.ndarray, n: np.ndarray, params: Params) -> np.ndarray:
     return a
 
 
-def truncated_sum(value: float, limit: int, params: Params, growth: float | None,
-                  log_bound: float | None = None) -> TruncatedSum:
-    """``value``, the sum of terms a_n over n <= limit, with the integral
-    tail of its majorant.
+def tail_bound(limit: int, params: Params, growth: float | None,
+               log_bound: float | None = None) -> float | None:
+    """The integral tail of the majorant of sum_{n>limit} a_n: the one tail rule.
 
     The terms are a_n with M(n) <= n^growth, so the plain majorant is
     n^(g*t - s).  With ``log_bound`` f each term also carries a logarithm
     at most f ln n (f = 1 for ln n, f = g for ln M(n)), and so does the
-    majorant.  The tail is None where ``numerics.tail_exponent`` finds none.
+    majorant.  None where ``numerics.tail_exponent`` finds no tail.
     """
     a = tail_exponent(params.s, params.t, growth)
     if a is None:
-        tail = None
-    elif log_bound is None:
-        tail = power_tail(limit, a)
-    else:
-        tail = log_bound * log_power_tail(limit, a)
-    return TruncatedSum(value=value, tail_bound=tail, terms_used=limit)
+        return None
+    if log_bound is None:
+        return power_tail(limit, a)
+    return log_bound * log_power_tail(limit, a)
 
 
 def _series(spec, sieve, params, limit, log_of=None, log_bound=None, threads=1) -> TruncatedSum:
@@ -117,7 +114,7 @@ def _series(spec, sieve, params, limit, log_of=None, log_bound=None, threads=1) 
         return exact_sum(a)
 
     value = sum_blocks(limit, block_sum, threads=threads)
-    return truncated_sum(value, limit, params, spec.growth_exponent, log_bound)
+    return TruncatedSum(value, tail_bound(limit, params, spec.growth_exponent, log_bound), limit)
 
 
 def series_d(

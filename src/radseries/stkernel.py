@@ -16,11 +16,11 @@ value of s, so a grid walked s-major pays for p^-s once per row.
 ``st_ratio``, ``s_general`` and ``t_general`` are one-point uses of it;
 ``ratio-grid`` keeps one kernel for its whole grid.
 
-Tail bounds: each T term is below ln(p) p^(t-s) (the denominator exceeds
-p^s because p^t > 1), and the primes above P are a subset of the integers
-above P, so the omitted mass is at most sum_{n>P} ln(n) n^(t-s), bounded by
-its integral.  This majorant converges on the whole region s > 1 + t.  The
-S tail is twice the T tail via the factor bound.
+Tail bounds: with 1 <= M(p) <= p^g, each T term is below g ln(p) p^(g*t-s)
+(the denominator exceeds p^s as M(p)^t >= 1) and each S term below
+2 ln(p) p^(g*t-s) (the factor bound), and the primes above P are a subset of
+the integers above P.  So both tails are ``series.tail_bound`` at P with log
+bounds g and 2; for the radical (g = 1) they exist on all of s > 1 + t.
 
 The ratio interval exploits the termwise sandwich: the discarded tails
 sigma_S and sigma_T themselves satisfy sigma_T <= sigma_S <= 2*sigma_T
@@ -43,9 +43,9 @@ import numpy as np
 
 from .errors import OutOfRangeError
 from .multfn import RADICAL_SPEC, MultiplicativeSpec, prime_power_values
-from .numerics import exact_sum, log_power_tail, sum_blocks, tail_exponent
+from .numerics import exact_sum, sum_blocks
 from .primes import PrimeTable
-from .series import Params, TruncatedSum
+from .series import Params, TruncatedSum, tail_bound
 
 
 @dataclass(frozen=True)
@@ -124,11 +124,14 @@ class StKernel:
         # (p^s - 1 + M^t) / M^t in log space: neither p^s nor M^t is ever
         # formed, so huge exponents degrade to an inf denominator (term 0.0,
         # where the true term underflows) instead of inf/inf.
-        np.multiply(s, ln_p, out=den)
-        np.multiply(t, ln_m, out=other)
-        np.subtract(den, other, out=den)
-        np.multiply(-t, ln_m, out=other)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(s, ln_p, out=den)
+            np.multiply(t, ln_m, out=other)
+            np.subtract(den, other, out=den)
+            nan = np.isnan(den)
+            if nan.any():  # s ln p and t ln M(p) both overflowed: inf - inf
+                den[nan] = (s - t * (ln_m[nan] / ln_p[nan])) * ln_p[nan]
+            np.multiply(-t, ln_m, out=other)
             np.exp(den, out=den)
             np.exp(other, out=other)
         np.subtract(den, other, out=den)
@@ -144,17 +147,11 @@ class StKernel:
     def sums(self, params: Params) -> tuple[TruncatedSum, TruncatedSum]:
         """(S, T) truncations at params, each with its tail when one exists."""
         t_terms, s_terms = self.terms(params.s, params.t)
-        s_tail = t_tail = None
-        if self._tail is not None:
-            g, prime_limit = self._tail
-            a = tail_exponent(params.s, params.t, g)
-            if a is not None:  # always for g = 0, where the T tail g * lpt is 0.0
-                lpt = log_power_tail(prime_limit, a)
-                s_tail, t_tail = 2.0 * lpt, g * lpt
+        g, prime_limit = self._tail or (None, 1)  # no growth bound, no tail
         n = len(self._p)
         return (
-            TruncatedSum(value=_total(s_terms), tail_bound=s_tail, terms_used=n),
-            TruncatedSum(value=_total(t_terms), tail_bound=t_tail, terms_used=n),
+            TruncatedSum(_total(s_terms), tail_bound(prime_limit, params, g, 2.0), n),
+            TruncatedSum(_total(t_terms), tail_bound(prime_limit, params, g, g), n),
         )
 
     def ratio(self, params: Params) -> StResult:

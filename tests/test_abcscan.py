@@ -86,6 +86,12 @@ def reference_records(sieve, table, params, c_values, prime_limit):
     return [AbcRecord(*row, math.log(row[2]) / lr) for row, lr in zip(raw, ln_rad)]
 
 
+def test_empty_report_has_empty_lists():
+    report = Theorem2Report()
+    assert report.counterexamples == [] and report.top_quality == []
+    assert report.counterexample_count == 0
+
+
 def reference_verify(records, *, keep_top=10):
     """Record-at-a-time reducer: the oracle for the batch reducer."""
     report = Theorem2Report(counterexamples=[])

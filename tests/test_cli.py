@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -5,8 +6,11 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 BASE = [sys.executable, "-m", "radseries"]
 
@@ -506,6 +510,93 @@ def test_underflowed_t_exits_2_without_traceback(args):
     assert "Traceback" not in r.stderr
     errors = [line for line in r.stderr.splitlines() if line.startswith("radseries:")]
     assert len(errors) == 1 and "s=1100.0, t=2.0" in errors[0]
+
+
+def test_series_compare_without_a_tail_exits_2():
+    # s - t rounds to 1.0: neither the series nor the product has a tail, so
+    # the gap has no tolerance to be judged by
+    r = run_cli("series", "--s", "1.0000000000000002", "--t", "1.1102230246251565e-16",
+                "--limit", "10", "--compare", "--prime-limit", "10")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    errors = [line for line in r.stderr.splitlines() if line.startswith("radseries:")]
+    assert len(errors) == 1 and "s=1.0000000000000002, t=1.1102230246251565e-16" in errors[0]
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["radical", "12"],
+    ["sieve", "--limit", "10", "--out", "sieve.bin"],
+    ["series", "--s", "4", "--t", "1", "--limit", "10"],
+    ["product", "--s", "4", "--t", "1", "--prime-limit", "10"],
+    ["st", "--s", "4", "--t", "1", "--prime-limit", "10"],
+    ["identity", "--s", "4", "--t", "1", "--limit", "10", "--prime-limit", "10"],
+    ["abc", "--s", "4", "--t", "1", "--cmax", "10", "--prime-limit", "10", "--verify"],
+], ids=lambda argv: argv[0])
+def test_json_output_starts_with_the_schema_version(argv, monkeypatch, tmp_path, capsys):
+    from radseries import cli
+
+    monkeypatch.delenv("RADSERIES_CONFIG", raising=False)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.startswith('{"schema_version": 1, ')
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@st.composite
+def region_points(draw):
+    """(s, t): t log-uniform in [1e-300, 1e299], s just above 1 + t, a decade
+    offset above it, or log-uniform up to 1e308; rounding may put s outside."""
+    t = 10.0 ** draw(st.floats(-300.0, 299.0))
+    kind = draw(st.sampled_from(["ulps", "offset", "huge"]))
+    if kind == "ulps":
+        s = 1.0 + t
+        for _ in range(draw(st.integers(1, 4))):
+            s = math.nextafter(s, math.inf)
+    elif kind == "offset":
+        s = 1.0 + t + 10.0 ** draw(st.floats(-16.0, 3.0))
+    else:
+        low = math.log10(1.0 + t)
+        s = 10.0 ** (low + draw(st.floats(0.0, 1.0)) * (308.0 - low))
+    return s, t
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(point=region_points())
+@example(point=(1.0000000000000002, 1.1102230246251565e-16))
+@example(point=(1.7976931348623157e308, 1.6e308))
+def test_every_command_exits_cleanly_on_the_whole_region(point, monkeypatch, tmp_path):
+    # exit 0, 2 or 3 only, no exception or RuntimeWarning, and strict JSON
+    from radseries import cli
+
+    monkeypatch.delenv("RADSERIES_CONFIG", raising=False)
+    monkeypatch.chdir(tmp_path)
+    s, t = map(repr, point)
+    st_args = ["--s", s, "--t", t, "--prime-limit", "100"]
+    commands = [
+        ["st", *st_args],
+        ["product", *st_args],
+        ["series", *st_args, "--limit", "100", "--compare"],
+        ["identity", *st_args, "--limit", "100"],
+        ["abc", *st_args, "--cmax", "10", "--verify"],
+        ["ratio-grid", "--s-min", s, "--s-max", s, "--t-min", t, "--t-max", t,
+         "--steps", "1", "--prime-limit", "100"],
+    ]
+    for argv in commands:
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main(argv)
+        assert code in (0, 2, 3), argv
+        if code == 2:
+            assert out.getvalue() == "", argv
+        elif code == 0 and argv[0] != "ratio-grid":
+            json.loads(out.getvalue(), parse_constant=_reject_constant)
 
 
 @pytest.mark.parametrize("command, flag", [

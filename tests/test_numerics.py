@@ -36,6 +36,14 @@ def test_log_power_tail_covers_partial_tails():
             assert log_power_tail(limit, a) > partial
 
 
+@pytest.mark.parametrize("limit", [1, 2, 10, 10 ** 6])
+@pytest.mark.parametrize("a", [1.5e154, 1e160, 1.7976931348623157e308])
+def test_log_power_tail_is_zero_where_the_power_underflows(limit, a):
+    # (a - 1)^2 overflows past ~1.34e154, where max(limit, 3)^(1 - a) and the
+    # explicit terms at n = 2, 3 are already 0.0
+    assert log_power_tail(limit, a) == 0.0
+
+
 def test_tails_shrink_with_limit():
     for fn in (power_tail, log_power_tail):
         values = [fn(limit, 2.5) for limit in (10, 100, 1_000, 10_000)]

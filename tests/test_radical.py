@@ -210,6 +210,16 @@ def test_build_memory_is_the_kept_arrays_plus_chunks(traced_peak, cache_values, 
     assert peak <= kept + 8 * 8 * (1 << 16)
 
 
+@pytest.mark.parametrize("cache_values", [True, False])
+def test_load_memory_is_a_build_plus_a_chunk(tmp_path, traced_peak, cache_values):
+    # the payload is read and compared a chunk at a time after the build
+    path = tmp_path / "sieve.bin"
+    FactorSieve.build(1_000_000, cache_values=False).dump(path)
+    build = traced_peak(lambda: FactorSieve.build(1_000_000, cache_values=cache_values))
+    load = traced_peak(lambda: FactorSieve.load(path, cache_values=cache_values))
+    assert load <= build + 2 * 2 ** 20
+
+
 def test_lean_radical_range_equals_cached_rad():
     cached = FactorSieve.build(70_000)
     lean = FactorSieve.build(70_000, cache_values=False)

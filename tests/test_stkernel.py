@@ -51,6 +51,15 @@ def test_terms_against_direct_formula(table_10k):
         assert got_s == pytest.approx(want_s, rel=1e-13)
 
 
+@pytest.mark.parametrize("s, t", [(1e308, 1e300), (1.7976931348623157e308, 1.6e308)])
+def test_terms_at_huge_exponents_underflow_without_a_warning(table_10k, s, t):
+    # s ln p overflows (and, at the second point, t ln p too: inf - inf);
+    # every term underflows to 0.0 and no RuntimeWarning is raised
+    p = table_10k.upto(1_000)
+    t_terms, s_terms = StKernel(p, p).terms(s, t)
+    assert not t_terms.any() and not s_terms.any()
+
+
 def test_termwise_sandwich(table_10k):
     # primes small enough that p^(-s) is representable: strict inequalities
     p = table_10k.upto(1_000).astype(np.float64)
