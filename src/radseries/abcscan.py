@@ -130,27 +130,14 @@ def decompositions(sieve: FactorSieve, c: int) -> np.ndarray:
     return np.column_stack((a, c - a))
 
 
-class _PerC(NamedTuple):
-    """What every row of one c shares."""
-
-    c: int
-    hypothesis: bool
-    ln_c: float
-    isqrt_c: int
-
-
-# (per-c values, prime divisors of c, a_lo, a_hi): the candidates a_lo <= a < a_hi of c
-_Segment = tuple[_PerC, list[int], int, int]
-
-
-def _batch(rad: np.ndarray, segments: list[_Segment], exact_objects: bool) -> AbcBatch:
-    """The coprime rows of each segment, in segment order."""
-    a_parts = [_coprime_a(primes, a_lo, a_hi) for _, primes, a_lo, a_hi in segments]
-    counts = [len(part) for part in a_parts]
-    c, hypothesis, ln_c, isqrt_c = (
-        np.repeat(col, counts) for col in zip(*(per_c for per_c, *_ in segments))
-    )
-    a = np.concatenate(a_parts)
+def _batch(rad: np.ndarray, per_c: tuple[np.ndarray, ...],
+           parts: list[tuple[int, np.ndarray]], exact_objects: bool) -> AbcBatch:
+    """The rows of ``parts`` in order: (i, coprime a of the i-th c) pairs,
+    whose c, hypothesis, ln(c) and isqrt(c) are gathered from the per-c
+    columns by index."""
+    rows = np.repeat([i for i, _ in parts], [len(a) for _, a in parts])
+    c, hypothesis, ln_c, isqrt_c = (col[rows] for col in per_c)
+    a = np.concatenate([a for _, a in parts])
     b = c - a
     rad_ab = rad[a] * rad[b]
     rad_c = rad[c]
@@ -196,6 +183,9 @@ def scan(
 
 
 def _scan(sieve, ratio_interval, c_max, sample, seed, progress) -> Iterator[AbcBatch]:
+    """The batches of ``scan``.  The per-c columns (c, hypothesis, ln(c),
+    isqrt(c)) are built once for all scanned c; each batch is a list of
+    (index into them, coprime a) parts, cut at BATCH_PAIRS candidates."""
     low, high = ratio_interval
     rad = radical_range(sieve, c_max)
     exact_objects = c_max > _INT64_RAD_ABC_CMAX
@@ -206,25 +196,27 @@ def _scan(sieve, ratio_interval, c_max, sample, seed, progress) -> Iterator[AbcB
         c_values = np.array(sorted(rng.sample(range(3, c_max + 1), sample)), dtype=np.int64)
     below = class_masks(np.log(c_values.astype(np.float64)),
                         np.log(rad[c_values].astype(np.float64)), low, high)[0]
+    # math.log, not np.log: quality keeps the bits of ln(c) / ln(rad_abc)
+    per_c = (c_values, below, np.array([math.log(c) for c in c_values.tolist()]),
+             np.array([math.isqrt(c) for c in c_values.tolist()], dtype=np.int64))
 
-    segments: list[_Segment] = []
+    parts: list[tuple[int, np.ndarray]] = []
     room = BATCH_PAIRS
-    for c, hypothesis in zip(c_values.tolist(), below.tolist()):
+    for i, c in enumerate(c_values.tolist()):
         if progress is not None:
             progress(c, c_max)
-        per_c = _PerC(c, hypothesis, math.log(c), math.isqrt(c))
         primes_of_c = _prime_divisors(sieve, c)
         a_lo, a_end = 1, c // 2 + 1
         while a_lo < a_end:
             a_hi = min(a_end, a_lo + room)
-            segments.append((per_c, primes_of_c, a_lo, a_hi))
+            parts.append((i, _coprime_a(primes_of_c, a_lo, a_hi)))
             room -= a_hi - a_lo
             a_lo = a_hi
             if room == 0:
-                yield _batch(rad, segments, exact_objects)
-                segments, room = [], BATCH_PAIRS
-    if segments:
-        yield _batch(rad, segments, exact_objects)
+                yield _batch(rad, per_c, parts, exact_objects)
+                parts, room = [], BATCH_PAIRS
+    if parts:
+        yield _batch(rad, per_c, parts, exact_objects)
 
 
 def verify_theorem2(batches: Iterable[AbcBatch]) -> Theorem2Report:

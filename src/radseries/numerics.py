@@ -16,12 +16,12 @@ included, and p - q is exact too.  Repeating on p - q until it is zero
 splits the terms into a few exact level sums whose total is the exact
 total.  ``math.fsum`` rounds that total correctly, as it would the terms
 themselves, so the two results agree bit for bit.  The levels are peeled
-off in place, in two reusable chunk buffers, so a sum allocates no
+off in place, in two buffers of the input's length, so a sum allocates no
 temporary per level and never writes into the caller's array.
 
-``exact_sum`` of at most DEFAULT_BLOCK terms stops once the rounding is
-decided, the stop test of AccSum/NearSum (Rump, Ogita & Oishi, parts I-II
-of the paper above, SIAM J. Sci. Comput. 31, 2008).  After a level with
+``exact_sum`` stops once the rounding is decided, at any length: the stop
+test of AccSum/NearSum (Rump, Ogita & Oishi, parts I-II of the paper
+above, SIAM J. Sci. Comput. 31, 2008).  After a level with
 sigma = 2^(m+e), every remainder term has |p - q| <= 2^-53 sigma, so
 numpy's sum r of the n remainders lies within b = gamma_(n-1) n 2^-53 sigma
 of their exact total, in any summation order (Higham, "Accuracy and
@@ -58,14 +58,14 @@ DEFAULT_BLOCK = 1 << 16
 def exact_sum(x) -> float:
     """``math.fsum(x)`` bit for bit, signed zero included, for a float array.
 
-    Works on chunks of at most DEFAULT_BLOCK terms and combines their exact
-    level sums with one ``math.fsum``; a single chunk stops at the first
-    level that decides the rounding.  Non-finite input, and terms that
-    could add up past 2^1023, take ``math.fsum`` itself, so NaN, inf and
-    its errors (inf - inf, intermediate overflow) are those of ``math.fsum``.
+    Peels exact levels off the whole array and stops at the first level
+    that decides the rounding, else rounds all levels with one
+    ``math.fsum``.  Non-finite input, and terms that could add up past
+    2^1023, take ``math.fsum`` itself, so NaN, inf and its errors
+    (inf - inf, intermediate overflow) are those of ``math.fsum``.
     """
     x = np.asarray(x, dtype=np.float64)
-    levels, decided = _level_sums(x, len(x) <= DEFAULT_BLOCK)
+    levels, decided = _level_sums(x, True)
     return decided if decided is not None else math.fsum(levels or x.tolist())
 
 
@@ -87,40 +87,34 @@ def exact_parts(x) -> list[float]:
 
 
 def _level_sums(x: np.ndarray, stop: bool) -> tuple[list[float], float | None]:
-    """Exact level sums of x, chunk by chunk ([] where math.fsum must sum x),
-    and ``math.fsum(x)`` if ``stop`` (x is one chunk) and a level decided it,
-    else None.
+    """Exact level sums of x ([] where math.fsum must sum x), and
+    ``math.fsum(x)`` if ``stop`` and a level decided it, else None.
 
-    Levels are extracted in place, in two chunk-sized buffers reused over
-    every chunk and level; x itself is only read.
+    Levels are extracted in place, in two buffers of len(x) reused over
+    every level; x itself is only read.
     """
-    guard = (len(x) + 1).bit_length()  # 2^guard >= len(x) + 2
-    rest = np.empty(min(len(x), DEFAULT_BLOCK))
-    level = np.empty_like(rest)
+    n = len(x)
+    m = (n + 1).bit_length()  # 2^m >= n + 2
+    top = _max_abs(x) if n else 0.0
+    if not math.isfinite(top):
+        return [], None
+    p, q, rest = x, np.empty(n), np.empty(n)
     levels: list[float] = []
-    for lo in range(0, len(x), DEFAULT_BLOCK):
-        p = x[lo:lo + DEFAULT_BLOCK]
-        n = len(p)
-        m = (n + 1).bit_length()  # 2^m >= n + 2
-        q = level[:n]
-        top = _max_abs(p)
-        if not math.isfinite(top):
+    while top != 0.0:
+        e = math.frexp(top)[1]  # top < 2^e
+        if e + m > 1023:  # keeps sigma and sum |x| below 2^1023
             return [], None
-        while top != 0.0:
-            e = math.frexp(top)[1]  # top < 2^e
-            if e + guard > 1023:  # keeps sigma and sum |x| below 2^1023
-                return [], None
-            sigma = math.ldexp(1.0, m + e)
-            np.add(p, sigma, out=q)
-            q -= sigma
-            levels.append(float(q.sum()))
-            p = np.subtract(p, q, out=rest[:n])
-            if stop:
-                r, b = float(p.sum()), _sum_error(n, sigma)
-                low = math.fsum(levels + [math.nextafter(r - b, -math.inf)])
-                if low == math.fsum(levels + [math.nextafter(r + b, math.inf)]):
-                    return levels, low
-            top = _max_abs(p)
+        sigma = math.ldexp(1.0, m + e)
+        np.add(p, sigma, out=q)
+        q -= sigma
+        levels.append(float(q.sum()))
+        p = np.subtract(p, q, out=rest)
+        if stop:
+            r, b = float(p.sum()), _sum_error(n, sigma)
+            low = math.fsum(levels + [math.nextafter(r - b, -math.inf)])
+            if low == math.fsum(levels + [math.nextafter(r + b, math.inf)]):
+                return levels, low
+        top = _max_abs(p)
     return levels, None
 
 

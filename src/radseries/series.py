@@ -21,6 +21,7 @@ same pair, in its own block walk.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,10 +40,11 @@ class Params:
     t: float
 
     def __post_init__(self) -> None:
-        if not (self.t > 0.0 and self.s > 1.0 + self.t):
+        # a finite t follows from a finite s > 1 + t
+        if not (self.t > 0.0 and self.s > 1.0 + self.t and math.isfinite(self.s)):
             raise InvalidParamsError(
                 f"(s={self.s}, t={self.t}) outside region of convergence: "
-                "requires t > 0 and s > 1 + t"
+                "requires t > 0 and a finite s > 1 + t"
             )
 
 

@@ -369,9 +369,10 @@ def test_batch_quality_does_not_depend_on_rad_abc_column_type(sieve_10k):
     cases = [(np.array([0, 1, 1, r], dtype=np.int64), 3, 1) for r in (9170, 19143, 94869)]
     cases.append((radical_range(sieve_10k, 1177), 1177, 41))
     for rad, c, a in cases:
-        per_c = abcscan._PerC(c, True, math.log(c), math.isqrt(c))
-        segment = (per_c, abcscan._prime_divisors(sieve_10k, c), a, a + 1)
-        exact, fixed = (abcscan._batch(rad, [segment], flag) for flag in (True, False))
+        per_c = (np.array([c]), np.array([True]), np.array([math.log(c)]),
+                 np.array([math.isqrt(c)]))
+        part = (0, abcscan._coprime_a(abcscan._prime_divisors(sieve_10k, c), a, a + 1))
+        exact, fixed = (abcscan._batch(rad, per_c, [part], flag) for flag in (True, False))
         assert exact.rad_abc.dtype == object and fixed.rad_abc.dtype == np.int64
         assert len(fixed.quality) == 1
         assert exact.rad_abc.tolist() == fixed.rad_abc.tolist()

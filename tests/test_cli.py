@@ -16,13 +16,40 @@ BASE = [sys.executable, "-m", "radseries"]
 
 
 def run_cli(*args, env_extra=None, cwd=None):
+    """``radseries *args`` run in-process through ``cli.main``.
+
+    Returns a CompletedProcess with the exit code, stdout and stderr;
+    argparse's SystemExit becomes its code.  RADSERIES_CONFIG is unset,
+    ``env_extra`` is set and ``cwd`` entered for the call, and all three are
+    restored after it.  An exception escaping ``main`` fails the test.
+    """
+    from radseries import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    saved_env, saved_cwd = dict(os.environ), os.getcwd()
+    os.environ.pop("RADSERIES_CONFIG", None)
+    os.environ.update(env_extra or {})
+    try:
+        if cwd is not None:
+            os.chdir(cwd)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(list(args))
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        os.chdir(saved_cwd)
+        os.environ.clear()
+        os.environ.update(saved_env)
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
+
+
+def run_cli_process(*args):
+    """``python -m radseries *args`` in a child process: for what only a
+    process shows, such as its entry point and the warnings it prints."""
     env = dict(os.environ)
     env.pop("RADSERIES_CONFIG", None)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(
-        BASE + list(args), capture_output=True, text=True, env=env, cwd=cwd,
-    )
+    return subprocess.run(BASE + list(args), capture_output=True, text=True, env=env)
 
 
 def parse_csv(text):
@@ -297,8 +324,8 @@ def test_abc_cmax_below_3_exits_2_before_any_output():
 def test_deterministic_across_runs():
     args = ("series", "--s", "2.6", "--t", "0.5", "--limit", "20000",
             "--sieve-limit", "20000")
-    a = run_cli(*args)
-    b = run_cli(*args)
+    a = run_cli_process(*args)
+    b = run_cli_process(*args)
     assert a.stdout == b.stdout
     assert a.returncode == 0
 
@@ -486,7 +513,7 @@ def test_overflowing_term_power_gives_a_finite_series_value():
 ], ids=["series", "identity", "st", "product"])
 def test_edge_points_write_nothing_to_stderr(args):
     # no numpy RuntimeWarning (overflow, inf * 0) reaches the user
-    r = run_cli(*args)
+    r = run_cli_process(*args)
     assert r.returncode in (0, 2, 3)
     assert r.stderr == ""
 
@@ -510,6 +537,21 @@ def test_underflowed_t_exits_2_without_traceback(args):
     assert "Traceback" not in r.stderr
     errors = [line for line in r.stderr.splitlines() if line.startswith("radseries:")]
     assert len(errors) == 1 and "s=1100.0, t=2.0" in errors[0]
+
+
+@pytest.mark.parametrize("args", [
+    ("product", "--s", "inf", "--t", "1"),
+    ("series", "--s", "inf", "--t", "1", "--limit", "10"),
+    ("series", "--s", "inf", "--t", "1", "--limit", "10", "--compare"),
+], ids=["product", "series", "series-compare"])
+def test_infinite_s_is_invalid_input(args):
+    # s = inf passes s > 1 + t but is no point of the region: exit 2, not a
+    # non-finite result
+    r = run_cli(*args)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    errors = [line for line in r.stderr.splitlines() if line.startswith("radseries:")]
+    assert len(errors) == 1 and "s=inf" in errors[0]
 
 
 def test_series_compare_without_a_tail_exits_2():

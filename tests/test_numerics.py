@@ -168,12 +168,25 @@ def test_exact_sum_sigma_overflow_falls_back_to_fsum():
 
 
 def test_exact_sum_across_a_chunk_boundary():
-    # 2^60 closes the first chunk and -2^60 opens the second: rounding
-    # either chunk total would lose the ones
+    # 2^60 closes the first block of terms and -2^60 opens the second:
+    # rounding either block's total would lose the ones
     x = np.ones(DEFAULT_BLOCK + 1)
     x[DEFAULT_BLOCK - 1] = 2.0**60
     x[DEFAULT_BLOCK] = -(2.0**60)
     assert exact_sum(x) == DEFAULT_BLOCK - 1
+    assert_matches_fsum(x)
+
+
+def test_level_sums_stop_on_an_array_longer_than_a_block():
+    # the stop decides fsum of the whole array, not of its first block
+    rng = np.random.default_rng(7)
+    n = 3 * DEFAULT_BLOCK + 1
+    for x in (rng.uniform(0.0, 1.0, n), rng.uniform(-1.0, 1.0, n), np.ones(n)):
+        want = math.fsum(x.tolist())
+        assert _level_sums(x, True)[1] == want
+        assert exact_sum(x) == want
+    x = np.ldexp(rng.uniform(1.0, 2.0, n), rng.integers(-60, 60, n)) * rng.choice([-1.0, 1.0], n)
+    assert _level_sums(x, True)[1] in (math.fsum(x.tolist()), None)
     assert_matches_fsum(x)
 
 

@@ -53,6 +53,12 @@ def test_params_validation():
         Params(1.5, 1)
 
 
+def test_params_rejects_an_infinite_s():
+    # inf > 1 + t holds, but no sum is computable there
+    with pytest.raises(InvalidParamsError):
+        Params(math.inf, 1.0)
+
+
 def test_series_frozen_value(sieve_10k):
     got = series_d(RADICAL_SPEC, sieve_10k, P41, 4)
     assert got.value == pytest.approx(SERIES_41_N4, rel=1e-15)
