@@ -103,10 +103,6 @@ class Theorem2Report:
         return len(self.counterexamples)
 
 
-def _prime_divisors(sieve: FactorSieve, c: int) -> list[int]:
-    return [p for p, _ in factorize(sieve, c)]
-
-
 def _coprime_a(primes: list[int], a_lo: int, a_hi: int) -> np.ndarray:
     """The a in [a_lo, a_hi) divisible by none of ``primes``, ascending, int64.
 
@@ -126,7 +122,7 @@ def decompositions(sieve: FactorSieve, c: int) -> np.ndarray:
     """
     if c < 3:
         raise OutOfRangeError(f"c={c} must be >= 3 (phi(2)/2 is not a pair count)")
-    a = _coprime_a(_prime_divisors(sieve, c), 1, c // 2 + 1)
+    a = _coprime_a([p for p, _ in factorize(sieve, c)], 1, c // 2 + 1)
     return np.column_stack((a, c - a))
 
 
@@ -205,7 +201,7 @@ def _scan(sieve, ratio_interval, c_max, sample, seed, progress) -> Iterator[AbcB
     for i, c in enumerate(c_values.tolist()):
         if progress is not None:
             progress(c, c_max)
-        primes_of_c = _prime_divisors(sieve, c)
+        primes_of_c = [p for p, _ in factorize(sieve, c)]
         a_lo, a_end = 1, c // 2 + 1
         while a_lo < a_end:
             a_hi = min(a_end, a_lo + room)

@@ -101,11 +101,9 @@ def _prime_limit(args, cfg: Config) -> int:
 def _sieve(args, needed: int) -> FactorSieve:
     """The --sieve-file dump, else a sieve to --sieve-limit, else one to needed.
 
-    Always spf-only: no command reads cached value arrays, since
-    ``radical_range`` forms the radical from spf and the scalar queries
-    factor n.  The library rejects a sieve too small for the command's
-    input; a need below 1 gets a one-entry sieve, whose range check rejects
-    it the same way.
+    Always spf-only: no command reads a cached value array.  The library
+    rejects a sieve too small for the command's input; a need below 1 gets
+    a one-entry sieve, whose range check rejects it the same way.
     """
     if args.sieve_file:
         return FactorSieve.load(args.sieve_file, cache_values=False)
@@ -210,7 +208,11 @@ def _grid_axis(lo: float, hi: float, steps: int) -> list[float]:
         raise RadseriesError(f"steps must be >= 1, got {steps}")
     if steps == 1:
         return [lo]
-    return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
+    n = steps - 1
+    if math.isfinite(hi - lo):
+        return [lo + (hi - lo) * i / n for i in range(steps)]
+    # a width that is infinite or overflows: weigh the ends, keeping both exactly
+    return [lo, *(lo * ((n - i) / n) + hi * (i / n) for i in range(1, n)), hi]
 
 
 def cmd_ratio_grid(args, cfg: Config) -> int:
@@ -219,8 +221,7 @@ def cmd_ratio_grid(args, cfg: Config) -> int:
     # every point is computed before any row is written, so a point the
     # kernel rejects leaves stdout empty instead of a truncated CSV
     rows = []
-    evaluated = 0
-    out_of_bound = 0
+    in_bound = []  # per point inside the region
     for s in _grid_axis(args.s_min, args.s_max, args.steps):
         for t in _grid_axis(args.t_min, args.t_max, args.steps):
             try:
@@ -231,15 +232,13 @@ def cmd_ratio_grid(args, cfg: Config) -> int:
             st = kernel.ratio(params)
             values = (s, t, st.s_value.value, st.t_value.value, st.ratio, *st.ratio_interval)
             rows.append(f"{SCHEMA_VERSION},{','.join(map(_fmt, values))},ok\n")
-            evaluated += 1
-            if not st.in_bound:
-                out_of_bound += 1
-    if evaluated == 0:
-        print("ratio-grid: no grid point lies inside the region of convergence "
-              "(t > 0, s > 1 + t)", file=sys.stderr)
-        return EXIT_INVALID
+            in_bound.append(st.in_bound)
+    if not in_bound:
+        raise RadseriesError("no grid point lies inside the region of convergence "
+                             "(t > 0, s > 1 + t)")
     sys.stdout.write("schema_version,s,t,S,T,ratio,ratio_low,ratio_high,status\n")
     sys.stdout.write("".join(rows))
+    out_of_bound = in_bound.count(False)
     if args.check_bounds and out_of_bound:
         print(f"ratio-grid: {out_of_bound} enclosing interval(s) leave (1, 2)",
               file=sys.stderr)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import UnsupportedSpecError
 from .multfn import MultiplicativeSpec
-from .numerics import exact_sum, power_tail, sum_blocks, tail_exponent
+from .numerics import blocked_sum, power_tail, tail_exponent
 from .primes import PrimeTable
 from .series import Params, TruncatedSum
 
@@ -44,12 +44,7 @@ def product_d(
             f"spec {spec.name!r} declares no closed-form Euler factor"
         )
     p = primes.upto(prime_limit).astype(np.float64)
-
-    def block_sum(lo: int, hi: int) -> float:
-        return exact_sum(spec.log_local_factor(p[lo:hi], params.s, params.t))
-
-    log_sum = sum_blocks(len(p), block_sum)
-    value = math.exp(log_sum)
+    value = math.exp(blocked_sum(spec.log_local_factor(p, params.s, params.t)))
 
     tail = None
     a = tail_exponent(params.s, params.t, spec.growth_exponent)

@@ -40,7 +40,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfRangeError
 from .multfn import RADICAL_SPEC
 from .numerics import block_bounds, exact_parts, exact_sum
 from .primes import PrimeTable
@@ -106,9 +105,8 @@ def classify_interval(
     sieve: FactorSieve, n: int, ratio_low: float, ratio_high: float
 ) -> Classification:
     """Classification committed over a whole S/T enclosure [low, high]."""
-    if n < 1:
-        raise OutOfRangeError(f"n={n} must be >= 1")
-    ln_n, ln_r = np.log(float(n)), np.log(float(radical(sieve, n)))
+    r = radical(sieve, n)  # before the logarithms: rejects n < 1 first
+    ln_n, ln_r = np.log(float(n)), np.log(float(r))
     masks = class_masks(ln_n, ln_r, ratio_low, ratio_high)
     return next(c for c, mask in zip(Classification, masks) if mask)
 

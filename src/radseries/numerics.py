@@ -3,7 +3,8 @@
 Summation strategy: terms are produced in fixed-size index blocks, each
 block is reduced with ``exact_sum``, and the per-block totals are combined
 with ``math.fsum`` in block order.  Block boundaries depend only on the term
-count, so every run of a sum returns the same bits.
+count, so every run of a sum returns the same bits; ``blocked_sum`` sums an
+array held in memory so (the prime sums S, T and the Euler product's log).
 
 ``exact_sum`` returns the bits ``math.fsum`` returns, at a few whole-array
 numpy operations per level instead of one boxed scalar per term.  It uses
@@ -160,6 +161,11 @@ def sum_blocks(
         with ThreadPoolExecutor(max_workers=threads) as pool:
             partials = list(pool.map(lambda b: block_sum(*b), bounds))
     return math.fsum(partials)
+
+
+def blocked_sum(x: np.ndarray) -> float:
+    """``sum_blocks`` over the float array x, each block summed by ``exact_sum``."""
+    return sum_blocks(len(x), lambda lo, hi: exact_sum(x[lo:hi]))
 
 
 def tail_exponent(s: float, t: float, growth: float | None) -> float | None:

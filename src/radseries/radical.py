@@ -1,11 +1,11 @@
 """Smallest-prime-factor sieve: radical, totient, squarefree test, factorization.
 
-One O(limit) pass builds the spf array; each query then factors n in
-O(log n) divisions.  With ``cache_values`` on (the default), the radical
-and totient are also stored as parallel int64 arrays; a lean sieve
-(``cache_values=False``) answers scalar queries through ``factorize`` and
-forms the radical of a whole range from spf on demand (``radical_range``).
-The CLI builds and loads lean sieves only.  ``multiplicative_values`` is
+One O(limit) pass builds the spf array; each scalar query then factors n
+in O(log n) divisions.  With ``cache_values`` on (the default), the radical
+and totient are also stored as parallel int64 arrays, but only
+``radical_range`` reads one: a lean sieve (``cache_values=False``) forms
+the radical of a whole range from spf on demand.  The CLI builds and loads
+lean sieves only.  ``multiplicative_values`` is
 the one kernel for a multiplicative function over a range: a recurrence
 over spf, in chunked vectorized passes whose temporaries are bounded by the
 chunk, not by limit.  It gives rad and phi (in one pass when both are
@@ -30,6 +30,7 @@ _DUMP_MAGIC = b"RADSIEVE"
 _DUMP_VERSION = 1
 _DUMP_HEADER = struct.Struct("<8sIIQ")  # magic, version, reserved, limit
 _CHUNK = 1 << 16  # entries per vectorized pass over spf, and per dump read
+_MAX_ENTRIES = (np.iinfo(np.intp).max + 1) // 16  # half numpy's int64 reach: arange sizes in float64
 
 
 @dataclass(frozen=True)
@@ -49,6 +50,9 @@ class FactorSieve:
     def build(cls, limit: int, *, cache_values: bool = True) -> "FactorSieve":
         if limit < 1:
             raise InvalidArgumentError(f"sieve limit must be >= 1, got {limit}")
+        if limit + 1 > _MAX_ENTRIES:
+            raise OutOfRangeError(f"sieve limit {limit} is above {_MAX_ENTRIES - 1}: "
+                                  "numpy cannot allocate its int64 table")
         try:
             spf = _spf_sieve(limit)
             rad, phi = multiplicative_values(spf, _RAD, _PHI) if cache_values else (None, None)
@@ -65,7 +69,7 @@ class FactorSieve:
         try:
             with open(path, "wb") as fh:
                 fh.write(_DUMP_HEADER.pack(_DUMP_MAGIC, _DUMP_VERSION, 0, self.limit))
-                fh.write(self.spf.astype("<i8").tobytes())
+                fh.write(np.ascontiguousarray(self.spf, dtype="<i8"))
         except OSError as exc:
             raise InvalidArgumentError(f"cannot write sieve dump {path}: {exc}") from None
 
@@ -176,17 +180,11 @@ def factorize(sieve: FactorSieve, n: int) -> list[tuple[int, int]]:
 
 def radical(sieve: FactorSieve, n: int) -> int:
     """Product of the distinct primes dividing n; radical(1) = 1."""
-    sieve.check_range(n)
-    if sieve.rad is not None:
-        return int(sieve.rad[n])
     return math.prod(p for p, _ in factorize(sieve, n))
 
 
 def euler_phi(sieve: FactorSieve, n: int) -> int:
     """Count of 1 <= k <= n coprime to n."""
-    sieve.check_range(n)
-    if sieve.phi is not None:
-        return int(sieve.phi[n])
     return math.prod((p - 1) * p ** (k - 1) for p, k in factorize(sieve, n))
 
 

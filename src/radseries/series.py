@@ -61,12 +61,6 @@ class TruncatedSum:
     tail_bound: float | None
     terms_used: int
 
-    @property
-    def upper(self) -> float:
-        if self.tail_bound is None:
-            raise ValueError("no tail bound available for this truncation")
-        return self.value + self.tail_bound
-
 
 def term_kernel(m: np.ndarray, n: np.ndarray, params: Params) -> np.ndarray:
     """a_n = M(n)^t * n^-s over float64 arrays of M(n) and n: the one term kernel.

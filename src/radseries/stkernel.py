@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import OutOfRangeError
 from .multfn import RADICAL_SPEC, MultiplicativeSpec, prime_power_values
-from .numerics import exact_sum, sum_blocks
+from .numerics import blocked_sum
 from .primes import PrimeTable
 from .series import Params, TruncatedSum, tail_bound
 
@@ -150,8 +150,8 @@ class StKernel:
         g, prime_limit = self._tail or (None, 1)  # no growth bound, no tail
         n = len(self._p)
         return (
-            TruncatedSum(_total(s_terms), tail_bound(prime_limit, params, g, 2.0), n),
-            TruncatedSum(_total(t_terms), tail_bound(prime_limit, params, g, g), n),
+            TruncatedSum(blocked_sum(s_terms), tail_bound(prime_limit, params, g, 2.0), n),
+            TruncatedSum(blocked_sum(t_terms), tail_bound(prime_limit, params, g, g), n),
         )
 
     def ratio(self, params: Params) -> StResult:
@@ -173,10 +173,6 @@ class StKernel:
         low = min((s_val.value + tb) / (t_val.value + tb), ratio)
         high = max((s_val.value + 2.0 * tb) / (t_val.value + tb), ratio)
         return StResult(s_value=s_val, t_value=t_val, ratio=ratio, ratio_interval=(low, high))
-
-
-def _total(terms: np.ndarray) -> float:
-    return sum_blocks(len(terms), lambda lo, hi: exact_sum(terms[lo:hi]))
 
 
 def st_ratio(primes: PrimeTable, params: Params, prime_limit: int) -> StResult:

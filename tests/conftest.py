@@ -1,8 +1,26 @@
+import math
 import tracemalloc
 
 import pytest
 
 from radseries import FactorSieve, sieve_primes
+
+
+def brute_rad(n):
+    """Radical by trial division, in Python ints: the tests' one radical oracle."""
+    r, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            r *= p
+            while n % p == 0:
+                n //= p
+        p += 1
+    return r * n if n > 1 else r
+
+
+def brute_phi(n):
+    """Totient as a gcd count: the tests' one totient oracle."""
+    return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
 
 
 @pytest.fixture(scope="session")

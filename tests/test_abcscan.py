@@ -21,6 +21,7 @@ from radseries import (
     classify_interval,
     decompositions,
     euler_phi,
+    factorize,
     identity_pass,
     radical,
     scan,
@@ -30,23 +31,13 @@ from radseries import (
 from radseries import abcscan
 from radseries.radical import radical_range
 
+from conftest import brute_rad
+
 P41 = Params(4, 1)
 
 
 def brute_force_pairs(c):
     return [(a, c - a) for a in range(1, c // 2 + 1) if math.gcd(a, c - a) == 1]
-
-
-def brute_rad(n):
-    """Radical by trial division, in Python ints."""
-    r, p = 1, 2
-    while p * p <= n:
-        if n % p == 0:
-            r *= p
-            while n % p == 0:
-                n //= p
-        p += 1
-    return r * n if n > 1 else r
 
 
 def rows(batches):
@@ -348,15 +339,26 @@ def test_exact_rad_abc_above_int64_safe_cmax(sieve_2m, table_100k):
     c_values = sorted({c for batch in batches for c in batch.c.tolist()})
     assert sum(c > 2_000_000 for c in c_values) >= 2
     assert all(batch.rad_abc.dtype == object for batch in batches)
-    rad = radical_range(sieve_2m, 2_100_000).tolist()
-    got = [row for batch in batches for row in zip(*(col.tolist() for col in batch))]
-    assert [(a, b) for a, b, *_ in got] == [p for c in c_values for p in brute_force_pairs(c)]
-    for a, b, c, r, _, conclusion, quality in got:
-        want = rad[a] * rad[b] * rad[c]
-        assert type(r) is int and r == want
-        assert conclusion == (c < want * want)
-        assert quality == math.log(c) / float(np.log(float(want)))
-    for a, b, c, r, *_ in got[:: len(got) // 50]:
+    # the brute-force pairs by np.gcd, one c at a time
+    want_a = [np.arange(1, c // 2 + 1) for c in c_values]
+    want_a = [a[np.gcd(a, c - a) == 1] for a, c in zip(want_a, c_values)]
+    counts = [len(a) for a in want_a]
+    want_c = np.repeat(c_values, counts)
+    want_a = np.concatenate(want_a)
+    a, b, c, r, _, conclusion, quality = (np.concatenate(col) for col in zip(*batches))
+    assert np.array_equal(a, want_a) and np.array_equal(b, want_c - want_a)
+    assert np.array_equal(c, want_c)
+    # rad(a) rad(b) rad(c) <= abc < c^3 / 2 < 2^63: exact in int64
+    rad = radical_range(sieve_2m, 2_100_000)
+    want = rad[a] * rad[b] * rad[c]
+    assert {type(x) for x in r.tolist()} == {int}
+    assert np.array_equal(r.astype(np.int64), want)
+    # exact: float64 holds want below 2^53, and above it want^2 is far past c
+    assert np.array_equal(conclusion, c < want.astype(np.float64) ** 2)
+    ln_c = np.repeat([math.log(x) for x in c_values], counts)
+    assert np.array_equal(quality, ln_c / np.log(want.astype(np.float64)))
+    step = len(a) // 50
+    for a, b, c, r in zip(*(col[::step].tolist() for col in (a, b, c, r))):
         assert r == brute_rad(a) * brute_rad(b) * brute_rad(c)
 
 
@@ -371,7 +373,7 @@ def test_batch_quality_does_not_depend_on_rad_abc_column_type(sieve_10k):
     for rad, c, a in cases:
         per_c = (np.array([c]), np.array([True]), np.array([math.log(c)]),
                  np.array([math.isqrt(c)]))
-        part = (0, abcscan._coprime_a(abcscan._prime_divisors(sieve_10k, c), a, a + 1))
+        part = (0, abcscan._coprime_a([p for p, _ in factorize(sieve_10k, c)], a, a + 1))
         exact, fixed = (abcscan._batch(rad, per_c, [part], flag) for flag in (True, False))
         assert exact.rad_abc.dtype == object and fixed.rad_abc.dtype == np.int64
         assert len(fixed.quality) == 1

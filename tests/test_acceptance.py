@@ -42,6 +42,8 @@ from radseries import (
 )
 from radseries.stkernel import StKernel
 
+from conftest import brute_phi, brute_rad
+
 POINTS = [(4.0, 1.0), (3.5, 1.0), (2.6, 0.5), (5.0, 2.5)]
 
 
@@ -211,7 +213,8 @@ def test_criterion_6_abc_scan(sieve_100k, table_100k):
     assert report.records_seen > 0
 
     for c in range(3, 10_001):
-        want = sum(1 for a in range(1, c // 2 + 1) if math.gcd(a, c - a) == 1)
+        a = np.arange(1, c // 2 + 1)
+        want = int(np.count_nonzero(np.gcd(a, c - a) == 1))
         assert len(decompositions(sieve_100k, c)) == want
         assert want == euler_phi(sieve_100k, c) // 2
     elapsed = time.monotonic() - start
@@ -222,18 +225,8 @@ def test_criterion_6_abc_scan(sieve_100k, table_100k):
 def test_criterion_7_oracles(sieve_100k):
     # radical: product of distinct trial divisors; phi: gcd count
     for n in range(1, 1_001):
-        r, d, m = 1, 2, n
-        while d * d <= m:
-            if m % d == 0:
-                r *= d
-                while m % d == 0:
-                    m //= d
-            d += 1
-        r *= m if m > 1 else 1
-        assert radical(sieve_100k, n) == r
-        assert euler_phi(sieve_100k, n) == sum(
-            1 for k in range(1, n + 1) if math.gcd(k, n) == 1
-        )
+        assert radical(sieve_100k, n) == brute_rad(n)
+        assert euler_phi(sieve_100k, n) == brute_phi(n)
 
     for s, t in [(4.0, 1.0), (2.6, 0.5)]:
         params = Params(s, t)

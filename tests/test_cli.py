@@ -94,6 +94,22 @@ def test_radical_sieve_sized_by_n():
     }
 
 
+@pytest.mark.parametrize("value", [2 ** 61 - 1, 2 ** 62, 2 ** 63 - 1])
+@pytest.mark.parametrize("argv", [
+    ("radical", "{}"),
+    ("series", "--s", "4", "--t", "1", "--limit", "{}"),
+    ("identity", "--s", "4", "--t", "1", "--limit", "{}", "--prime-limit", "100"),
+    ("abc", "--s", "4", "--t", "1", "--cmax", "{}", "--prime-limit", "100"),
+], ids=["radical", "series", "identity", "abc"])
+def test_sieve_numpy_cannot_allocate_exits_2(argv, value):
+    # refused by the size rule before numpy is asked for the table
+    r = run_cli(*(arg.format(value) for arg in argv))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith(f"radseries: sieve limit {value} is above ")
+    assert r.stderr.count("\n") == 1
+
+
 def test_radical_sieve_beyond_memory_exits_2():
     # 8 * 10^15 bytes of spf exceed any address space: refused at once, never touched
     r = run_cli("radical", str(10 ** 15))
@@ -227,6 +243,43 @@ def test_ratio_grid_all_outside_exits_2():
                 "--t-max", "2", "--steps", "3", "--prime-limit", "100")
     assert r.returncode == 2
     assert r.stdout == ""
+    assert r.stderr == ("radseries: no grid point lies inside the region of convergence "
+                        "(t > 0, s > 1 + t)\n")
+
+
+@pytest.mark.parametrize("bounds, points", [
+    (("3", "inf", "1", "1"), [("3", "1"), ("3", "1"), ("inf", "1"), ("inf", "1")]),
+    (("3", "3", "1", "inf"), [("3", "1"), ("3", "inf"), ("3", "1"), ("3", "inf")]),
+], ids=["s-max", "t-max"])
+def test_ratio_grid_keeps_the_finite_end_of_an_infinite_axis(bounds, points):
+    # inf * 0 would make the finite end NaN and leave no point inside
+    s_min, s_max, t_min, t_max = bounds
+    r = run_cli("ratio-grid", "--s-min", s_min, "--s-max", s_max, "--t-min", t_min,
+                "--t-max", t_max, "--steps", "2", "--prime-limit", "100")
+    assert r.returncode == 0
+    rows = parse_csv(r.stdout)
+    assert [(row["s"], row["t"]) for row in rows] == points
+    st = json.loads(run_cli("st", "--s", "3", "--t", "1", "--prime-limit", "100").stdout)
+    for row in rows:
+        if row["t"] == "inf" or row["s"] == "inf":
+            assert row["status"] == "outside_rc"
+        else:
+            assert row["status"] == "ok"
+            assert float(row["S"]) == st["s_value"]["value"]
+            assert float(row["ratio"]) == st["ratio"]
+
+
+def test_grid_axis_keeps_both_ends_where_the_width_is_not_finite():
+    from radseries.cli import _grid_axis
+
+    assert _grid_axis(-1e308, 1e308, 3) == [-1e308, 0.0, 1e308]
+    wide = _grid_axis(-1.7e308, 1.7e308, 11)
+    assert wide[0] == -1.7e308 and wide[-1] == 1.7e308 and wide[5] == 0.0
+    assert all(math.isfinite(x) for x in wide) and wide == sorted(wide)
+    assert _grid_axis(3.0, math.inf, 3) == [3.0, math.inf, math.inf]
+    assert _grid_axis(-math.inf, 0.5, 2) == [-math.inf, 0.5]
+    # a finite width keeps its formula, and so its bits
+    assert _grid_axis(2.2, 8.0, 10) == [2.2 + (8.0 - 2.2) * i / 9 for i in range(10)]
 
 
 def test_ratio_grid_check_bounds_ok():

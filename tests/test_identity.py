@@ -168,7 +168,8 @@ def reference_identity(sieve, table, params, limit, prime_limit):
 
     log_n = series_d_log_n(RADICAL_SPEC, sieve, params, limit)
     log_m = series_d_log_m(RADICAL_SPEC, sieve, params, limit)
-    tolerance = (st.s_value.tail_bound * log_m.upper + st.t_value.tail_bound * log_n.upper
+    tolerance = (st.s_value.tail_bound * (log_m.value + log_m.tail_bound)
+                 + st.t_value.tail_bound * (log_n.value + log_n.tail_bound)
                  + s_p * log_m.tail_bound + t_p * log_n.tail_bound)
     return {
         "residual": residual,

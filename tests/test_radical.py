@@ -18,20 +18,7 @@ from radseries import (
 )
 from radseries.radical import _spf_sieve, radical_range
 
-
-def radical_oracle(n):
-    r, d, m = 1, 2, n
-    while d * d <= m:
-        if m % d == 0:
-            r *= d
-            while m % d == 0:
-                m //= d
-        d += 1
-    return r * (m if m > 1 else 1)
-
-
-def phi_oracle(n):
-    return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+from conftest import brute_phi, brute_rad
 
 
 def strided_rad(spf):
@@ -90,12 +77,21 @@ def test_out_of_range(sieve_10k):
 def test_agrees_with_oracles_up_to_1e4(sieve_10k):
     for n in range(1, 10_001):
         r = radical(sieve_10k, n)
-        assert r == radical_oracle(n), f"radical({n})"
+        assert r == brute_rad(n), f"radical({n})"
         assert (r == n) == is_squarefree(sieve_10k, n)
         assert r <= n
     # phi oracle is quadratic; sample densely below 2000, sparsely above
     for n in list(range(1, 2001)) + list(range(2001, 10_001, 127)):
-        assert euler_phi(sieve_10k, n) == phi_oracle(n), f"phi({n})"
+        assert euler_phi(sieve_10k, n) == brute_phi(n), f"phi({n})"
+
+
+def test_scalar_queries_match_strided_kernels_up_to_1e4():
+    # the scalar queries factor n, so this check reads no cached value array
+    lean = FactorSieve.build(10_000, cache_values=False)
+    rad, phi = strided_rad(lean.spf).tolist(), strided_phi(lean.spf).tolist()
+    for n in range(1, 10_001):
+        assert radical(lean, n) == rad[n], n
+        assert euler_phi(lean, n) == phi[n], n
 
 
 def test_multiplicative_on_coprime_pairs(sieve_10k):
@@ -208,6 +204,43 @@ def test_build_memory_is_the_kept_arrays_plus_chunks(traced_peak, cache_values, 
     kept = kept_arrays * 8 * (limit + 1)
     peak = traced_peak(lambda: FactorSieve.build(limit, cache_values=cache_values))
     assert peak <= kept + 8 * 8 * (1 << 16)
+
+
+def test_dump_writes_the_table_without_a_copy(tmp_path, traced_peak):
+    sieve = FactorSieve.build(1_000_000, cache_values=False)
+    path = tmp_path / "sieve.bin"
+    assert traced_peak(lambda: sieve.dump(path)) < sieve.spf.nbytes // 8
+    assert path.read_bytes()[24:] == sieve.spf.astype("<i8").tobytes()
+
+
+@pytest.mark.parametrize("spf", [
+    np.arange(101, dtype=">i8"), np.arange(101, dtype=np.int32), np.arange(202)[::2] // 2,
+], ids=["big-endian", "int32", "strided"])
+def test_dump_converts_any_table_to_little_endian_int64(tmp_path, spf):
+    path = tmp_path / "sieve.bin"
+    FactorSieve(limit=100, spf=spf).dump(path)
+    assert path.read_bytes()[24:] == np.arange(101, dtype="<i8").tobytes()
+
+
+# numpy addresses 8 (limit + 1) <= intp max bytes, and np.arange rounds its
+# length to float64 first; the sieve allows half that
+LARGEST = (np.iinfo(np.intp).max + 1) // 16 - 1
+
+
+@pytest.mark.parametrize("limit", [
+    LARGEST + 1, 2 ** 60 - 2, 2 ** 60 - 1, 2 ** 61 - 1, 2 ** 62, 2 ** 63 - 1, 2 ** 64,
+])
+def test_build_rejects_a_table_numpy_cannot_allocate(traced_peak, limit):
+    def build():
+        with pytest.raises(OutOfRangeError, match=f"sieve limit {limit} is above {LARGEST}: "):
+            FactorSieve.build(limit)
+    assert traced_peak(build) < 2 ** 16
+
+
+def test_largest_allowed_limit_is_refused_as_memory():
+    # 4 EiB: past the allocator, refused there without touching memory
+    with pytest.raises(OutOfRangeError, match=f"sieve limit {LARGEST} does not fit in memory"):
+        FactorSieve.build(LARGEST)
 
 
 @pytest.mark.parametrize("cache_values", [True, False])

@@ -150,8 +150,6 @@ def test_unknown_growth_gives_value_only(sieve_10k):
     got = series_d(spec, sieve_10k, P41, 100)
     assert got.tail_bound is None
     assert got.value > 1.0
-    with pytest.raises(ValueError):
-        got.upper
 
 
 def test_declared_growth_tightens_rc(sieve_10k):
