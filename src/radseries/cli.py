@@ -2,12 +2,13 @@
 
 Every command is deterministic for fixed arguments and config: summation
 runs serially over fixed block boundaries, so every run reproduces the
-same bits.  Single results print as one JSON object on stdout; grids
-and scans print CSV; progress and diagnostics go to stderr only.
+same bits.  Single results print as one JSON object on stdout, holding a
+result dataclass's own fields in their order; grids and scans print CSV;
+progress and diagnostics go to stderr only.
 
-Exit codes: 0 success, 2 invalid input, 3 verification failure.  A JSON
-result with a NaN or infinite field is a verification failure too: nothing
-goes to stdout and stderr names the field.
+Exit codes: 0 success, 2 invalid input (any (s, t) that Params refuses),
+3 verification failure.  A JSON result with a NaN or infinite field is a
+verification failure too: nothing goes to stdout and stderr names the field.
 
 The commands that use a factor sieve (radical, series, identity, abc) build
 it exactly as large as their input needs (n, --limit, --limit, --cmax),
@@ -21,18 +22,19 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from .abcscan import AbcBatch, scan, verify_theorem2
 from .config import Config, load_config
-from .errors import InvalidParamsError, OutOfRangeError, RadseriesError
+from .errors import InvalidParamsError, RadseriesError
 from .euler import product_d
 from .identity import identity_pass
 from .multfn import BUILTIN_SPECS, RADICAL_SPEC, builtin_spec
 from .primes import sieve_primes
 from .radical import FactorSieve, euler_phi, is_squarefree, radical
-from .series import Params, TruncatedSum, series_d
+from .series import Params, series_d
 from .stkernel import StKernel, st_ratio
 
 SCHEMA_VERSION = 1
@@ -75,10 +77,6 @@ def _emit_json(obj) -> None:
         field = _non_finite_field(obj)
         raise NonFiniteResult(f"result field {field!r} is not finite") from None
     sys.stdout.write(text + "\n")
-
-
-def _sum_fields(ts: TruncatedSum) -> dict:
-    return {"value": ts.value, "tail_bound": ts.tail_bound, "terms_used": ts.terms_used}
 
 
 def _limit(value: int | None, default: int | None, flag: str, least: int) -> int | None:
@@ -142,28 +140,22 @@ def cmd_series(args, cfg: Config) -> int:
     payload = {
         "command": "series",
         "spec": spec.name,
-        "s": args.s,
-        "t": args.t,
+        **asdict(params),
         "limit": limit,
-        **_sum_fields(result),
+        **asdict(result),
     }
     if args.compare:
         prime_limit = _prime_limit(args, cfg)
         table = sieve_primes(prime_limit)
         prod = product_d(spec, table, params, prime_limit)
-        if result.tail_bound is None or prod.tail_bound is None:
-            raise OutOfRangeError(f"the gap has no tolerance in float64 at s={args.s}, "
-                                  f"t={args.t}: s - g*t rounds to 1.0 (g={spec.growth_exponent})")
         gap = abs(result.value - prod.value)
         tolerance = result.tail_bound + prod.tail_bound
-        payload["product"] = {**_sum_fields(prod), "prime_limit": prime_limit}
+        payload["product"] = {**asdict(prod), "prime_limit": prime_limit}
         payload["gap"] = gap
         payload["combined_tolerance"] = tolerance
         payload["agrees"] = gap <= tolerance
-        _emit_json(payload)
-        return EXIT_OK if gap <= tolerance else EXIT_VERIFICATION
     _emit_json(payload)
-    return EXIT_OK
+    return EXIT_OK if payload.get("agrees", True) else EXIT_VERIFICATION
 
 
 def cmd_product(args, cfg: Config) -> int:
@@ -175,10 +167,9 @@ def cmd_product(args, cfg: Config) -> int:
     _emit_json({
         "command": "product",
         "spec": spec.name,
-        "s": args.s,
-        "t": args.t,
+        **asdict(params),
         "prime_limit": prime_limit,
-        **_sum_fields(result),
+        **asdict(result),
     })
     return EXIT_OK
 
@@ -190,11 +181,10 @@ def cmd_st(args, cfg: Config) -> int:
     st = st_ratio(table, params, prime_limit)
     _emit_json({
         "command": "st",
-        "s": args.s,
-        "t": args.t,
+        **asdict(params),
         "prime_limit": prime_limit,
-        "s_value": _sum_fields(st.s_value),
-        "t_value": _sum_fields(st.t_value),
+        "s_value": asdict(st.s_value),
+        "t_value": asdict(st.t_value),
         "ratio": st.ratio,
         "ratio_low": st.ratio_interval[0],
         "ratio_high": st.ratio_interval[1],
@@ -255,8 +245,7 @@ def cmd_identity(args, cfg: Config) -> int:
     r = identity_pass(sieve, table, params, limit, prime_limit)
     _emit_json({
         "command": "identity",
-        "s": args.s,
-        "t": args.t,
+        **asdict(params),
         "limit": limit,
         "prime_limit": prime_limit,
         "residual": r.residual,
@@ -306,17 +295,10 @@ def cmd_abc(args, cfg: Config) -> int:
         report = verify_theorem2(batches)
         _emit_json({
             "command": "abc-verify",
-            "s": args.s,
-            "t": args.t,
+            **asdict(params),
             "cmax": args.cmax,
             "prime_limit": prime_limit,
-            "records_seen": report.records_seen,
-            "hypothesis_true": report.hypothesis_true,
-            "hypothesis_false": report.hypothesis_false,
-            "conclusion_true": report.conclusion_true,
-            "counterexamples": [list(r) for r in report.counterexamples],
-            "max_quality_hypothesis": report.max_quality_hypothesis,
-            "top_quality": [list(r) for r in report.top_quality],
+            **asdict(report),  # its AbcRecord rows print as JSON arrays
         })
         return EXIT_VERIFICATION if report.counterexample_count else EXIT_OK
     sys.stdout.write("schema_version,a,b,c,rad_abc,hypothesis_holds,conclusion_holds,quality\n")

@@ -80,13 +80,16 @@ def sieve_primes(limit: int) -> PrimeTable:
     """Sieve all primes <= limit into a PrimeTable.
 
     Raises InvalidArgumentError for limit < 2 and OutOfRangeError for
-    limits that do not fit a signed 64-bit integer.
+    limits that do not fit a signed 64-bit integer, or memory.
     """
     if limit < 2:
         raise InvalidArgumentError(f"sieve limit must be >= 2, got {limit}")
     if limit > MAX_LIMIT:
         raise OutOfRangeError(f"sieve limit {limit} exceeds 2^63 - 1")
-    return PrimeTable(limit=limit, primes=_segmented_sieve(limit))
+    try:
+        return PrimeTable(limit=limit, primes=_segmented_sieve(limit))
+    except MemoryError:
+        raise OutOfRangeError(f"sieve limit {limit} does not fit in memory") from None
 
 
 def nth_prime(table: PrimeTable, n: int) -> int:

@@ -34,17 +34,19 @@ from .radical import FactorSieve
 
 @dataclass(frozen=True)
 class Params:
-    """A point (s, t) inside the region of convergence t > 0, s > 1 + t."""
+    """A point (s, t) of the region t > 0, s > 1 + t, whose tails need
+    a = s - t > 1.  Both tests run in float64: (2.2, 1.2) fails only the first."""
 
     s: float
     t: float
 
     def __post_init__(self) -> None:
         # a finite t follows from a finite s > 1 + t
-        if not (self.t > 0.0 and self.s > 1.0 + self.t and math.isfinite(self.s)):
+        if not (self.t > 0.0 and self.s > 1.0 + self.t and self.s - self.t > 1.0
+                and math.isfinite(self.s)):
             raise InvalidParamsError(
                 f"(s={self.s}, t={self.t}) outside region of convergence: "
-                "requires t > 0 and a finite s > 1 + t"
+                "requires t > 0 and a finite s > 1 + t with s - t > 1"
             )
 
 

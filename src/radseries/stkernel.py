@@ -20,7 +20,8 @@ Tail bounds: with 1 <= M(p) <= p^g, each T term is below g ln(p) p^(g*t-s)
 (the denominator exceeds p^s as M(p)^t >= 1) and each S term below
 2 ln(p) p^(g*t-s) (the factor bound), and the primes above P are a subset of
 the integers above P.  So both tails are ``series.tail_bound`` at P with log
-bounds g and 2; for the radical (g = 1) they exist on all of s > 1 + t.
+bounds g and 2; for the radical (g = 1) they exist wherever ``Params``
+admits (s, t), since it requires s - t > 1 in float64.
 
 The ratio interval exploits the termwise sandwich: the discarded tails
 sigma_S and sigma_T themselves satisfy sigma_T <= sigma_S <= 2*sigma_T
@@ -157,16 +158,18 @@ class StKernel:
     def ratio(self, params: Params) -> StResult:
         """S, T, their ratio, and the sandwich-aware enclosure of the true ratio.
 
-        Raises OutOfRangeError where the ratio is undefined in float64: T
-        underflows to 0.0 (huge s), or s - t rounds to 1.0 and no tail bound
-        exists.
+        Raises OutOfRangeError naming the cause where the ratio is undefined
+        in float64 (T underflows to 0.0, huge s) or has no enclosure: the
+        spec declares no growth bound, has some M(p) < 1, or s - g*t <= 1.
         """
         s_val, t_val = self.sums(params)
         tb = t_val.tail_bound
         if t_val.value == 0.0 or tb is None:
-            why = "T underflows to 0.0" if t_val.value == 0.0 else "s - t rounds to 1.0"
+            why = ("T underflows to 0.0" if t_val.value == 0.0
+                   else f"s - g*t <= 1 with g={self._tail[0]}" if self._tail
+                   else "some M(p) < 1" if self._ln_m.min() < 0.0 else "no growth bound")
             raise OutOfRangeError(
-                f"S/T is undefined in float64 at s={params.s}, t={params.t}: {why}")
+                f"S/T has no enclosure in float64 at s={params.s}, t={params.t}: {why}")
         ratio = s_val.value / t_val.value
         # low and high are rounded apart from ratio; widening by ratio keeps the
         # promised containment of the truncated ratio under rounding

@@ -607,16 +607,107 @@ def test_infinite_s_is_invalid_input(args):
     assert len(errors) == 1 and "s=inf" in errors[0]
 
 
-def test_series_compare_without_a_tail_exits_2():
-    # s - t rounds to 1.0: neither the series nor the product has a tail, so
-    # the gap has no tolerance to be judged by
-    r = run_cli("series", "--s", "1.0000000000000002", "--t", "1.1102230246251565e-16",
-                "--limit", "10", "--compare", "--prime-limit", "10")
+# s > 1 + t holds in float64 at both, but s - t rounds to 1.0
+EDGE_POINTS = [(1.0000000000000002, 1.1102230246251565e-16),
+               (1.8942081768689387, 0.8942081768689386)]
+
+
+@pytest.mark.parametrize("point", EDGE_POINTS, ids=["tiny-t", "t-near-one"])
+@pytest.mark.parametrize("command", [
+    ("series", "--limit", "10"),
+    ("series", "--limit", "10", "--compare"),
+    ("product",),
+    ("st",),
+    ("identity", "--limit", "10"),
+    ("abc", "--cmax", "10", "--verify"),
+], ids=["series", "series-compare", "product", "st", "identity", "abc-verify"])
+def test_s_minus_t_rounding_to_one_is_invalid_input(point, command):
+    # neither the series nor the product has a tail there, so Params refuses
+    # the point for every command: no value, and no gap, without a tolerance
+    s, t = map(repr, point)
+    assert point[0] > 1.0 + point[1] and point[0] - point[1] == 1.0
+    r = run_cli(*command, "--s", s, "--t", t, "--prime-limit", "10")
     assert r.returncode == 2
     assert r.stdout == ""
     errors = [line for line in r.stderr.splitlines() if line.startswith("radseries:")]
-    assert len(errors) == 1 and "s=1.0000000000000002, t=1.1102230246251565e-16" in errors[0]
+    assert len(errors) == 1 and f"s={s}, t={t}" in errors[0]
     assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("point", [*EDGE_POINTS, (2.2, 1.2)],
+                         ids=["tiny-t", "t-near-one", "s-at-one-plus-t"])
+def test_ratio_grid_prints_a_point_params_refuses_outside_rc(point):
+    # (2.2, 1.2) has s - t > 1 but s <= 1 + t in float64; the edge points the
+    # reverse.  Each is one outside_rc row beside the rows of the s = 4 points.
+    s, t = point
+    r = run_cli("ratio-grid", "--s-min", repr(s), "--s-max", "4", "--t-min", repr(t),
+                "--t-max", repr(t), "--steps", "2", "--prime-limit", "100")
+    assert r.returncode == 0
+    rows = [(float(row["s"]), float(row["t"]), row["status"]) for row in parse_csv(r.stdout)]
+    assert rows == [(s, t, "outside_rc")] * 2 + [(4.0, t, "ok")] * 2
+
+
+def test_prime_table_beyond_memory_exits_2(monkeypatch):
+    # the base-prime mask is the first allocation; patched to fail, so nothing
+    # large is allocated
+    from radseries import primes
+
+    def no_memory(limit):
+        raise MemoryError
+
+    monkeypatch.setattr(primes, "prime_mask", no_memory)
+    r = run_cli("st", "--s", "4", "--t", "1", "--prime-limit", "4611686018427387904")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == "radseries: sieve limit 4611686018427387904 does not fit in memory\n"
+
+
+def _key_paths(obj, prefix=""):
+    """Every key of a JSON object in order, nested keys as dotted paths."""
+    paths = []
+    for key, value in obj.items():
+        paths.append(prefix + key)
+        if isinstance(value, dict):
+            paths += _key_paths(value, f"{prefix}{key}.")
+    return paths
+
+
+_SUM_KEYS = ["value", "tail_bound", "terms_used"]
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["radical", "12"], ["schema_version", "n", "radical", "phi", "squarefree"]),
+    (["sieve", "--limit", "10", "--out", "sieve.bin"], ["schema_version", "limit", "path"]),
+    (["series", "--s", "4", "--t", "1", "--limit", "10"],
+     ["schema_version", "command", "spec", "s", "t", "limit", *_SUM_KEYS]),
+    (["series", "--s", "4", "--t", "1", "--limit", "10", "--compare", "--prime-limit", "10"],
+     ["schema_version", "command", "spec", "s", "t", "limit", *_SUM_KEYS, "product",
+      *(f"product.{k}" for k in [*_SUM_KEYS, "prime_limit"]),
+      "gap", "combined_tolerance", "agrees"]),
+    (["product", "--s", "4", "--t", "1", "--prime-limit", "10"],
+     ["schema_version", "command", "spec", "s", "t", "prime_limit", *_SUM_KEYS]),
+    (["st", "--s", "4", "--t", "1", "--prime-limit", "10"],
+     ["schema_version", "command", "s", "t", "prime_limit",
+      "s_value", *(f"s_value.{k}" for k in _SUM_KEYS),
+      "t_value", *(f"t_value.{k}" for k in _SUM_KEYS),
+      "ratio", "ratio_low", "ratio_high", "in_bound"]),
+    (["identity", "--s", "4", "--t", "1", "--limit", "10", "--prime-limit", "10"],
+     ["schema_version", "command", "s", "t", "limit", "prime_limit",
+      "residual", "tolerance", "within_tolerance", "split",
+      *(f"split.{k}" for k in ["below", "equal", "above", "counts", "ambiguous_count",
+                               "balance_gap", "tolerance"])]),
+    (["abc", "--s", "4", "--t", "1", "--cmax", "10", "--prime-limit", "10", "--verify"],
+     ["schema_version", "command", "s", "t", "cmax", "prime_limit",
+      "records_seen", "hypothesis_true", "hypothesis_false", "conclusion_true",
+      "counterexamples", "max_quality_hypothesis", "top_quality"]),
+], ids=["radical", "sieve", "series", "series-compare", "product", "st", "identity",
+        "abc-verify"])
+def test_json_keys_are_pinned(argv, keys, tmp_path):
+    # the CLI prints result dataclasses field by field, so a renamed or added
+    # field would change the schema: every key sequence is pinned here
+    r = run_cli(*argv, cwd=tmp_path)
+    assert r.returncode == 0
+    assert _key_paths(json.loads(r.stdout)) == keys
 
 
 @pytest.mark.parametrize("argv", [
@@ -639,6 +730,15 @@ def test_json_output_starts_with_the_schema_version(argv, monkeypatch, tmp_path,
 
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
+
+
+def _tail_bounds(obj):
+    """Every value printed under a tail_bound key, at any depth."""
+    for key, value in obj.items():
+        if key == "tail_bound":
+            yield value
+        elif isinstance(value, dict):
+            yield from _tail_bounds(value)
 
 
 @st.composite
@@ -665,7 +765,8 @@ def region_points(draw):
 @example(point=(1.0000000000000002, 1.1102230246251565e-16))
 @example(point=(1.7976931348623157e308, 1.6e308))
 def test_every_command_exits_cleanly_on_the_whole_region(point, monkeypatch, tmp_path):
-    # exit 0, 2 or 3 only, no exception or RuntimeWarning, and strict JSON
+    # exit 0, 2 or 3 only, no exception or RuntimeWarning, strict JSON, and
+    # a finite float for every tail_bound printed
     from radseries import cli
 
     monkeypatch.delenv("RADSERIES_CONFIG", raising=False)
@@ -675,6 +776,7 @@ def test_every_command_exits_cleanly_on_the_whole_region(point, monkeypatch, tmp
     commands = [
         ["st", *st_args],
         ["product", *st_args],
+        ["series", *st_args, "--limit", "100"],
         ["series", *st_args, "--limit", "100", "--compare"],
         ["identity", *st_args, "--limit", "100"],
         ["abc", *st_args, "--cmax", "10", "--verify"],
@@ -691,7 +793,9 @@ def test_every_command_exits_cleanly_on_the_whole_region(point, monkeypatch, tmp
         if code == 2:
             assert out.getvalue() == "", argv
         elif code == 0 and argv[0] != "ratio-grid":
-            json.loads(out.getvalue(), parse_constant=_reject_constant)
+            doc = json.loads(out.getvalue(), parse_constant=_reject_constant)
+            for tail in _tail_bounds(doc):
+                assert isinstance(tail, float) and math.isfinite(tail), argv
 
 
 @pytest.mark.parametrize("command, flag", [

@@ -103,3 +103,14 @@ def test_segmented_matches_simple(monkeypatch):
     monkeypatch.setattr(primes, "SEGMENT_SIZE", 1_000)
     segmented = _segmented_sieve(100_000)
     assert np.array_equal(simple, segmented)
+
+
+def test_limit_beyond_memory_names_the_limit(monkeypatch):
+    # the base-prime mask is patched to fail as numpy does, so nothing large
+    # is allocated; the error names the limit, as FactorSieve.build's does
+    def no_memory(limit):
+        raise MemoryError
+
+    monkeypatch.setattr(primes, "prime_mask", no_memory)
+    with pytest.raises(OutOfRangeError, match="^sieve limit 4611686018427387904 does not fit"):
+        sieve_primes(2 ** 62)

@@ -8,6 +8,7 @@ from hypothesis import strategies as hst
 
 from radseries import (
     IDENTITY_SPEC,
+    InvalidParamsError,
     InvalidSpecError,
     MultiplicativeSpec,
     OutOfRangeError,
@@ -251,12 +252,13 @@ def test_st_ratio_flags_underflowed_t(table_10k):
         st_ratio(table_10k, Params(1100.0, 2.0), 10_000)
 
 
-def test_st_ratio_flags_s_minus_t_rounding_to_one(table_10k):
-    # s > 1 + t holds in float64, but s - t rounds to 1.0: no tail bound
-    params = Params(1.8942081768689387, 0.8942081768689386)
-    assert params.s - params.t == 1.0
-    with pytest.raises(OutOfRangeError, match="s - t rounds to 1.0"):
-        st_ratio(table_10k, params, 100)
+def test_st_ratio_flags_s_minus_t_rounding_to_one():
+    # s > 1 + t holds in float64, but s - t rounds to 1.0, where no tail
+    # exists: Params refuses the point, so no kernel ever sees it
+    s, t = 1.8942081768689387, 0.8942081768689386
+    assert s > 1.0 + t and s - t == 1.0
+    with pytest.raises(InvalidParamsError, match=r"s=1.8942081768689387, t=0.8942081768689386"):
+        Params(s, t)
 
 
 # The S/T arithmetic before StKernel, kept as the reference: a separate
@@ -316,6 +318,22 @@ HALF_AT_TWO_SPEC = MultiplicativeSpec(  # M(2) = 1/2 < 1: value-only tails
 REFERENCE_SPECS = [RADICAL_SPEC, IDENTITY_SPEC, UNIT_SPEC, SQRT_SPEC, HALF_AT_TWO_SPEC]
 
 
+@pytest.mark.parametrize("spec, point, cause", [
+    (MultiplicativeSpec(name="no-growth", value_at_prime_power=lambda p, k: p),
+     (4, 1), "no growth bound"),
+    (HALF_AT_TWO_SPEC, (4, 1), r"some M\(p\) < 1"),
+    (MultiplicativeSpec(name="square", value_at_prime_power=lambda p, k: p ** 2,
+                        growth_exponent=2.0),
+     (2.2, 1), r"s - g\*t <= 1 with g=2.0"),
+], ids=["no-growth", "half-at-two", "square"])
+def test_ratio_names_why_it_has_no_enclosure(table_10k, spec, point, cause):
+    # the kernel has no T tail for a reason of its spec, not of float64
+    params = Params(*point)
+    kernel = StKernel.for_spec(spec, table_10k, 100)
+    with pytest.raises(OutOfRangeError, match=rf"s={params.s}, t={params.t}: {cause}$"):
+        kernel.ratio(params)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     s=hst.floats(min_value=1.5, max_value=1000.0),
@@ -329,6 +347,10 @@ REFERENCE_SPECS = [RADICAL_SPEC, IDENTITY_SPEC, UNIT_SPEC, SQRT_SPEC, HALF_AT_TW
 def test_single_pass_equals_reference_bit_for_bit(table_100k, s, share, prime_limit):
     t = (s - 1.0) * (1.0 - share)
     assume(t > 0.0 and s > 1.0 + t)
+    if not s - t > 1.0:  # s - t rounds to 1.0: no point of the region
+        with pytest.raises(InvalidParamsError):
+            Params(s, t)
+        return
     params = Params(s, t)
     p = table_100k.upto(prime_limit).astype(np.float64)
     for spec in REFERENCE_SPECS:
@@ -340,12 +362,8 @@ def test_single_pass_equals_reference_bit_for_bit(table_100k, s, share, prime_li
         assert got_s.tobytes() == want_s.tobytes(), spec.name
         assert repr(s_general(spec, table_100k, params, prime_limit)) == repr(want_s_val)
         assert repr(t_general(spec, table_100k, params, prime_limit)) == repr(want_t_val)
-    if params.s - params.t > 1.0:
-        want = reference_st_ratio(table_100k, params, prime_limit)
-        assert repr(st_ratio(table_100k, params, prime_limit)) == repr(want)
-    else:
-        with pytest.raises(OutOfRangeError):
-            st_ratio(table_100k, params, prime_limit)
+    want = reference_st_ratio(table_100k, params, prime_limit)
+    assert repr(st_ratio(table_100k, params, prime_limit)) == repr(want)
 
 
 def test_st_ratio_over_two_blocks_equals_reference():
