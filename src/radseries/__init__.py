@@ -16,9 +16,7 @@ from .errors import (
 )
 from .euler import product_d
 from .identity import (
-    Classification,
     IdentityResult,
-    classify_interval,
     identity_pass,
     identity_residual,
     split_identity,
@@ -30,7 +28,6 @@ from .multfn import (
     UNIT_SPEC,
     MultiplicativeSpec,
     builtin_spec,
-    evaluate,
     range_values,
 )
 from .primes import PrimeTable, nth_prime, sieve_primes
@@ -44,7 +41,6 @@ __all__ = [
     "AbcBatch",
     "AbcRecord",
     "BUILTIN_SPECS",
-    "Classification",
     "FactorSieve",
     "IDENTITY_SPEC",
     "IdentityResult",
@@ -63,10 +59,8 @@ __all__ = [
     "UNIT_SPEC",
     "UnsupportedSpecError",
     "builtin_spec",
-    "classify_interval",
     "decompositions",
     "euler_phi",
-    "evaluate",
     "factorize",
     "identity_pass",
     "identity_residual",

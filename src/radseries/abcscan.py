@@ -20,9 +20,8 @@ beyond c^2/4 and so stays exact in int64 for every c below 6e9.  The
 hypothesis test is the identity module's one classification rule, applied
 once to all scanned c, so a c is only flagged hypothesis-true when the
 entire S/T enclosure certifies c < R(c)^(S/T), exactly as the identity
-split and ``classify_interval`` classify it.  A scan never proves the
-implication; it hunts for counterexamples, and finding one indicates an
-implementation bug.
+split classifies it.  A scan never proves the implication; it hunts for
+counterexamples, and finding one indicates an implementation bug.
 """
 
 from __future__ import annotations

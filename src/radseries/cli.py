@@ -194,8 +194,6 @@ def cmd_st(args, cfg: Config) -> int:
 
 
 def _grid_axis(lo: float, hi: float, steps: int) -> list[float]:
-    if steps < 1:
-        raise RadseriesError(f"steps must be >= 1, got {steps}")
     if steps == 1:
         return [lo]
     n = steps - 1
@@ -207,13 +205,14 @@ def _grid_axis(lo: float, hi: float, steps: int) -> list[float]:
 
 def cmd_ratio_grid(args, cfg: Config) -> int:
     prime_limit = _prime_limit(args, cfg)
+    steps = _limit(args.steps, None, "--steps", 1)  # --steps has a default
     kernel = StKernel.for_spec(RADICAL_SPEC, sieve_primes(prime_limit), prime_limit)
     # every point is computed before any row is written, so a point the
     # kernel rejects leaves stdout empty instead of a truncated CSV
     rows = []
     in_bound = []  # per point inside the region
-    for s in _grid_axis(args.s_min, args.s_max, args.steps):
-        for t in _grid_axis(args.t_min, args.t_max, args.steps):
+    for s in _grid_axis(args.s_min, args.s_max, steps):
+        for t in _grid_axis(args.t_min, args.t_max, steps):
             try:
                 params = Params(s=s, t=t)
             except InvalidParamsError:

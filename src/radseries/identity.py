@@ -25,16 +25,15 @@ module's one term kernel and one truncated-sum rule.  The pass walks n over
 the fixed summation blocks, so its per-n memory is one block, not N, and
 every sum keeps the bits of a whole-array pass (see ``identity_pass``).
 
-Classification never forms R(n)^(S/T): it compares T ln n with S ln R(n)
+The class split never forms R(n)^(S/T): it compares T ln n with S ln R(n)
 in log space.  A comparison is committed only when the whole S/T enclosure
-lands on one side; borderline cases are reported as AMBIGUOUS rather than
+lands on one side; borderline cases are reported as ambiguous rather than
 misclassified.  One vectorised rule, ``class_masks``, classifies for the
-split, ``classify_interval`` and the abc scan alike.
+split and the abc scan alike.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -43,16 +42,9 @@ import numpy as np
 from .multfn import RADICAL_SPEC
 from .numerics import block_bounds, exact_parts, exact_sum
 from .primes import PrimeTable
-from .radical import FactorSieve, radical, radical_range
+from .radical import FactorSieve, radical_range
 from .series import Params, tail_bound, term_kernel
 from .stkernel import StResult, st_ratio
-
-
-class Classification(enum.Enum):
-    BELOW = "below"    # n < R(n)^(S/T)
-    EQUAL = "equal"    # exact equality (n = 1 in practice)
-    ABOVE = "above"    # n > R(n)^(S/T)
-    AMBIGUOUS = "ambiguous"
 
 
 @dataclass(frozen=True)
@@ -88,8 +80,8 @@ class IdentityResult:
 def class_masks(
     ln_n: np.ndarray, ln_r: np.ndarray, ratio_low: float, ratio_high: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(below, equal, above, ambiguous) masks over ln n and ln R(n), arrays or
-    numpy scalars, in the order of ``Classification``.
+    """(below, equal, above, ambiguous) masks over ln n and ln R(n) arrays:
+    n < R(n)^(S/T), n = 1, n > R(n)^(S/T), and committed to neither side.
 
     The one classification rule, committed over a whole S/T enclosure
     [low, high]: n < R(n)^(S/T) for every ratio in it exactly when
@@ -99,16 +91,6 @@ def class_masks(
     below = ln_n < ratio_low * ln_r
     above = ln_n > ratio_high * ln_r
     return below, equal, above, ~(below | above | equal)
-
-
-def classify_interval(
-    sieve: FactorSieve, n: int, ratio_low: float, ratio_high: float
-) -> Classification:
-    """Classification committed over a whole S/T enclosure [low, high]."""
-    r = radical(sieve, n)  # before the logarithms: rejects n < 1 first
-    ln_n, ln_r = np.log(float(n)), np.log(float(r))
-    masks = class_masks(ln_n, ln_r, ratio_low, ratio_high)
-    return next(c for c, mask in zip(Classification, masks) if mask)
 
 
 def identity_pass(

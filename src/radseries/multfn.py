@@ -6,17 +6,16 @@ construction.  The radical is the canonical instance; identity and unit are
 shipped as closed-form sanity anchors (their series reduce to zeta(s - t)
 and zeta(s)).
 
-The rule value(p, k) is called on int64 arrays of primes and exponents
-(``evaluate`` passes ints); a scalar result broadcasts.  ``range_values``
-forms M(n) over a range from the one spf recurrence,
-``radical.multiplicative_values``: M(n) = M(m) / value(p, k-1) * value(p, k)
-with p = spf[n] and m = n / p.
+The rule value(p, k) is called only on int64 arrays of primes and
+exponents; a scalar result broadcasts.  ``range_values`` forms M(n) over a
+range from the one spf recurrence, ``radical.multiplicative_values``:
+M(n) = M(m) / value(p, k-1) * value(p, k) with p = spf[n] and m = n / p.
 
 Optional declarations unlock extra machinery:
 
 * ``growth_exponent`` g certifies 1 <= M(n) <= n^g and is what the series
   module needs to attach rigorous tail bounds (the majorant becomes
-  sum n^(g*t - s)).  Specs without it still evaluate, but truncations are
+  sum n^(g*t - s)).  Specs without it still give values, but truncations are
   reported value-only.
 * ``log_local_factor`` is the closed form of ln(1 + sum_k M(p^k)^t p^(-ks)),
   vectorized over a float64 prime array; the Euler-product module refuses
@@ -32,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidSpecError
-from .radical import FactorSieve, factorize, multiplicative_values
+from .radical import FactorSieve, multiplicative_values
 
 
 @dataclass(frozen=True)
@@ -54,14 +53,6 @@ def prime_power_values(spec: MultiplicativeSpec, p, k) -> np.ndarray:
         raise InvalidSpecError(f"spec {spec.name!r} returned {v.flat[i]} at prime power "
                                f"{np.ravel(p)[i]}^{np.ravel(k)[i]}")
     return v
-
-
-def evaluate(spec: MultiplicativeSpec, sieve: FactorSieve, n: int) -> float:
-    """M(n) as a positive float; raises InvalidSpecError on a bad rule."""
-    result = 1.0
-    for p, k in factorize(sieve, n):
-        result *= float(prime_power_values(spec, p, k))
-    return result
 
 
 def range_values(spec: MultiplicativeSpec, sieve: FactorSieve, n_max: int) -> np.ndarray:

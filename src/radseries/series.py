@@ -6,8 +6,8 @@ true sum lies in [value, value + tail_bound].  The tail bounds come from
 the integral comparison of the majorant sum n^(g*t - s), where g is the
 spec's declared growth exponent (g = 1 for the radical: every term
 R(n)^t/n^s is at most n^(t-s), with equality exactly at squarefree n).
-Specs without a declared growth bound still evaluate; their truncations
-carry tail_bound = None.
+Specs without a declared growth bound, or with one where s - g*t <= 1,
+still give values; their truncations carry tail_bound = None.
 
 One kernel, ``term_kernel``, forms every term a_n as
 np.power(M(n), t) * np.power(n, -s) in float64 (the spec framework
@@ -54,9 +54,9 @@ class Params:
 class TruncatedSum:
     """A truncation value with its tail bound.
 
-    tail_bound is None when the spec declares no growth bound (value-only
-    result); otherwise the true infinite sum lies in
-    [value, value + tail_bound].
+    tail_bound is None (a value-only result) when the spec declares no
+    growth bound g, or declares one with s - g*t <= 1, where the majorant
+    diverges; otherwise the true infinite sum lies in [value, value + tail_bound].
     """
 
     value: float

@@ -12,13 +12,11 @@ from hypothesis import strategies as st
 from radseries import (
     AbcBatch,
     AbcRecord,
-    Classification,
     FactorSieve,
     InvalidArgumentError,
     OutOfRangeError,
     Params,
     Theorem2Report,
-    classify_interval,
     decompositions,
     euler_phi,
     factorize,
@@ -31,7 +29,7 @@ from radseries import (
 from radseries import abcscan
 from radseries.radical import radical_range
 
-from conftest import brute_rad
+from conftest import brute_rad, classes, reference_class
 
 P41 = Params(4, 1)
 
@@ -50,25 +48,12 @@ def scanned_c_values(c_max, sample, seed):
     return list(range(3, c_max + 1))
 
 
-def reference_class(n, rad_n, low, high):
-    """The class rule as scalar math.log comparisons: the oracle for the
-    package's one vectorised rule."""
-    ln_n, ln_r = math.log(n), math.log(rad_n)
-    if ln_n == 0.0 and ln_r == 0.0:
-        return Classification.EQUAL
-    if ln_n < low * ln_r:
-        return Classification.BELOW
-    if ln_n > high * ln_r:
-        return Classification.ABOVE
-    return Classification.AMBIGUOUS
-
-
 def reference_records(sieve, table, params, c_values, prime_limit):
     """Per-record scan: brute-force pairs and radicals in Python ints."""
     low, high = st_ratio(table, params, prime_limit).ratio_interval
     raw = []
     for c in c_values:
-        hyp = reference_class(c, brute_rad(c), low, high) is Classification.BELOW
+        hyp = reference_class(c, brute_rad(c), low, high) == "below"
         for a, b in brute_force_pairs(c):
             r = brute_rad(a) * brute_rad(b) * brute_rad(c)
             raw.append((a, b, c, r, hyp, c < r * r))
@@ -385,20 +370,19 @@ def test_batch_quality_does_not_depend_on_rad_abc_column_type(sieve_10k):
 @pytest.mark.parametrize("s,t", [(4, 1), (2.6, 0.5), (5, 2.5)])
 def test_every_classification_matches_the_scalar_oracle(sieve_100k, table_100k, s, t,
                                                         prime_limit):
-    # classify_interval, the identity split and the scan's hypothesis column
-    # against the math.log rule for every n <= 1e5; the coarse prime limit
-    # leaves many n AMBIGUOUS at (2.6, 0.5)
+    # class_masks over the whole range, the identity split and the scan's
+    # hypothesis column against the math.log rule for every n <= 1e5; the
+    # coarse prime limit leaves many n ambiguous at (2.6, 0.5)
     params, limit = Params(s, t), 100_000
     low, high = st_ratio(table_100k, params, prime_limit).ratio_interval
     rad = radical_range(sieve_100k, limit).tolist()
     want = [reference_class(n, rad[n], low, high) for n in range(1, limit + 1)]
-    assert [classify_interval(sieve_100k, n, low, high) for n in range(1, limit + 1)] == want
+    assert classes(np.arange(1, limit + 1), rad[1:], low, high) == want
 
     split = identity_pass(sieve_100k, table_100k, params, limit, prime_limit)
     counts = Counter(want)
-    assert split.classification_counts == (
-        counts[Classification.BELOW], counts[Classification.EQUAL], counts[Classification.ABOVE])
-    assert split.ambiguous_count == counts[Classification.AMBIGUOUS]
+    assert split.classification_counts == (counts["below"], counts["equal"], counts["above"])
+    assert split.ambiguous_count == counts["ambiguous"]
 
     # only the always-coprime pair (1, c - 1) per c, in one batch: the scan
     # stays linear in c_max and still classifies every c
@@ -408,4 +392,4 @@ def test_every_classification_matches_the_scalar_oracle(sieve_100k, table_100k, 
         batches = list(scan(sieve_100k, table_100k, params, limit, prime_limit))
     assert np.concatenate([b.c for b in batches]).tolist() == list(range(3, limit + 1))
     hypothesis = np.concatenate([b.hypothesis for b in batches]).tolist()
-    assert hypothesis == [w is Classification.BELOW for w in want[2:]]
+    assert hypothesis == [w == "below" for w in want[2:]]

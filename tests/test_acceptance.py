@@ -18,13 +18,11 @@ import pytest
 from scipy.special import zeta
 
 from radseries import (
-    Classification,
     FactorSieve,
     IDENTITY_SPEC,
     Params,
     RADICAL_SPEC,
     UNIT_SPEC,
-    classify_interval,
     decompositions,
     euler_phi,
     identity_pass,
@@ -40,9 +38,10 @@ from radseries import (
     t_general,
     verify_theorem2,
 )
+from radseries.radical import radical_range
 from radseries.stkernel import StKernel
 
-from conftest import brute_phi, brute_rad
+from conftest import brute_phi, brute_rad, classes
 
 POINTS = [(4.0, 1.0), (3.5, 1.0), (2.6, 0.5), (5.0, 2.5)]
 
@@ -181,6 +180,10 @@ def _prime_power_exponent(n):
 
 @criterion("criterion 5 (three-way split, classes over n <= 1e4)")
 def test_criterion_5_split(sieve_100k, table_100k):
+    ns = np.arange(1, 10_001)
+    rad = radical_range(sieve_100k, 10_000)[ns]
+    squarefree = [n for n in range(2, 10_001) if _squarefree_by_trial_division(n)]
+    prime_powers = [n for n in range(2, 10_001) if _prime_power_exponent(n) >= 2]
     for s, t in POINTS:
         params = Params(s, t)
         tiny = identity_pass(sieve_100k, table_100k, params, 4, 100_000)
@@ -193,15 +196,12 @@ def test_criterion_5_split(sieve_100k, table_100k):
 
         st = st_ratio(table_100k, params, 100_000)
         lo, hi = st.ratio_interval
-        assert classify_interval(sieve_100k, 1, lo, hi) is Classification.EQUAL
-        for n in range(2, 10_001):
-            k = _prime_power_exponent(n)
-            if _squarefree_by_trial_division(n):
-                got = classify_interval(sieve_100k, n, lo, hi)
-                assert got is Classification.BELOW, f"squarefree n={n}: {got}"
-            elif k >= 2:
-                got = classify_interval(sieve_100k, n, lo, hi)
-                assert got is Classification.ABOVE, f"prime power n={n}: {got}"
+        got = classes(ns, rad, lo, hi)  # got[n - 1] is the class of n
+        assert got[0] == "equal"
+        for n in squarefree:
+            assert got[n - 1] == "below", f"squarefree n={n}: {got[n - 1]}"
+        for n in prime_powers:
+            assert got[n - 1] == "above", f"prime power n={n}: {got[n - 1]}"
 
 
 @criterion("criterion 6 (theorem-2 scan c <= 1e4 + phi(c)/2 counts)")

@@ -289,6 +289,32 @@ def test_ratio_grid_check_bounds_ok():
     assert r.returncode == 0
 
 
+def test_ratio_grid_check_bounds_failure_exits_3_after_the_full_csv(monkeypatch):
+    # no real grid point leaves (1, 2) by more than rounding, so the kernel
+    # widens the enclosures at t = 1 to reach 2
+    from dataclasses import replace
+
+    from radseries.stkernel import StKernel
+
+    ratio = StKernel.ratio
+
+    def widened_at_t_1(self, params):
+        st = ratio(self, params)
+        return replace(st, ratio_interval=(st.ratio_interval[0], 2.0)) if params.t == 1.0 else st
+
+    monkeypatch.setattr(StKernel, "ratio", widened_at_t_1)
+    grid = ("ratio-grid", "--s-min", "3", "--s-max", "4", "--t-min", "0.5", "--t-max", "1",
+            "--steps", "3", "--prime-limit", "1000")
+    full = run_cli(*grid)
+    assert (full.returncode, full.stderr) == (0, "")
+    rows = parse_csv(full.stdout)
+    assert len(rows) == 9 and [row["ratio_high"] == "2" for row in rows].count(True) == 3
+    r = run_cli(*grid, "--check-bounds")
+    assert r.returncode == 3
+    assert r.stdout == full.stdout
+    assert r.stderr == "ratio-grid: 3 enclosing interval(s) leave (1, 2)\n"
+
+
 def test_identity_within_tolerance():
     r = run_cli("identity", "--s", "4", "--t", "1", "--limit", "10000",
                 "--prime-limit", "10000", "--sieve-limit", "10000")
@@ -429,6 +455,33 @@ def test_config_file_and_env(tmp_path):
     assert r4.stdout == ""
 
 
+def test_config_in_the_working_directory_and_env_precedence(tmp_path):
+    st = ("st", "--s", "4", "--t", "1")
+    (tmp_path / "radseries.conf").write_text("prime_limit = 50\n")
+    r = run_cli(*st, cwd=tmp_path)
+    assert r.returncode == 0
+    assert '"prime_limit": 50' in r.stdout
+    # $RADSERIES_CONFIG wins over ./radseries.conf
+    env_cfg = tmp_path / "env.conf"
+    env_cfg.write_text("prime_limit = 60\n")
+    r2 = run_cli(*st, env_extra={"RADSERIES_CONFIG": str(env_cfg)}, cwd=tmp_path)
+    assert r2.returncode == 0
+    assert json.loads(r2.stdout)["prime_limit"] == 60
+
+
+@pytest.mark.parametrize("case", ["unreadable", "no-equals"])
+def test_bad_config_file_exits_2_naming_it(tmp_path, case):
+    cfg = tmp_path / "radseries.conf"
+    where = str(cfg)  # unreadable: never written
+    if case == "no-equals":
+        cfg.write_text("# defaults\nprime_limit 50\n")
+        where = f"{cfg}:2"
+    r = run_cli("st", "--s", "4", "--t", "1", "--config", str(cfg))
+    assert (r.returncode, r.stdout) == (2, "")
+    errors = [line for line in r.stderr.splitlines() if line.startswith("radseries:")]
+    assert len(errors) == 1 and where in errors[0] and "Traceback" not in r.stderr
+
+
 def test_config_names_default_spec(tmp_path):
     cfg = tmp_path / "radseries.conf"
     cfg.write_text("spec = unit\n")
@@ -501,6 +554,24 @@ def test_corrupt_sieve_dump_exits_2(tmp_path):
     assert r.returncode == 2
     assert r.stdout == ""
     assert "corrupt sieve dump" in r.stderr and "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("offset, data, message", [
+    (0, b"NOTSIEVE", "not a sieve dump"),
+    (8, (2).to_bytes(4, "little"), "unsupported version 2"),
+], ids=["magic", "version"])
+def test_dump_header_with_bad_magic_or_version_exits_2(tmp_path, offset, data, message):
+    # a full header (magic, version, reserved, limit) and payload: only the
+    # named field is wrong
+    dump = tmp_path / "sieve.bin"
+    assert run_cli("sieve", "--limit", "5", "--out", str(dump)).returncode == 0
+    raw = bytearray(dump.read_bytes())
+    assert len(raw) == 24 + 8 * 6
+    raw[offset:offset + len(data)] = data
+    dump.write_bytes(bytes(raw))
+    r = run_cli("radical", "5", "--sieve-file", str(dump))
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == f"radseries: {dump}: {message}\n"
 
 
 @pytest.mark.parametrize("case", ["missing", "directory", "unwritable"])
@@ -802,7 +873,8 @@ def test_every_command_exits_cleanly_on_the_whole_region(point, monkeypatch, tmp
     (("st", "--s", "4", "--t", "1"), "--prime-limit"),
     (("radical", "30"), "--sieve-limit"),
     (("sieve",), "--limit"),
-], ids=["prime-limit", "sieve-limit", "limit"])
+    (("ratio-grid", "--s-min", "3", "--s-max", "4", "--t-min", "1", "--t-max", "1"), "--steps"),
+], ids=["prime-limit", "sieve-limit", "limit", "steps"])
 @pytest.mark.parametrize("value", ["0", "-5"])
 def test_explicit_non_positive_limit_exits_2(tmp_path, command, flag, value):
     # an explicit 0 is rejected, not replaced by the config default

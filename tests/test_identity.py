@@ -6,11 +6,9 @@ import pytest
 
 from radseries import (
     RADICAL_SPEC,
-    Classification,
     FactorSieve,
     OutOfRangeError,
     Params,
-    classify_interval,
     identity_pass,
     radical,
     series_d_log_m,
@@ -20,34 +18,35 @@ from radseries import (
 from radseries.numerics import DEFAULT_BLOCK, sum_blocks
 from radseries.radical import radical_range
 
+from conftest import brute_rad, classes, reference_class
+
 P41 = Params(4, 1)
 
 
+def classes_of(sieve, ns, low, high):
+    """``class_masks`` over the whole array ns, with R(n) from the sieve."""
+    ns = np.asarray(ns)
+    return classes(ns, radical_range(sieve, int(ns.max()))[ns], low, high)
+
+
 def test_classify_one_is_equal(sieve_10k):
-    assert classify_interval(sieve_10k, 1, 1.03, 1.04) is Classification.EQUAL
+    assert classes_of(sieve_10k, [1], 1.03, 1.04) == ["equal"]
 
 
 def test_classify_squarefree_below(sieve_10k):
     # for squarefree n >= 2 the comparison reduces to T < S
-    for n in (2, 3, 30, 9973):
-        assert classify_interval(sieve_10k, n, 1.03, 1.04) is Classification.BELOW
+    assert classes_of(sieve_10k, [2, 3, 30, 9973], 1.03, 1.04) == ["below"] * 4
 
 
 def test_classify_prime_power_above(sieve_10k):
     # n = p^k with k >= 2 reduces to k*T vs S with S < 2T <= kT
-    for n in (4, 8, 9, 27, 6561, 8192):
-        assert classify_interval(sieve_10k, n, 1.03, 1.04) is Classification.ABOVE
-
-
-def test_classify_validation(sieve_10k):
-    with pytest.raises(OutOfRangeError):
-        classify_interval(sieve_10k, 0, 1.03, 1.04)
+    assert classes_of(sieve_10k, [4, 8, 9, 27, 6561, 8192], 1.03, 1.04) == ["above"] * 6
 
 
 def test_classify_ambiguous_knife_edge(sieve_10k):
     # n = 8 = 2^3 against an interval straddling ln8/ln2 = 3:
     # committed on neither side
-    assert classify_interval(sieve_10k, 8, 2.999, 3.001) is Classification.AMBIGUOUS
+    assert classes_of(sieve_10k, [8], 2.999, 3.001) == ["ambiguous"]
 
 
 def test_residual_single_term(sieve_10k, table_10k):
@@ -106,23 +105,20 @@ def test_ambiguity_shrinks_with_prime_limit(sieve_10k, table_100k):
 def test_split_counts_match_classifier(sieve_10k, table_10k):
     st = st_ratio(table_10k, P41, 10_000)
     lo, hi = st.ratio_interval
-    want = {Classification.BELOW: 0, Classification.EQUAL: 0, Classification.ABOVE: 0}
-    for n in range(1, 2_001):
-        want[classify_interval(sieve_10k, n, lo, hi)] += 1
+    ns = np.arange(1, 2_001)
+    got_classes = classes_of(sieve_10k, ns, lo, hi)
+    assert got_classes == [reference_class(n, brute_rad(n), lo, hi) for n in ns.tolist()]
     got = identity_pass(sieve_10k, table_10k, P41, 2_000, 10_000)
-    assert got.classification_counts == (
-        want[Classification.BELOW],
-        want[Classification.EQUAL],
-        want[Classification.ABOVE],
-    )
+    assert got.classification_counts == tuple(
+        got_classes.count(name) for name in ("below", "equal", "above"))
 
 
 def test_primes_below_squares_above(sieve_10k, table_10k):
     st = st_ratio(table_10k, P41, 10_000)
     lo, hi = st.ratio_interval
-    for p in (2, 3, 5, 7, 11, 97):
-        assert classify_interval(sieve_10k, p, lo, hi) is Classification.BELOW
-        assert classify_interval(sieve_10k, p * p, lo, hi) is Classification.ABOVE
+    primes = np.array([2, 3, 5, 7, 11, 97])
+    assert classes_of(sieve_10k, primes, lo, hi) == ["below"] * 6
+    assert classes_of(sieve_10k, primes * primes, lo, hi) == ["above"] * 6
 
 
 def test_equal_class_is_singleton(sieve_10k, table_10k):

@@ -12,41 +12,42 @@ from radseries import (
     InvalidSpecError,
     MultiplicativeSpec,
     builtin_spec,
-    evaluate,
     radical,
     range_values,
 )
 from radseries.multfn import prime_power_values
 
+from conftest import evaluate
+
 
 def test_radical_spec_matches_radical_module(sieve_10k):
-    for n in range(1, 10_001):
-        assert evaluate(RADICAL_SPEC, sieve_10k, n) == float(radical(sieve_10k, n))
+    got = range_values(RADICAL_SPEC, sieve_10k, 10_000)
+    assert got[1:].tolist() == [float(radical(sieve_10k, n)) for n in range(1, 10_001)]
 
 
 def test_identity_spec(sieve_10k):
-    for n in (1, 12, 97, 9973):
-        assert evaluate(IDENTITY_SPEC, sieve_10k, n) == float(n)
+    ns = [1, 12, 97, 9973]
+    assert range_values(IDENTITY_SPEC, sieve_10k, 10_000)[ns].tolist() == [float(n) for n in ns]
 
 
 def test_unit_spec(sieve_10k):
-    for n in (1, 2, 12, 5040):
-        assert evaluate(UNIT_SPEC, sieve_10k, n) == 1.0
+    ns = [1, 2, 12, 5040]
+    assert range_values(UNIT_SPEC, sieve_10k, 10_000)[ns].tolist() == [1.0] * 4
 
 
 def test_multiplicativity_random_coprime(sieve_10k):
     rng = random.Random(11)
     sqrt_spec = MultiplicativeSpec(name="sqrt", value_at_prime_power=lambda p, k: p ** (k / 2))
+    specs = (RADICAL_SPEC, IDENTITY_SPEC, sqrt_spec)
+    values = [range_values(spec, sieve_10k, 10_000) for spec in specs]
     done = 0
     while done < 200:
         m = rng.randrange(2, 100)
         n = rng.randrange(2, 100)
         if math.gcd(m, n) != 1:
             continue
-        for spec in (RADICAL_SPEC, IDENTITY_SPEC, sqrt_spec):
-            left = evaluate(spec, sieve_10k, m * n)
-            right = evaluate(spec, sieve_10k, m) * evaluate(spec, sieve_10k, n)
-            assert left == pytest.approx(right, rel=1e-12)
+        for spec, v in zip(specs, values):
+            assert v[m * n] == pytest.approx(v[m] * v[n], rel=1e-12), spec.name
         done += 1
 
 
@@ -65,13 +66,11 @@ def test_range_values_generic_stride_path(sieve_10k):
     spec = MultiplicativeSpec(name="sqrt", value_at_prime_power=lambda p, k: p ** (k / 2))
     vals = range_values(spec, sieve_10k, 2_000)
     for n in range(1, 2_001):
-        assert vals[n] == pytest.approx(evaluate(spec, sieve_10k, n), rel=1e-12)
+        assert vals[n] == pytest.approx(evaluate(spec, n), rel=1e-12)
 
 
 def test_non_positive_rule_rejected(sieve_10k):
     broken = MultiplicativeSpec(name="broken", value_at_prime_power=lambda p, k: 0.0)
-    with pytest.raises(InvalidSpecError):
-        evaluate(broken, sieve_10k, 6)
     with pytest.raises(InvalidSpecError):
         range_values(broken, sieve_10k, 10)
 
@@ -136,7 +135,7 @@ def test_range_values_divisor_count_is_exact(divisor_counts, limit):
 
 def test_range_values_exponent_rule_matches_evaluate(sieve_10k):
     got = range_values(IRREGULAR, sieve_10k, 10_000)
-    want = [evaluate(IRREGULAR, sieve_10k, n) for n in range(1, 10_001)]
+    want = [evaluate(IRREGULAR, n) for n in range(1, 10_001)]
     np.testing.assert_allclose(got[1:], want, rtol=1e-12, atol=0.0)
 
 
@@ -145,5 +144,5 @@ def test_range_values_exponent_rule_matches_evaluate_at_chunk_edges(limit):
     sieve = FactorSieve.build(limit, cache_values=False)
     got = range_values(IRREGULAR, sieve, limit)
     ns = chunk_edge_window(limit)
-    want = [evaluate(IRREGULAR, sieve, n) for n in ns]
+    want = [evaluate(IRREGULAR, n) for n in ns]
     np.testing.assert_allclose(got[ns], want, rtol=1e-12, atol=0.0)

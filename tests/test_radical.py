@@ -156,6 +156,12 @@ def test_load_rejects_garbage(tmp_path):
         FactorSieve.load(path)
 
 
+@pytest.mark.parametrize("limit", [0, -1])
+def test_build_rejects_a_limit_below_1(limit):
+    with pytest.raises(InvalidArgumentError, match=f"sieve limit must be >= 1, got {limit}"):
+        FactorSieve.build(limit)
+
+
 def test_load_rejects_truncated_payload(tmp_path):
     path = tmp_path / "cut.bin"
     FactorSieve.build(100).dump(path)

@@ -402,7 +402,7 @@ def test_prepared_sweep_equals_reference_bit_for_bit():
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
 def test_non_positive_prime_value_is_rejected(table_10k, bad):
     # M(3) <= 0 or NaN has no logarithm: the kernel refuses the spec, as
-    # evaluate and range_values do, instead of summing to NaN
+    # range_values does, instead of summing to NaN
     spec = MultiplicativeSpec(
         name="bad-at-three",
         value_at_prime_power=lambda p, k: np.where(p == 3, bad, p),
