@@ -30,7 +30,7 @@ from .multfn import (
     builtin_spec,
     range_values,
 )
-from .primes import PrimeTable, nth_prime, sieve_primes
+from .primes import PrimeTable, sieve_primes
 from .radical import FactorSieve, euler_phi, factorize, is_squarefree, radical
 from .series import Params, TruncatedSum, series_d, series_d_log_m, series_d_log_n
 from .stkernel import StResult, s_general, st_ratio, t_general
@@ -65,7 +65,6 @@ __all__ = [
     "identity_pass",
     "identity_residual",
     "is_squarefree",
-    "nth_prime",
     "product_d",
     "radical",
     "range_values",

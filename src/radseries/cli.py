@@ -4,7 +4,9 @@ Every command is deterministic for fixed arguments and config: summation
 runs serially over fixed block boundaries, so every run reproduces the
 same bits.  Single results print as one JSON object on stdout, holding a
 result dataclass's own fields in their order; grids and scans print CSV;
-progress and diagnostics go to stderr only.
+progress and diagnostics go to stderr only.  abc rows are formatted one
+columnar pass per batch, no Python formatting per row, into the same bytes
+as csv.writer with a %.17g quality.
 
 Exit codes: 0 success, 2 invalid input (any (s, t) that Params refuses),
 3 verification failure.  A JSON result with a NaN or infinite field is a
@@ -263,17 +265,128 @@ def cmd_identity(args, cfg: Config) -> int:
     return EXIT_OK
 
 
-# One abc CSV row; %.17g is _fmt's format.
-_ABC_ROW = f"{SCHEMA_VERSION},%d,%d,%d,%d,%s,%s,%.17g\n"
+# Text columns: a field of n rows is a (width, n) uint8 matrix of ASCII
+# codes, one row per character position.  NUL marks a position the row does
+# not print, so fields of varying length line up and one NUL deletion over
+# the row-major bytes yields the CSV text.
+_NUL, _ZERO, _POINT = np.uint8(0), np.uint8(ord("0")), np.uint8(ord("."))
+_BOOLS = np.frombuffer(b"falsetrue\0", np.uint8).reshape(2, 5).T
+_POW10 = 10.0 ** np.arange(23)  # exact doubles
+_VELTKAMP = 2.0 ** 27 + 1
+
+
+def _digit_cols(v: np.ndarray, width: int) -> np.ndarray:
+    """Decimal digits of non-negative int64 values below 10^width as text
+    columns, zero-padded to width positions."""
+    text = np.empty((width, len(v)), np.uint8)
+    for end in range(width, 0, -9):  # nine digits at a time, in int32
+        high = v // 10 ** 9 if end > 9 else 0
+        part = (v - high * 10 ** 9).astype(np.int32)
+        for row in range(end - 1, max(end - 9, 0) - 1, -1):
+            quotient = part // 10
+            text[row] = part - quotient * 10
+            part = quotient
+        v = high
+    text += _ZERO
+    return text
+
+
+def _int_cols(v: np.ndarray) -> np.ndarray:
+    """Decimal text of a non-empty column of non-negative integers; an object
+    column of exact ints goes through str."""
+    if v.dtype == object:
+        return v.astype("S").view(np.uint8).reshape(len(v), -1).T
+    text = _digit_cols(v, len(str(int(v.max()))))
+    significant = np.zeros(len(v), bool)
+    for row in text[:-1]:  # leading zeros print nothing
+        significant |= row != _ZERO
+        row *= significant
+    return text
+
+
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp: x = hi + lo exactly, each half of at most 26 significant bits."""
+    t = x * _VELTKAMP
+    hi = t - (t - x)
+    return hi, x - hi
+
+
+def _scaled_round(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """round(x * 10^k) as int64, ties to even, for 0 <= k <= 22 and a
+    product of at least 2^53 (Dekker's TwoProduct: x * 10^k = p + e exactly).
+    A smaller product gives a result below 2^53 + 1 all the same."""
+    y = _POW10[k]
+    p = x * y
+    xh, xl = _split(x)
+    yh, yl = _split(y)
+    e = ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
+    # p >= 2^53 is an even integer, so rint(e) also rounds a tie to even
+    return p.astype(np.int64) + np.rint(e).astype(np.int64)
+
+
+def _g17_cols(x: np.ndarray) -> np.ndarray:
+    """format(x, ".17g") of each float64 as text columns.
+
+    A row in [1e-4, 1e16) prints in fixed notation, built from the correctly
+    rounded 17-digit integer D = round(x * 10^(16 - E)) in [10^16, 10^17),
+    where E is the decimal exponent; any other row goes through format.
+    """
+    fixed = np.isfinite(x) & (x >= 1e-4) & (x < 1e16)
+    y = np.where(fixed, x, 1.0)
+    exp = np.floor(np.log10(y)).astype(np.int64)
+    while True:  # log10 is not correctly rounded: E may be one off
+        d = _scaled_round(y, 16 - exp)
+        shift = (d >= 10 ** 17).astype(np.int64) - (d < 10 ** 16)
+        if not shift.any():
+            break
+        exp += shift
+    digits = _digit_cols(d, 17)
+    # a digit prints unless it is a trailing zero after the decimal point
+    kept = np.zeros(len(x), bool)
+    for k in range(16, -1, -1):
+        kept |= (digits[k] != _ZERO) | (exp >= k)
+        digits[k] *= kept
+    cols = []
+    low, high = int(exp.min()), int(exp.max())
+    if low < 0:  # "0." and the zeros between it and the first digit
+        cols.append(np.where(exp < 0, _ZERO, _NUL)[None])
+        cols.append(np.where(exp < 0, _POINT, _NUL)[None])
+        cols.append(np.where(np.arange(-low - 1)[:, None] < -1 - exp, _ZERO, _NUL))
+    start = 0
+    for k in range(high + 1):  # a point slot after each integer digit
+        cols.append(digits[start:k + 1])
+        cols.append(np.where((exp == k) & (digits[k + 1] != _NUL), _POINT, _NUL)[None])
+        start = k + 1
+    cols.append(digits[start:])
+    text = np.concatenate(cols)
+    if not fixed.all():
+        other = np.array([_fmt(v) for v in x[~fixed].tolist()], "S")
+        other = other.view(np.uint8).reshape(len(other), -1).T
+        text = np.vstack([text, np.zeros((max(len(other) - len(text), 0), len(x)), np.uint8)])
+        text[:, ~fixed] = _NUL
+        text[:len(other), ~fixed] = other
+    return text
 
 
 def _abc_csv_rows(batch: AbcBatch) -> str:
-    """The batch's CSV rows, as csv.writer would print them."""
-    hyp = np.where(batch.hypothesis, "true", "false").tolist()
-    concl = np.where(batch.conclusion, "true", "false").tolist()
-    return "".join([_ABC_ROW % row for row in zip(
-        batch.a.tolist(), batch.b.tolist(), batch.c.tolist(), batch.rad_abc.tolist(),
-        hyp, concl, batch.quality.tolist())])
+    """The batch's CSV rows, as csv.writer would print them, with a %.17g
+    quality: one columnar pass, no per-row formatting."""
+    n = len(batch.a)
+    if n == 0:
+        return ""
+
+    def const(text: str) -> np.ndarray:
+        return np.broadcast_to(np.frombuffer(text.encode(), np.uint8)[:, None], (len(text), n))
+
+    comma = const(",")
+    text = np.concatenate([
+        const(f"{SCHEMA_VERSION},"), _int_cols(batch.a), comma, _int_cols(batch.b), comma,
+        _int_cols(batch.c), comma, _int_cols(batch.rad_abc), comma,
+        _BOOLS[:, batch.hypothesis.view(np.uint8)], comma,
+        _BOOLS[:, batch.conclusion.view(np.uint8)], comma,
+        _g17_cols(batch.quality), const("\n"),
+    ])
+    return text.T.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def cmd_abc(args, cfg: Config) -> int:

@@ -9,6 +9,8 @@ memory stays bounded by the segment, not the limit.
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,29 +78,28 @@ def _segmented_sieve(limit: int) -> np.ndarray:
     return np.concatenate(chunks)
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def sieve_primes(limit: int) -> PrimeTable:
     """Sieve all primes <= limit into a PrimeTable.
 
     Raises InvalidArgumentError for limit < 2 and OutOfRangeError for
-    limits that do not fit a signed 64-bit integer, or memory.
+    limits that do not fit a signed 64-bit integer, or memory.  A table
+    whose size bound exceeds physical memory is refused before any segment
+    is sieved: pi(L) < 1.25506 L / ln L (Rosser & Schoenfeld, 1962) primes
+    of 8 bytes each.
     """
     if limit < 2:
         raise InvalidArgumentError(f"sieve limit must be >= 2, got {limit}")
     if limit > MAX_LIMIT:
         raise OutOfRangeError(f"sieve limit {limit} exceeds 2^63 - 1")
     try:
+        if 8 * 1.25506 * limit / math.log(limit) > _physical_memory():
+            raise MemoryError
         return PrimeTable(limit=limit, primes=_segmented_sieve(limit))
     except MemoryError:
         raise OutOfRangeError(f"sieve limit {limit} does not fit in memory") from None
 
-
-def nth_prime(table: PrimeTable, n: int) -> int:
-    """The n-th prime, 1-indexed: nth_prime(table, 1) == 2.
-
-    p_n > n holds for every n the table can answer.
-    """
-    if n < 1 or n > len(table.primes):
-        raise OutOfRangeError(
-            f"table holds {len(table.primes)} primes, cannot answer n={n}"
-        )
-    return int(table.primes[n - 1])

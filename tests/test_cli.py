@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -50,6 +52,14 @@ def run_cli_process(*args):
     env = dict(os.environ)
     env.pop("RADSERIES_CONFIG", None)
     return subprocess.run(BASE + list(args), capture_output=True, text=True, env=env)
+
+
+def first_difference(got: str, want: str):
+    """None if the texts are equal, else (line number, got line, wanted line)
+    of the first line where they differ: a short message where a diff of
+    the whole texts would take minutes."""
+    pairs = itertools.zip_longest(got.splitlines(), want.splitlines())
+    return next(((i, g, w) for i, (g, w) in enumerate(pairs) if g != w), None)
 
 
 def parse_csv(text):
@@ -342,26 +352,102 @@ def test_abc_small_scan():
     assert float(first["quality"]) == pytest.approx(math.log(3) / math.log(6), rel=1e-12)
 
 
-def test_abc_csv_matches_csv_writer(capsys):
-    from radseries import FactorSieve, Params, scan, sieve_primes
+def test_abc_csv_matches_csv_writer(capsys, monkeypatch):
+    from radseries import FactorSieve, Params, abcscan, scan, sieve_primes
     from radseries.cli import main
 
-    argv = ["--s", "4", "--t", "1", "--prime-limit", "1000", "--sieve-limit", "1000"]
-    assert main(["abc", "--cmax", "400", *argv]) == 0
-    got = capsys.readouterr().out
+    cases = [  # (c_max, abcscan patches, sample and seed)
+        (400, {}, None),
+        (400, {"_INT64_RAD_ABC_CMAX": 100}, None),  # rad_abc as exact Python ints
+        (60, {"BATCH_PAIRS": 1}, None),  # batches of 0 or 1 rows
+        (5000, {}, (20, 7)),
+    ]
+    for c_max, patches, sampled in cases:
+        with monkeypatch.context() as patch:
+            for name, value in patches.items():
+                patch.setattr(abcscan, name, value)
+            extra = ["--sample", str(sampled[0]), "--seed", str(sampled[1])] if sampled else []
+            assert main(["abc", "--cmax", str(c_max), "--s", "4", "--t", "1",
+                         "--prime-limit", "1000", *extra]) == 0
+            got = capsys.readouterr().out
+            sample = dict(zip(("sample", "seed"), sampled or ()))
+            batches = list(scan(FactorSieve.build(c_max), sieve_primes(1000), Params(4, 1),
+                                c_max, 1000, **sample))
 
-    want = io.StringIO()
-    writer = csv.writer(want, lineterminator="\n")
-    writer.writerow(["schema_version", "a", "b", "c", "rad_abc",
-                     "hypothesis_holds", "conclusion_holds", "quality"])
-    for batch in scan(FactorSieve.build(1000), sieve_primes(1000), Params(4, 1), 400, 1000):
-        for rec in batch.records():
-            writer.writerow([
-                1, rec.a, rec.b, rec.c, rec.rad_abc,
-                str(rec.hypothesis_holds).lower(), str(rec.conclusion_holds).lower(),
-                format(rec.quality, ".17g"),
-            ])
-    assert got == want.getvalue()
+        want = io.StringIO()
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(["schema_version", "a", "b", "c", "rad_abc",
+                         "hypothesis_holds", "conclusion_holds", "quality"])
+        for batch in batches:
+            for rec in batch.records():
+                writer.writerow([
+                    1, rec.a, rec.b, rec.c, rec.rad_abc,
+                    str(rec.hypothesis_holds).lower(), str(rec.conclusion_holds).lower(),
+                    format(rec.quality, ".17g"),
+                ])
+        assert first_difference(got, want.getvalue()) is None, (c_max, patches, sampled)
+        if "_INT64_RAD_ABC_CMAX" in patches:
+            assert all(batch.rad_abc.dtype == object for batch in batches)
+        if "BATCH_PAIRS" in patches:
+            assert {len(batch.a) for batch in batches} == {0, 1}
+        if sampled:
+            assert len({rec.c for batch in batches for rec in batch.records()}) == sampled[0]
+
+
+def g17_lines(values) -> str:
+    """The abc writer's quality text for each value, one line each."""
+    from radseries.cli import _g17_cols
+
+    text = _g17_cols(np.asarray(values, dtype=np.float64))
+    lines = np.vstack([text, np.full((1, text.shape[1]), ord("\n"), np.uint8)])
+    return lines.T.tobytes().replace(b"\0", b"").decode("ascii")
+
+
+def format_lines(values) -> str:
+    return "".join(format(v, ".17g") + "\n" for v in np.asarray(values, dtype=np.float64).tolist())
+
+
+QUALITY_EDGES = [
+    1234567890123456.25,  # an exact tie at the 17th digit: rounds to the even ...2
+    9.9999999999999998,  # parses to 10.0: a carry to the next power of ten
+    0.1, 1e-4, 1e16,  # each with both neighbours
+    *(np.nextafter(v, direction) for v in (0.1, 1e-4, 1e16) for direction in (0, np.inf)),
+    # the double below each power of ten prints 17 nines-led digits, never 10^k
+    *(np.nextafter(10.0 ** k, 0) for k in range(-4, 17)),
+    10.0, 100.0, 1e15, 123.0, 9999999999999998.0, 0.5, 25.0,
+    0.0, -0.0, -1.5, 5e-324, 1.7976931348623157e308, math.inf, -math.inf, math.nan,
+]
+
+
+def test_quality_kernel_matches_format_on_edges():
+    assert first_difference(g17_lines(QUALITY_EDGES), format_lines(QUALITY_EDGES)) is None
+    for value in QUALITY_EDGES:  # alone, so its exponent sets the layout
+        assert first_difference(g17_lines([value]), format_lines([value])) is None
+
+
+def test_quality_kernel_matches_format_on_1e5_values():
+    rng = np.random.default_rng(17)
+    values = np.exp(rng.uniform(math.log(1e-4), math.log(1e17), 100_000))
+    assert first_difference(g17_lines(values), format_lines(values)) is None
+
+
+@pytest.mark.parametrize("miss", [-1, 1])
+def test_quality_kernel_corrects_an_exponent_estimate_one_off(monkeypatch, miss):
+    # log10 is not correctly rounded in every libm; an estimate one too low
+    # or too high must be corrected, not printed with 16 or 18 digits
+    values = [*QUALITY_EDGES, *np.random.default_rng(3).uniform(0.008, 25, 1000)]
+
+    def exponent_one_off(x):  # the exponent format rounds to, then the miss
+        return np.array([int(format(v, ".16e").split("e")[1]) + miss + 0.5 for v in x.tolist()])
+
+    monkeypatch.setattr(np, "log10", exponent_one_off)
+    assert first_difference(g17_lines(values), format_lines(values)) is None
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.floats(1e-4, 1e17),
+                min_size=1, max_size=20))
+def test_quality_kernel_matches_format_on_any_doubles(values):
+    assert first_difference(g17_lines(values), format_lines(values)) is None
 
 
 def test_abc_verify_exit_zero():
@@ -731,6 +817,22 @@ def test_prime_table_beyond_memory_exits_2(monkeypatch):
     assert r.returncode == 2
     assert r.stdout == ""
     assert r.stderr == "radseries: sieve limit 4611686018427387904 does not fit in memory\n"
+
+
+def test_prime_limit_whose_table_exceeds_memory_exits_2_before_sieving(monkeypatch):
+    # 2^40 holds up to 4.98e10 primes, 398 GB as int64: refused at once,
+    # not after walking 2^18 segments
+    from radseries import primes
+
+    def sieved(limit):
+        raise AssertionError("a refused limit must not be sieved")
+
+    monkeypatch.setattr(primes, "prime_mask", sieved)
+    monkeypatch.setattr(primes, "_physical_memory", lambda: 8 << 30)
+    r = run_cli("st", "--s", "4", "--t", "1", "--prime-limit", str(2 ** 40))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == "radseries: sieve limit 1099511627776 does not fit in memory\n"
 
 
 def _key_paths(obj, prefix=""):

@@ -2,7 +2,9 @@
 and the library's names."""
 
 import ast
+import contextlib
 import importlib
+import io
 import re
 import shlex
 from dataclasses import fields
@@ -10,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from radseries.cli import build_parser
+from radseries.cli import build_parser, main
 from radseries.config import Config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -84,3 +86,18 @@ def test_every_name_the_library_example_imports_resolves():
     missing = [f"{module}.{name}" for module, name in imports
                if not resolves(f"{module}.{name}")]
     assert not missing, f"the Library example imports missing names: {missing}"
+
+
+@pytest.mark.parametrize("argv", [
+    ["ratio-grid", "--s-min", "3", "--s-max", "4", "--t-min", "0.5", "--t-max", "1",
+     "--steps", "2", "--prime-limit", "100"],
+    ["abc", "--s", "4", "--t", "1", "--cmax", "10", "--prime-limit", "100"],
+])
+def test_csv_columns_are_the_headers_the_commands_print(argv):
+    text = README.read_text()
+    section = text[text.index("Grid/scan CSV columns"):]
+    documented = re.search(rf"^\* `{argv[0]}`: `([^`]+)`", section, re.M).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    assert out.getvalue().splitlines()[0] == documented

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from radseries import InvalidArgumentError, OutOfRangeError, nth_prime, primes, sieve_primes
+from radseries import InvalidArgumentError, OutOfRangeError, primes, sieve_primes
 from radseries.primes import _segmented_sieve, prime_mask
 
 
@@ -55,27 +55,6 @@ def test_invariants_increasing_first_two():
     assert np.all(np.diff(t.primes.astype(np.int64)) > 0)
 
 
-def test_nth_prime_small():
-    t = sieve_primes(100)
-    assert nth_prime(t, 1) == 2
-    assert nth_prime(t, 4) == 7
-    assert nth_prime(t, 25) == 97
-
-
-def test_nth_prime_exceeds_index():
-    t = sieve_primes(100_000)
-    n = np.arange(1, len(t.primes) + 1, dtype=np.int64)
-    assert np.all(t.primes.astype(np.int64) > n)
-
-
-def test_nth_prime_out_of_range():
-    t = sieve_primes(10)
-    with pytest.raises(OutOfRangeError):
-        nth_prime(t, 5)
-    with pytest.raises(OutOfRangeError):
-        nth_prime(t, 0)
-
-
 def test_limit_too_small():
     with pytest.raises(InvalidArgumentError):
         sieve_primes(1)
@@ -107,10 +86,27 @@ def test_segmented_matches_simple(monkeypatch):
 
 def test_limit_beyond_memory_names_the_limit(monkeypatch):
     # the base-prime mask is patched to fail as numpy does, so nothing large
-    # is allocated; the error names the limit, as FactorSieve.build's does
+    # is allocated, and the memory figure to pass the size bound; the error
+    # names the limit, as FactorSieve.build's does
     def no_memory(limit):
         raise MemoryError
 
     monkeypatch.setattr(primes, "prime_mask", no_memory)
+    monkeypatch.setattr(primes, "_physical_memory", lambda: 2 ** 80)
     with pytest.raises(OutOfRangeError, match="^sieve limit 4611686018427387904 does not fit"):
         sieve_primes(2 ** 62)
+
+
+def test_table_bound_beyond_memory_is_refused_before_sieving(monkeypatch):
+    # pi(1e6) = 78498 primes take 627 984 bytes; the bound 1.25506 L / ln L
+    # allows 90 844, or 726 754 bytes
+    def sieved(limit):
+        raise AssertionError("a refused limit must not be sieved")
+
+    monkeypatch.setattr(primes, "_physical_memory", lambda: 726_000)
+    with monkeypatch.context() as patch:
+        patch.setattr(primes, "prime_mask", sieved)
+        with pytest.raises(OutOfRangeError, match="^sieve limit 1000000 does not fit in memory$"):
+            sieve_primes(10 ** 6)
+    monkeypatch.setattr(primes, "_physical_memory", lambda: 727_000)
+    assert len(sieve_primes(10 ** 6)) == 78498
