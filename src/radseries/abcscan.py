@@ -1,4 +1,4 @@
-"""Coprime decompositions c = a + b and the implication
+"""Coprime triples a + b = c and the implication
 "c below its radical-power threshold implies a + b < R(abc)^2".
 
 c = 2 is excluded throughout: its single decomposition 1 + 1 is the one
@@ -11,8 +11,7 @@ numpy arrays, at most ``BATCH_PAIRS`` candidate pairs each, in ascending
 c and then ascending a; ``batch.records()`` turns a batch into
 ``AbcRecord`` rows.  ``verify_theorem2(scan(...))`` reduces the batches
 with numpy and builds records only for counterexamples and top-quality
-candidates.  ``decompositions`` returns the coprime pairs of one c as a
-(k, 2) array from the same coprime-pair kernel.
+candidates.  The coprime pairs of one c are that c's rows of ``scan``.
 
 The conclusion test is exact integer arithmetic: c < rad_abc^2 is
 evaluated as rad(a)*rad(b) > isqrt(c) // rad(c), which needs no product
@@ -112,17 +111,6 @@ def _coprime_a(primes: list[int], a_lo: int, a_hi: int) -> np.ndarray:
     for p in primes:
         keep[-a_lo % p :: p] = False
     return a_lo + np.flatnonzero(keep)
-
-
-def decompositions(sieve: FactorSieve, c: int) -> np.ndarray:
-    """All unordered pairs {a, b} with a <= b, a + b = c, gcd(a, b) = 1.
-
-    A (k, 2) int64 array of rows (a, b), ascending in a.
-    """
-    if c < 3:
-        raise OutOfRangeError(f"c={c} must be >= 3 (phi(2)/2 is not a pair count)")
-    a = _coprime_a([p for p, _ in factorize(sieve, c)], 1, c // 2 + 1)
-    return np.column_stack((a, c - a))
 
 
 def _batch(rad: np.ndarray, per_c: tuple[np.ndarray, ...],

@@ -3,8 +3,10 @@
 The table is the substrate for every Euler product and prime sum in the
 package.  Primes are stored as int64, like the factor sieve's tables;
 limits at or above 2^63 are rejected outright instead of risking a silent
-wrap.  Every limit is sieved in fixed-size segments, so the sieve's scratch
-memory stays bounded by the segment, not the limit.
+wrap.  The base primes up to sqrt(limit) are read off the factor sieve's
+spf table (``radical._spf_sieve``); every larger prime is sieved in
+fixed-size segments, so the sieve's scratch memory stays bounded by the
+segment, not the limit.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, OutOfRangeError
+from .radical import _spf_sieve
 
 SEGMENT_SIZE = 1 << 22
 MAX_LIMIT = 2 ** 63 - 1
@@ -51,20 +54,12 @@ class PrimeTable:
         return self.primes[:cut]
 
 
-def prime_mask(limit: int) -> np.ndarray:
-    """Boolean-array Eratosthenes: mask[n] is True iff n <= limit is prime."""
-    is_prime = np.ones(limit + 1, dtype=bool)
-    is_prime[:2] = False
-    for p in range(2, int(limit ** 0.5) + 1):
-        if is_prime[p]:
-            is_prime[p * p:: p] = False
-    return is_prime
-
-
 def _segmented_sieve(limit: int) -> np.ndarray:
-    """Primes <= limit as int64: the base primes up to sqrt(limit) + 1 from
-    one flat prime_mask, the rest one segment at a time."""
-    base = np.flatnonzero(prime_mask(int(limit ** 0.5) + 1))
+    """Primes <= limit as int64: the base primes up to sqrt(limit) + 1 are
+    the n >= 2 with spf[n] == n in the factor sieve's spf table, the rest
+    are sieved one segment at a time."""
+    spf = _spf_sieve(int(limit ** 0.5) + 1)
+    base = np.flatnonzero(spf == np.arange(len(spf)))[2:]  # spf[0] = 0, spf[1] = 1
     chunks = [base]
     low = int(base[-1]) + 1
     while low <= limit:

@@ -17,8 +17,6 @@ from radseries import (
     OutOfRangeError,
     Params,
     Theorem2Report,
-    decompositions,
-    euler_phi,
     factorize,
     identity_pass,
     radical,
@@ -97,29 +95,18 @@ def reference_verify(records, *, keep_top=10):
     return report
 
 
-def test_small_cases(sieve_10k):
-    assert decompositions(sieve_10k, 5).tolist() == [[1, 4], [2, 3]]
-    assert decompositions(sieve_10k, 12).tolist() == [[1, 11], [5, 7]]
-    assert decompositions(sieve_10k, 3).tolist() == [[1, 2]]
-    assert decompositions(sieve_10k, 12).shape == (2, 2)
-    assert decompositions(sieve_10k, 12).dtype == np.int64
+def test_small_cases(sieve_10k, table_10k):
+    (batch,) = scan(sieve_10k, table_10k, P41, 12, 10_000)
 
+    def pairs(c):
+        rows = batch.take(batch.c == c)
+        return np.column_stack((rows.a, rows.b))
 
-def test_c_too_small(sieve_10k):
-    for c in (0, 1, 2):
-        with pytest.raises(OutOfRangeError):
-            decompositions(sieve_10k, c)
-    with pytest.raises(OutOfRangeError):
-        decompositions(sieve_10k, 10_001)
-
-
-def test_counts_match_phi_and_brute_force(sieve_10k):
-    rng = random.Random(23)
-    sample = [3, 4, 5, 6, 12, 30, 9973, 10_000] + [rng.randrange(3, 10_001) for _ in range(100)]
-    for c in sample:
-        pairs = decompositions(sieve_10k, c)
-        assert pairs.tolist() == [list(p) for p in brute_force_pairs(c)]
-        assert len(pairs) == euler_phi(sieve_10k, c) // 2
+    assert pairs(5).tolist() == [[1, 4], [2, 3]]
+    assert pairs(12).tolist() == [[1, 11], [5, 7]]
+    assert pairs(3).tolist() == [[1, 2]]
+    assert pairs(12).shape == (2, 2)
+    assert batch.a.dtype == batch.b.dtype == np.int64
 
 
 def test_record_1_8_9(sieve_10k, table_10k):
@@ -196,8 +183,9 @@ def test_sample_mode_deterministic(sieve_10k, table_10k):
 
 
 def test_scan_bounds(sieve_10k, table_10k):
-    with pytest.raises(OutOfRangeError):
-        list(scan(sieve_10k, table_10k, P41, 2, 10_000))
+    for c_max in (0, 1, 2):
+        with pytest.raises(OutOfRangeError):
+            list(scan(sieve_10k, table_10k, P41, c_max, 10_000))
     with pytest.raises(OutOfRangeError):
         list(scan(sieve_10k, table_10k, P41, 10_001, 10_000))
 

@@ -11,6 +11,7 @@ the criterion text, which varies only N.
 
 import functools
 import math
+import random
 import time
 
 import numpy as np
@@ -23,7 +24,6 @@ from radseries import (
     Params,
     RADICAL_SPEC,
     UNIT_SPEC,
-    decompositions,
     euler_phi,
     identity_pass,
     product_d,
@@ -208,15 +208,41 @@ def test_criterion_5_split(sieve_100k, table_100k):
 def test_criterion_6_abc_scan(sieve_100k, table_100k):
     start = time.monotonic()
     params = Params(4, 1)
-    report = verify_theorem2(scan(sieve_100k, table_100k, params, 10_000, 100_000))
-    assert report.counterexample_count == 0
-    assert report.records_seen > 0
+    c_max = 10_000
+    # the exact pairs of these c are checked too, the rest by their count
+    rng = random.Random(23)
+    sample = [3, 4, 5, 6, 12, 30, 9973, 10_000] + [rng.randrange(3, c_max + 1) for _ in range(100)]
+    kept = np.zeros(c_max + 1, dtype=bool)
+    kept[sample] = True
+    counts = np.zeros(c_max + 1, dtype=np.int64)
+    a_kept, b_kept, c_kept = [], [], []
 
-    for c in range(3, 10_001):
+    def counted(batches):
+        """The batches unchanged, with their rows counted per c on the way."""
+        for batch in batches:
+            counts[:] += np.bincount(batch.c, minlength=c_max + 1)
+            rows = batch.take(kept[batch.c])
+            a_kept.append(rows.a)
+            b_kept.append(rows.b)
+            c_kept.append(rows.c)
+            yield batch
+
+    report = verify_theorem2(counted(scan(sieve_100k, table_100k, params, c_max, 100_000)))
+    assert report.counterexample_count == 0
+    assert report.records_seen == counts.sum() > 0
+    assert counts[:3].tolist() == [0, 0, 0]
+
+    a_kept, b_kept, c_kept = (np.concatenate(col) for col in (a_kept, b_kept, c_kept))
+    for c in range(3, c_max + 1):
         a = np.arange(1, c // 2 + 1)
-        want = int(np.count_nonzero(np.gcd(a, c - a) == 1))
-        assert len(decompositions(sieve_100k, c)) == want
+        coprime = np.gcd(a, c - a) == 1
+        want = int(np.count_nonzero(coprime))
+        assert counts[c] == want, f"c={c}"
         assert want == euler_phi(sieve_100k, c) // 2
+        if kept[c]:
+            rows = c_kept == c
+            assert a_kept[rows].tolist() == a[coprime].tolist(), f"c={c}"
+            assert b_kept[rows].tolist() == (c - a[coprime]).tolist(), f"c={c}"
     elapsed = time.monotonic() - start
     assert elapsed < 60.0, f"{elapsed:.1f}s"
 

@@ -707,6 +707,20 @@ def test_non_finite_result_exits_3_with_empty_stdout(args, field):
     assert len(errors) == 1 and repr(field) in errors[0]
 
 
+def test_non_finite_field_inside_a_record_row_is_named_by_its_path(monkeypatch):
+    # the verify report's rows print as JSON arrays, so the path runs through
+    # the top_quality list and the AbcRecord tuple down to its quality, index 6
+    from radseries import AbcRecord, Theorem2Report, cli
+
+    row = AbcRecord(1, 2, 3, 6, True, True, math.nan)
+    monkeypatch.setattr(cli, "verify_theorem2", lambda batches: Theorem2Report(top_quality=[row]))
+    r = run_cli("abc", "--s", "4", "--t", "1", "--cmax", "10", "--prime-limit", "100", "--verify")
+    assert r.returncode == 3
+    assert r.stdout == ""
+    errors = [line for line in r.stderr.splitlines() if line.startswith("radseries:")]
+    assert len(errors) == 1 and "'top_quality.0.6'" in errors[0]
+
+
 def test_overflowing_term_power_gives_a_finite_series_value():
     # R(n)^t overflows where n^-s underflows (inf * 0); those terms are formed
     # as exp(t ln R(n) - s ln n), and past n = 2 they are below half an ulp of 1
@@ -805,14 +819,14 @@ def test_ratio_grid_prints_a_point_params_refuses_outside_rc(point):
 
 
 def test_prime_table_beyond_memory_exits_2(monkeypatch):
-    # the base-prime mask is the first allocation; patched to fail, so nothing
-    # large is allocated
+    # the base-prime spf sieve is the first allocation; patched to fail, so
+    # nothing large is allocated
     from radseries import primes
 
     def no_memory(limit):
         raise MemoryError
 
-    monkeypatch.setattr(primes, "prime_mask", no_memory)
+    monkeypatch.setattr(primes, "_spf_sieve", no_memory)
     r = run_cli("st", "--s", "4", "--t", "1", "--prime-limit", "4611686018427387904")
     assert r.returncode == 2
     assert r.stdout == ""
@@ -827,7 +841,7 @@ def test_prime_limit_whose_table_exceeds_memory_exits_2_before_sieving(monkeypat
     def sieved(limit):
         raise AssertionError("a refused limit must not be sieved")
 
-    monkeypatch.setattr(primes, "prime_mask", sieved)
+    monkeypatch.setattr(primes, "_spf_sieve", sieved)
     monkeypatch.setattr(primes, "_physical_memory", lambda: 8 << 30)
     r = run_cli("st", "--s", "4", "--t", "1", "--prime-limit", str(2 ** 40))
     assert r.returncode == 2

@@ -15,7 +15,8 @@ import pytest
 from radseries.cli import build_parser, main
 from radseries.config import Config
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def code_block(section: str) -> list[str]:
@@ -101,3 +102,15 @@ def test_csv_columns_are_the_headers_the_commands_print(argv):
     with contextlib.redirect_stdout(out):
         assert main(argv) == 0
     assert out.getvalue().splitlines()[0] == documented
+
+
+def test_install_sentence_names_every_test_dependency():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    wanted = [re.match(r"[A-Za-z0-9_.-]+", req).group(0)
+              for req in pyproject["project"]["optional-dependencies"]["test"]]
+    text = README.read_text()
+    start = text.index("Tests additionally use")
+    sentence = text[start:text.index(":\n", start)]
+    missing = [name for name in wanted if f"`{name}`" not in sentence]
+    assert not missing, f"the README's test dependencies omit {missing}"

@@ -58,6 +58,8 @@ def test_divergent_exponent_rejected():
         log_power_tail(10, 0.9)
     with pytest.raises(ValueError):
         power_tail(0, 2.0)
+    with pytest.raises(ValueError):
+        log_power_tail(0, 2.0)
 
 
 def test_sum_blocks_matches_fsum():

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from radseries import InvalidArgumentError, OutOfRangeError, primes, sieve_primes
-from radseries.primes import _segmented_sieve, prime_mask
+from radseries import FactorSieve, InvalidArgumentError, OutOfRangeError, primes, sieve_primes
+from radseries.primes import _segmented_sieve
 
 
 def trial_division_primes(limit):
@@ -77,21 +77,23 @@ def test_upto_view():
 
 
 def test_segmented_matches_simple(monkeypatch):
-    # tiny segment size forces many segment crossings
-    simple = np.flatnonzero(prime_mask(100_000))
+    # tiny segment size forces many segment crossings; the reference is the
+    # n >= 2 with spf[n] == n, which shares no segment loop
+    spf = FactorSieve.build(100_000).spf
+    simple = np.flatnonzero(spf == np.arange(len(spf)))[2:]
     monkeypatch.setattr(primes, "SEGMENT_SIZE", 1_000)
     segmented = _segmented_sieve(100_000)
     assert np.array_equal(simple, segmented)
 
 
 def test_limit_beyond_memory_names_the_limit(monkeypatch):
-    # the base-prime mask is patched to fail as numpy does, so nothing large
-    # is allocated, and the memory figure to pass the size bound; the error
-    # names the limit, as FactorSieve.build's does
+    # the base-prime spf sieve is patched to fail as numpy does, so nothing
+    # large is allocated, and the memory figure to pass the size bound; the
+    # error names the limit, as FactorSieve.build's does
     def no_memory(limit):
         raise MemoryError
 
-    monkeypatch.setattr(primes, "prime_mask", no_memory)
+    monkeypatch.setattr(primes, "_spf_sieve", no_memory)
     monkeypatch.setattr(primes, "_physical_memory", lambda: 2 ** 80)
     with pytest.raises(OutOfRangeError, match="^sieve limit 4611686018427387904 does not fit"):
         sieve_primes(2 ** 62)
@@ -105,7 +107,7 @@ def test_table_bound_beyond_memory_is_refused_before_sieving(monkeypatch):
 
     monkeypatch.setattr(primes, "_physical_memory", lambda: 726_000)
     with monkeypatch.context() as patch:
-        patch.setattr(primes, "prime_mask", sieved)
+        patch.setattr(primes, "_spf_sieve", sieved)
         with pytest.raises(OutOfRangeError, match="^sieve limit 1000000 does not fit in memory$"):
             sieve_primes(10 ** 6)
     monkeypatch.setattr(primes, "_physical_memory", lambda: 727_000)
