@@ -153,24 +153,23 @@ def scan(
     instead of scanning all of them (the full scan is quadratic in c_max);
     order is still ascending.  ``progress`` is an optional callback invoked
     once per c with (c, c_max), before any row of that c is yielded.
-    The arguments are checked and S/T is computed when scan is called,
-    before the first batch.
+    The arguments are checked, and S/T and the radical table are computed,
+    when scan is called, before the first batch.
     """
     if c_max < 3:
         raise OutOfRangeError(f"c_max={c_max} must be >= 3")
-    sieve.check_range(c_max)
     if sample is not None and sample < 0:
         raise InvalidArgumentError(f"sample must be >= 0, got {sample}")
+    rad = radical_range(sieve, c_max)  # checks c_max against the sieve
     st = st_ratio(primes, params, prime_limit)
-    return _scan(sieve, st.ratio_interval, c_max, sample, seed, progress)
+    return _scan(sieve, rad, st.ratio_interval, c_max, sample, seed, progress)
 
 
-def _scan(sieve, ratio_interval, c_max, sample, seed, progress) -> Iterator[AbcBatch]:
+def _scan(sieve, rad, ratio_interval, c_max, sample, seed, progress) -> Iterator[AbcBatch]:
     """The batches of ``scan``.  The per-c columns (c, hypothesis, ln(c),
     isqrt(c)) are built once for all scanned c; each batch is a list of
     (index into them, coprime a) parts, cut at BATCH_PAIRS candidates."""
     low, high = ratio_interval
-    rad = radical_range(sieve, c_max)
     exact_objects = c_max > _INT64_RAD_ABC_CMAX
 
     c_values = np.arange(3, c_max + 1)

@@ -8,9 +8,10 @@ progress and diagnostics go to stderr only.  abc rows are formatted one
 columnar pass per batch, no Python formatting per row, into the same bytes
 as csv.writer with a %.17g quality.
 
-Exit codes: 0 success, 2 invalid input (any (s, t) that Params refuses),
-3 verification failure.  A JSON result with a NaN or infinite field is a
-verification failure too: nothing goes to stdout and stderr names the field.
+Exit codes: 0 success, 2 invalid input (any (s, t) that Params refuses) or
+a table that does not fit in memory, 3 verification failure.  A JSON result
+with a NaN or infinite field is a verification failure too: nothing goes
+to stdout and stderr names the field.
 
 The commands that use a factor sieve (radical, series, identity, abc) build
 it exactly as large as their input needs (n, --limit, --limit, --cmax),
@@ -507,8 +508,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config)
         return args.func(args, cfg)
-    except RadseriesError as exc:
-        print(f"radseries: {exc}", file=sys.stderr)
+    except (RadseriesError, MemoryError) as exc:  # a bare MemoryError has no text
+        print(f"radseries: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_INVALID
     except NonFiniteResult as exc:
         print(f"radseries: {exc}", file=sys.stderr)

@@ -1,27 +1,24 @@
 """Prime enumeration via a segmented sieve of Eratosthenes.
 
 The table is the substrate for every Euler product and prime sum in the
-package.  Primes are stored as int64, like the factor sieve's tables;
-limits at or above 2^63 are rejected outright instead of risking a silent
-wrap.  The base primes up to sqrt(limit) are read off the factor sieve's
-spf table (``radical._spf_sieve``); every larger prime is sieved in
-fixed-size segments, so the sieve's scratch memory stays bounded by the
-segment, not the limit.
+package.  Primes are stored as int64, under the factor sieve's size rule
+(``radical.table_fits``).  The base primes up to sqrt(limit) are read off
+its spf table (``radical._spf_sieve``); every larger prime is sieved in
+fixed-size segments, so the scratch memory stays bounded by the segment,
+not the limit.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidArgumentError, OutOfRangeError
-from .radical import _spf_sieve
+from .radical import _spf_sieve, table_fits
 
 SEGMENT_SIZE = 1 << 22
-MAX_LIMIT = 2 ** 63 - 1
 
 
 @dataclass(frozen=True)
@@ -73,28 +70,16 @@ def _segmented_sieve(limit: int) -> np.ndarray:
     return np.concatenate(chunks)
 
 
-def _physical_memory() -> int:
-    """Bytes of physical memory on this machine."""
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-
-
 def sieve_primes(limit: int) -> PrimeTable:
     """Sieve all primes <= limit into a PrimeTable.
 
-    Raises InvalidArgumentError for limit < 2 and OutOfRangeError for
-    limits that do not fit a signed 64-bit integer, or memory.  A table
-    whose size bound exceeds physical memory is refused before any segment
-    is sieved: pi(L) < 1.25506 L / ln L (Rosser & Schoenfeld, 1962) primes
-    of 8 bytes each.
+    Raises InvalidArgumentError for limit < 2 and OutOfRangeError for a
+    table that does not fit in memory.  Its size bound is pi(L) <
+    1.25506 L / ln L (Rosser & Schoenfeld, 1962) primes of 8 bytes each,
+    taken in integers so that any limit has one.
     """
     if limit < 2:
         raise InvalidArgumentError(f"sieve limit must be >= 2, got {limit}")
-    if limit > MAX_LIMIT:
-        raise OutOfRangeError(f"sieve limit {limit} exceeds 2^63 - 1")
-    try:
-        if 8 * 1.25506 * limit / math.log(limit) > _physical_memory():
-            raise MemoryError
+    with table_fits(limit, 8 * 125_506 * limit // int(100_000 * math.log(limit))):
         return PrimeTable(limit=limit, primes=_segmented_sieve(limit))
-    except MemoryError:
-        raise OutOfRangeError(f"sieve limit {limit} does not fit in memory") from None
 

@@ -13,6 +13,7 @@ cached) and every spec's M(n) (``multfn.range_values``).  A loaded dump is
 checked exactly against the sieve built for its limit (each limit has one
 spf table), reading the payload _CHUNK entries at a time after the build.
 The sieve is immutable after construction and all queries are pure.
+``table_fits`` is the one size rule for this table and the prime table.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +32,24 @@ _DUMP_MAGIC = b"RADSIEVE"
 _DUMP_VERSION = 1
 _DUMP_HEADER = struct.Struct("<8sIIQ")  # magic, version, reserved, limit
 _CHUNK = 1 << 16  # entries per vectorized pass over spf, and per dump read
-_MAX_ENTRIES = (np.iinfo(np.intp).max + 1) // 16  # half numpy's int64 reach: arange sizes in float64
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+@contextmanager
+def table_fits(limit: int, nbytes: int):
+    """The block that builds the table of sieve limit ``limit``, nbytes long: refused
+    before it runs when nbytes exceeds physical memory, and on a MemoryError in it."""
+    refused = OutOfRangeError(f"sieve limit {limit} does not fit in memory")
+    if nbytes > _physical_memory():
+        raise refused
+    try:
+        yield
+    except MemoryError:
+        raise refused from None
 
 
 @dataclass(frozen=True)
@@ -50,14 +69,9 @@ class FactorSieve:
     def build(cls, limit: int, *, cache_values: bool = True) -> "FactorSieve":
         if limit < 1:
             raise InvalidArgumentError(f"sieve limit must be >= 1, got {limit}")
-        if limit + 1 > _MAX_ENTRIES:
-            raise OutOfRangeError(f"sieve limit {limit} is above {_MAX_ENTRIES - 1}: "
-                                  "numpy cannot allocate its int64 table")
-        try:
+        with table_fits(limit, 8 * (limit + 1)):
             spf = _spf_sieve(limit)
             rad, phi = multiplicative_values(spf, _RAD, _PHI) if cache_values else (None, None)
-        except MemoryError:
-            raise OutOfRangeError(f"sieve limit {limit} does not fit in memory") from None
         return cls(limit=limit, spf=spf, rad=rad, phi=phi)
 
     def check_range(self, n: int) -> None:

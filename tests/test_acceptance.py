@@ -155,15 +155,6 @@ def test_criterion_4_identity_residual(sieve_100k, table_100k):
             f"(s={s},t={t}): {norm_fine} !< {norm_coarse}"
 
 
-def _squarefree_by_trial_division(n):
-    d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        d += 1
-    return True
-
-
 def _prime_power_exponent(n):
     # returns k >= 1 if n = p^k, else 0
     d = 2
@@ -182,7 +173,7 @@ def _prime_power_exponent(n):
 def test_criterion_5_split(sieve_100k, table_100k):
     ns = np.arange(1, 10_001)
     rad = radical_range(sieve_100k, 10_000)[ns]
-    squarefree = [n for n in range(2, 10_001) if _squarefree_by_trial_division(n)]
+    squarefree = [n for n in range(2, 10_001) if brute_rad(n) == n]
     prime_powers = [n for n in range(2, 10_001) if _prime_power_exponent(n) >= 2]
     for s, t in POINTS:
         params = Params(s, t)

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import importlib
 import io
 import itertools
 import json
@@ -116,7 +117,7 @@ def test_sieve_numpy_cannot_allocate_exits_2(argv, value):
     r = run_cli(*(arg.format(value) for arg in argv))
     assert r.returncode == 2
     assert r.stdout == ""
-    assert r.stderr.startswith(f"radseries: sieve limit {value} is above ")
+    assert r.stderr == f"radseries: sieve limit {value} does not fit in memory\n"
     assert r.stderr.count("\n") == 1
 
 
@@ -842,11 +843,47 @@ def test_prime_limit_whose_table_exceeds_memory_exits_2_before_sieving(monkeypat
         raise AssertionError("a refused limit must not be sieved")
 
     monkeypatch.setattr(primes, "_spf_sieve", sieved)
-    monkeypatch.setattr(primes, "_physical_memory", lambda: 8 << 30)
+    monkeypatch.setattr(importlib.import_module("radseries.radical"), "_physical_memory",
+                        lambda: 8 << 30)
     r = run_cli("st", "--s", "4", "--t", "1", "--prime-limit", str(2 ** 40))
     assert r.returncode == 2
     assert r.stdout == ""
     assert r.stderr == "radseries: sieve limit 1099511627776 does not fit in memory\n"
+
+
+NUMPY_MEMORY_ERROR = ("Unable to allocate 153. MiB for an array with shape (20000001,) "
+                      "and data type int64")
+
+
+@pytest.mark.parametrize("message, line", [
+    (NUMPY_MEMORY_ERROR, NUMPY_MEMORY_ERROR), ("", "out of memory"),
+], ids=["numpy", "bare"])
+@pytest.mark.parametrize("argv", [
+    ("series", "--s", "4", "--t", "1", "--limit", "1000"),
+    ("identity", "--s", "4", "--t", "1", "--limit", "1000", "--prime-limit", "1000"),
+    ("abc", "--s", "4", "--t", "1", "--cmax", "1000", "--sample", "1", "--prime-limit", "1000"),
+    ("st", "--s", "4", "--t", "1", "--prime-limit", "1000"),
+], ids=["series", "identity", "abc", "st"])
+def test_memory_error_after_the_sieve_exits_2(monkeypatch, argv, message, line):
+    # the first allocation after the sieve fails as numpy's does: the value
+    # table of the spf recurrence, or for st the S/T kernel's buffers.  abc
+    # forms its radical table before its CSV header, so stdout stays empty.
+    from radseries import multfn, stkernel
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    if argv[0] == "st":
+        monkeypatch.setattr(stkernel.StKernel, "__init__", no_memory)
+    else:
+        monkeypatch.setattr(importlib.import_module("radseries.radical"),
+                            "multiplicative_values", no_memory)
+        monkeypatch.setattr(multfn, "multiplicative_values", no_memory)
+    r = run_cli(*argv)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == f"radseries: {line}\n"
+    assert "Traceback" not in r.stderr
 
 
 def _key_paths(obj, prefix=""):

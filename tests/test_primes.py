@@ -1,8 +1,12 @@
+import importlib
+
 import numpy as np
 import pytest
 
 from radseries import FactorSieve, InvalidArgumentError, OutOfRangeError, primes, sieve_primes
 from radseries.primes import _segmented_sieve
+
+radical_module = importlib.import_module("radseries.radical")
 
 
 def trial_division_primes(limit):
@@ -94,7 +98,7 @@ def test_limit_beyond_memory_names_the_limit(monkeypatch):
         raise MemoryError
 
     monkeypatch.setattr(primes, "_spf_sieve", no_memory)
-    monkeypatch.setattr(primes, "_physical_memory", lambda: 2 ** 80)
+    monkeypatch.setattr(radical_module, "_physical_memory", lambda: 2 ** 80)
     with pytest.raises(OutOfRangeError, match="^sieve limit 4611686018427387904 does not fit"):
         sieve_primes(2 ** 62)
 
@@ -105,10 +109,10 @@ def test_table_bound_beyond_memory_is_refused_before_sieving(monkeypatch):
     def sieved(limit):
         raise AssertionError("a refused limit must not be sieved")
 
-    monkeypatch.setattr(primes, "_physical_memory", lambda: 726_000)
+    monkeypatch.setattr(radical_module, "_physical_memory", lambda: 726_000)
     with monkeypatch.context() as patch:
         patch.setattr(primes, "_spf_sieve", sieved)
         with pytest.raises(OutOfRangeError, match="^sieve limit 1000000 does not fit in memory$"):
             sieve_primes(10 ** 6)
-    monkeypatch.setattr(primes, "_physical_memory", lambda: 727_000)
+    monkeypatch.setattr(radical_module, "_physical_memory", lambda: 727_000)
     assert len(sieve_primes(10 ** 6)) == 78498

@@ -229,7 +229,8 @@ def test_dump_converts_any_table_to_little_endian_int64(tmp_path, spf):
 
 
 # numpy addresses 8 (limit + 1) <= intp max bytes, and np.arange rounds its
-# length to float64 first; the sieve allows half that
+# length to float64 first; from half that on, 8 (limit + 1) bytes are 4 EiB
+# or more, past any physical memory
 LARGEST = (np.iinfo(np.intp).max + 1) // 16 - 1
 
 
@@ -238,13 +239,13 @@ LARGEST = (np.iinfo(np.intp).max + 1) // 16 - 1
 ])
 def test_build_rejects_a_table_numpy_cannot_allocate(traced_peak, limit):
     def build():
-        with pytest.raises(OutOfRangeError, match=f"sieve limit {limit} is above {LARGEST}: "):
+        with pytest.raises(OutOfRangeError, match=f"sieve limit {limit} does not fit in memory"):
             FactorSieve.build(limit)
     assert traced_peak(build) < 2 ** 16
 
 
 def test_largest_allowed_limit_is_refused_as_memory():
-    # 4 EiB: past the allocator, refused there without touching memory
+    # 4 EiB: past any physical memory, refused before anything is allocated
     with pytest.raises(OutOfRangeError, match=f"sieve limit {LARGEST} does not fit in memory"):
         FactorSieve.build(LARGEST)
 
