@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 
 from radseries import (
@@ -22,6 +22,7 @@ from radseries import (
     t_general,
 )
 from radseries.numerics import DEFAULT_BLOCK, log_power_tail, power_tail, sum_blocks
+import radseries.stkernel as stkernel
 from radseries.stkernel import StKernel, StResult
 
 P41 = Params(4, 1)
@@ -265,10 +266,16 @@ def test_st_ratio_flags_s_minus_t_rounding_to_one():
 # np.log(M(p)) and a separate division for S, each kernel with its own tail
 # rule, and math.fsum per block.
 
+@functools.lru_cache(maxsize=None)
+def _reference_values(spec, prime_limit):
+    p = sieve_primes(prime_limit).upto(prime_limit).astype(np.float64)
+    return p, np.array([spec.value_at_prime_power(int(q), 1) for q in p], dtype=np.float64)
+
+
 def _reference_sums(spec, primes, params, prime_limit):
     s, t = params.s, params.t
-    p = primes.upto(prime_limit).astype(np.float64)
-    mv = np.array([spec.value_at_prime_power(int(q), 1) for q in p], dtype=np.float64)
+    primes.upto(prime_limit)  # the range check of the kernel's table
+    p, mv = _reference_values(spec, prime_limit)
 
     def denominator(ln_p, ln_m):
         with np.errstate(over="ignore"):
@@ -375,6 +382,20 @@ def test_st_ratio_over_two_blocks_equals_reference():
         assert repr(st_ratio(table, params, 1_000_000)) == repr(want)
 
 
+def _in_region(s, t):
+    try:
+        return Params(s, t)
+    except InvalidParamsError:
+        return None
+
+
+# The rectangle the benchmark's ratio-grid walks at its default seed (s 2.2-8,
+# t 0.2-2, 10 steps, P = 10^6), by ratio-grid's own axis rule, in region only.
+BENCH_GRID = [params for params in (
+    _in_region(2.2 + (8.0 - 2.2) * i / 9, 0.2 + (2.0 - 0.2) * j / 9)
+    for i in range(10) for j in range(10)) if params is not None]
+
+
 def test_prepared_sweep_equals_reference_bit_for_bit():
     # One kernel per spec over a grid walked s-major, as ratio-grid walks it:
     # the S factor is kept along a row of repeated s and formed again when s
@@ -387,7 +408,7 @@ def test_prepared_sweep_equals_reference_bit_for_bit():
         (2.6, 1.2), (9.5, 3.2), (9.5, 3.2), (3, 1),
     ]]
     kernel = StKernel.for_spec(RADICAL_SPEC, table, 1_000_000)
-    for params in grid:
+    for params in grid + BENCH_GRID:
         want = reference_st_ratio(table, params, 1_000_000)
         assert repr(kernel.ratio(params)) == repr(want)
     for spec in (UNIT_SPEC, IDENTITY_SPEC):  # m != p, and m == p
@@ -412,3 +433,142 @@ def test_non_positive_prime_value_is_rejected(table_10k, bad):
         with pytest.raises(InvalidSpecError,
                            match=r"'bad-at-three' returned .* at prime power 3\^1$"):
             fn(spec, table_10k, P41, 10_000)
+
+
+@pytest.fixture(scope="module")
+def table_1m():
+    return sieve_primes(1_000_000)
+
+
+@pytest.fixture(scope="module")
+def kernel_1m(table_1m):
+    return StKernel.for_spec(RADICAL_SPEC, table_1m, 1_000_000)
+
+
+@pytest.mark.parametrize("spec, shared", [
+    (RADICAL_SPEC, True), (IDENTITY_SPEC, True), (UNIT_SPEC, False), (SQRT_SPEC, False),
+], ids=lambda x: getattr(x, "name", x))
+def test_ln_m_is_ln_p_where_m_equals_p(table_10k, spec, shared):
+    # M(p) = p: one logarithm array serves both, not a second copy
+    kernel = StKernel.for_spec(spec, table_10k, 10_000)
+    assert np.shares_memory(kernel._ln_m, kernel._ln_p) is shared
+
+
+def _term_counts(kernel):
+    """Record how many primes each evaluation of kernel forms terms for."""
+    counts = []
+    terms = kernel._terms
+    kernel._terms = lambda s, t, n: (counts.append(n), terms(s, t, n))[1]
+    return counts
+
+
+# Points of P = 10^6 whose sums are decided by a prefix inside the first block
+# (8, 0.2), (6, 1), (40, 1), (400, 350), inside the second block for one spec
+# each (s - g*t near 4.45: (5.45, 1) for g = 1, (4.95, 1) for g = 1/2,
+# (4.45, 1) for g = 0), or by no prefix at all (4, 1), (3.5, 0.5), (2.2, 0.2).
+PREFIX_POINTS = [(8, 0.2), (6, 1), (40, 1), (400, 350), (5.45, 1.0), (4.95, 1.0),
+                 (4.45, 1.0), (4, 1), (3.5, 0.5), (2.2, 0.2)]
+
+
+@pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=lambda spec: spec.name)
+def test_prefix_sums_equal_the_full_table_bit_for_bit(table_1m, spec, monkeypatch):
+    decided_sum, tails = stkernel._decided_sum, []
+
+    def recorded(head, total, tail):
+        tails.append((len(head), tail))
+        return decided_sum(head, total, tail)
+
+    monkeypatch.setattr(stkernel, "_decided_sum", recorded)
+    p_count = len(table_1m.upto(1_000_000))
+    kernel = StKernel.for_spec(spec, table_1m, 1_000_000)
+    counts = _term_counts(kernel)
+    prefixes = []
+    for s, t in PREFIX_POINTS:
+        params = Params(s, t)
+        _, want = _reference_sums(spec, table_1m, params, 1_000_000)
+        counts.clear()
+        tails.clear()
+        assert repr(kernel.sums(params)) == repr(want), (s, t)
+        assert len(counts) == 1  # a prefix that did not decide would add a full pass
+        prefixes.append(counts[0])
+        # each tail the kernel decided with covers the terms it did not form
+        t_terms, s_terms = (x.copy() for x in kernel.terms(s, t))
+        for terms, (k, tail) in zip((s_terms, t_terms), tails):
+            assert math.fsum(terms[k:]) <= tail, (s, t, k)
+        assert repr(s_general(spec, table_1m, params, 1_000_000)) == repr(want[0])
+        assert repr(t_general(spec, table_1m, params, 1_000_000)) == repr(want[1])
+        if spec is RADICAL_SPEC:
+            want_ratio = reference_st_ratio(table_1m, params, 1_000_000)
+            assert repr(kernel.ratio(params)) == repr(want_ratio)
+            assert repr(st_ratio(table_1m, params, 1_000_000)) == repr(want_ratio)
+    if spec is HALF_AT_TWO_SPEC:  # no tail: every sum uses every prime
+        assert set(prefixes) == {p_count}
+    else:  # decided inside the first block and inside the second
+        assert sum(n < DEFAULT_BLOCK for n in prefixes) >= 4
+        assert sum(DEFAULT_BLOCK < n < p_count for n in prefixes) == 1
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=hst.integers(min_value=0, max_value=2**32 - 1),
+       rate=hst.floats(min_value=0.0, max_value=0.1),
+       k=hst.integers(min_value=0, max_value=DEFAULT_BLOCK + 4_999))
+def test_decided_sum_is_the_blocked_sum_or_undecided(seed, rate, k):
+    # terms falling like 2^(-rate i) over two blocks: the terms beyond k range
+    # from none at all to most of the sum, and their rounded-up sum is the tail
+    total = DEFAULT_BLOCK + 5_000
+    terms = np.random.default_rng(seed).random(total) * np.exp2(-rate * np.arange(total))
+    rest = math.fsum(terms[k:])
+    got = stkernel._decided_sum(terms[:k], total, math.nextafter(rest, math.inf))
+    want = sum_blocks(total, lambda lo, hi: math.fsum(terms[lo:hi]))
+    assert got is None or got == want
+    if rest == 0.0:
+        assert got == want
+
+
+def test_decided_sum_bounds_the_blocks_after_the_one_holding_the_prefix_end():
+    # blocks 1.0 | 2^-53 | 2^-110: the first two sum to a tie that rounds to
+    # 1.0, and the third block alone lifts the total to 1 + 2^-52, though it
+    # cannot move the second block's sum
+    terms = np.zeros(2 * DEFAULT_BLOCK + 1)
+    terms[[0, DEFAULT_BLOCK, 2 * DEFAULT_BLOCK]] = 1.0, 2.0**-53, 2.0**-110
+    assert sum_blocks(len(terms), lambda lo, hi: math.fsum(terms[lo:hi])) == 1.0 + 2.0**-52
+    head = terms[:DEFAULT_BLOCK + 1]
+    assert stkernel._decided_sum(head, len(terms), 2.0**-110) is None
+    assert stkernel._decided_sum(head, len(terms), 0.0) == 1.0  # had the rest been 0
+
+
+@pytest.mark.parametrize("spec", [RADICAL_SPEC, UNIT_SPEC], ids=lambda spec: spec.name)
+def test_undecided_prefix_falls_back_to_the_full_table(table_1m, spec, monkeypatch):
+    # a tail 2^40 times the true one cannot decide: the kernel must sum every
+    # prime after the prefix, with the same bits
+    decided_sum = stkernel._decided_sum
+    monkeypatch.setattr(stkernel, "_decided_sum",
+                        lambda head, total, tail: decided_sum(head, total, tail * 2.0**40))
+    kernel = StKernel.for_spec(spec, table_1m, 1_000_000)
+    counts = _term_counts(kernel)
+    for s, t in [(8, 0.2), (5.45, 1.0)]:
+        params = Params(s, t)
+        _, want = _reference_sums(spec, table_1m, params, 1_000_000)
+        assert repr(kernel.sums(params)) == repr(want)
+    p_count = len(table_1m.upto(1_000_000))
+    assert len(counts) == 4 and max(counts[::2]) < p_count and counts[1::2] == [p_count] * 2
+
+
+MIN_GAP = 0.01  # t2 - t1: ratios of nearer t may round to the same double
+
+
+@settings(max_examples=200, deadline=None)
+@given(s=hst.floats(min_value=1.5, max_value=12.0),
+       u=hst.floats(min_value=1e-6, max_value=1.0), v=hst.floats(min_value=0.0, max_value=0.999))
+@example(s=8.0, u=0.02, v=0.0)   # both sums decided by a prefix of the primes
+@example(s=3.0, u=0.5, v=0.5)    # both sums over the full table
+def test_ratio_falls_as_t_rises(kernel_1m, s, u, v):
+    # S/T is the T-weighted mean of 1/(1 - p^-s), which falls with p, and
+    # raising t moves T-weight toward larger p (ROADMAP item 13): prime by
+    # prime, so at every truncation, prefix-decided or not
+    span = s - 1.0 - MIN_GAP
+    t1 = span * u
+    t2 = t1 + MIN_GAP + (span - t1) * v
+    low, high = _in_region(s, t1), _in_region(s, t2)
+    assume(low is not None and high is not None)
+    assert kernel_1m.ratio(high).ratio < kernel_1m.ratio(low).ratio
