@@ -5,7 +5,7 @@ three-way split, and scanning of coprime triples a + b = c against the
 criterion c < R(c)^(S/T)  =>  a + b < R(abc)^2.
 """
 
-from .abcscan import AbcBatch, AbcRecord, Theorem2Report, scan, verify_theorem2
+from .abcscan import AbcBatch, AbcRecord, Theorem2Report, certify, scan, verify_theorem2
 from .errors import (
     InvalidArgumentError,
     InvalidParamsError,
@@ -59,6 +59,7 @@ __all__ = [
     "UNIT_SPEC",
     "UnsupportedSpecError",
     "builtin_spec",
+    "certify",
     "euler_phi",
     "factorize",
     "identity_pass",

@@ -12,6 +12,10 @@ c and then ascending a; ``batch.records()`` turns a batch into
 ``AbcRecord`` rows.  ``verify_theorem2(scan(...))`` reduces the batches
 with numpy and builds records only for counterexamples and top-quality
 candidates.  The coprime pairs of one c are that c's rows of ``scan``.
+``certify`` returns the same report without the quadratic scan: its counts
+are sums of phi(c)/2, and it forms only the rows that can reach the top
+quality list or the best hypothesis-true quality, or fail the conclusion.
+``abc --verify`` runs it; ``scan`` gives the CSV rows and is its oracle.
 
 The conclusion test is exact integer arithmetic: c < rad_abc^2 is
 evaluated as rad(a)*rad(b) > isqrt(c) // rad(c), which needs no product
@@ -36,7 +40,7 @@ import numpy as np
 from .errors import InvalidArgumentError, OutOfRangeError
 from .identity import class_masks
 from .primes import PrimeTable
-from .radical import FactorSieve, factorize, radical_range
+from .radical import _PHI, FactorSieve, factorize, multiplicative_values, radical_range
 from .series import Params
 from .stkernel import st_ratio
 
@@ -46,6 +50,11 @@ BATCH_PAIRS = 1 << 16
 
 # Rows kept in Theorem2Report.top_quality.
 TOP_QUALITY = 10
+
+# certify's quality bounds carry a factor e^_PAD against rounding; it
+# searches _C_CHUNK values of c at a time
+_PAD = 2.0 ** -30
+_C_CHUNK = 1 << 14
 
 # rad(a)*rad(b)*rad(c) <= c^3 fits int64 up to here; above it rad_abc is a
 # column of exact Python ints.
@@ -113,14 +122,11 @@ def _coprime_a(primes: list[int], a_lo: int, a_hi: int) -> np.ndarray:
     return a_lo + np.flatnonzero(keep)
 
 
-def _batch(rad: np.ndarray, per_c: tuple[np.ndarray, ...],
-           parts: list[tuple[int, np.ndarray]], exact_objects: bool) -> AbcBatch:
-    """The rows of ``parts`` in order: (i, coprime a of the i-th c) pairs,
-    whose c, hypothesis, ln(c) and isqrt(c) are gathered from the per-c
-    columns by index."""
-    rows = np.repeat([i for i, _ in parts], [len(a) for _, a in parts])
+def _batch(rad: np.ndarray, per_c: tuple[np.ndarray, ...], rows: np.ndarray,
+           a: np.ndarray, exact_objects: bool) -> AbcBatch:
+    """The rows (per_c[rows], a): each a is coprime to its c, whose
+    hypothesis, ln(c) and isqrt(c) are gathered from the per-c columns."""
     c, hypothesis, ln_c, isqrt_c = (col[rows] for col in per_c)
-    a = np.concatenate([a for _, a in parts])
     b = c - a
     rad_ab = rad[a] * rad[b]
     rad_c = rad[c]
@@ -156,31 +162,51 @@ def scan(
     The arguments are checked, and S/T and the radical table are computed,
     when scan is called, before the first batch.
     """
+    rad, ratio_interval, c_values = _setup(sieve, primes, params, c_max, prime_limit,
+                                           sample, seed)
+    return _scan(sieve, rad, ratio_interval, c_values, c_max, progress)
+
+
+def _setup(sieve, primes, params, c_max, prime_limit, sample, seed):
+    """The checked arguments of scan and certify: the radical table, the
+    S/T enclosure, and the scanned c (all of 3..c_max, or ``sample`` of them
+    drawn by random.Random(seed)), ascending."""
     if c_max < 3:
         raise OutOfRangeError(f"c_max={c_max} must be >= 3")
     if sample is not None and sample < 0:
         raise InvalidArgumentError(f"sample must be >= 0, got {sample}")
     rad = radical_range(sieve, c_max)  # checks c_max against the sieve
     st = st_ratio(primes, params, prime_limit)
-    return _scan(sieve, rad, st.ratio_interval, c_max, sample, seed, progress)
-
-
-def _scan(sieve, rad, ratio_interval, c_max, sample, seed, progress) -> Iterator[AbcBatch]:
-    """The batches of ``scan``.  The per-c columns (c, hypothesis, ln(c),
-    isqrt(c)) are built once for all scanned c; each batch is a list of
-    (index into them, coprime a) parts, cut at BATCH_PAIRS candidates."""
-    low, high = ratio_interval
-    exact_objects = c_max > _INT64_RAD_ABC_CMAX
-
     c_values = np.arange(3, c_max + 1)
     if sample is not None and sample < c_max - 2:
         rng = random.Random(seed)
         c_values = np.array(sorted(rng.sample(range(3, c_max + 1), sample)), dtype=np.int64)
-    below = class_masks(np.log(c_values.astype(np.float64)),
-                        np.log(rad[c_values].astype(np.float64)), low, high)[0]
+    return rad, st.ratio_interval, c_values
+
+
+def _below(ln_c: np.ndarray, rad_c: np.ndarray, ratio_interval) -> np.ndarray:
+    """The hypothesis of each c: the identity module's rule, c < R(c)^(S/T)."""
+    return class_masks(ln_c, np.log(rad_c.astype(np.float64)), *ratio_interval)[0]
+
+
+def _per_c(c_values: np.ndarray, below: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The per-c columns _batch gathers: c, hypothesis, ln(c), isqrt(c)."""
     # math.log, not np.log: quality keeps the bits of ln(c) / ln(rad_abc)
-    per_c = (c_values, below, np.array([math.log(c) for c in c_values.tolist()]),
-             np.array([math.isqrt(c) for c in c_values.tolist()], dtype=np.int64))
+    return (c_values, below, np.array([math.log(c) for c in c_values.tolist()]),
+            np.array([math.isqrt(c) for c in c_values.tolist()], dtype=np.int64))
+
+
+def _scan(sieve, rad, ratio_interval, c_values, c_max, progress) -> Iterator[AbcBatch]:
+    """The batches of ``scan``.  The per-c columns are built once for all
+    scanned c; each batch is a list of (index into them, coprime a) parts,
+    cut at BATCH_PAIRS candidates."""
+    exact_objects = c_max > _INT64_RAD_ABC_CMAX
+    per_c = _per_c(c_values, _below(np.log(c_values.astype(np.float64)), rad[c_values],
+                                    ratio_interval))
+
+    def batch(parts: list[tuple[int, np.ndarray]]) -> AbcBatch:
+        rows = np.repeat([i for i, _ in parts], [len(a) for _, a in parts])
+        return _batch(rad, per_c, rows, np.concatenate([a for _, a in parts]), exact_objects)
 
     parts: list[tuple[int, np.ndarray]] = []
     room = BATCH_PAIRS
@@ -195,10 +221,10 @@ def _scan(sieve, rad, ratio_interval, c_max, sample, seed, progress) -> Iterator
             room -= a_hi - a_lo
             a_lo = a_hi
             if room == 0:
-                yield _batch(rad, per_c, parts, exact_objects)
+                yield batch(parts)
                 parts, room = [], BATCH_PAIRS
     if parts:
-        yield _batch(rad, per_c, parts, exact_objects)
+        yield batch(parts)
 
 
 def verify_theorem2(batches: Iterable[AbcBatch]) -> Theorem2Report:
@@ -242,4 +268,112 @@ def verify_theorem2(batches: Iterable[AbcBatch]) -> Theorem2Report:
                     tie += 1
     report.max_quality_hypothesis = best
     report.top_quality = [r for _, _, r in sorted(heap, reverse=True)]
+    return report
+
+
+def certify(
+    sieve: FactorSieve,
+    primes: PrimeTable,
+    params: Params,
+    c_max: int,
+    prime_limit: int,
+    *,
+    sample: int | None = None,
+    seed: int = 0,
+    progress=None,
+) -> Theorem2Report:
+    """``verify_theorem2(scan(...))`` with the same arguments, field for
+    field, without forming every row.
+
+    The counts come from phi: c has phi(c)/2 rows.  Rows are formed, by
+    ``_batch``, and reduced, by ``verify_theorem2``, only where their
+    quality can reach a threshold theta_c:
+
+    * q0, the TOP_QUALITY-th best quality of the a = 1 rows.  These are
+      real rows, so every top row has quality >= q0.  A row below q0 only
+      holds a heap slot that a row at or above q0 takes from it, so the
+      reduction over the candidates keeps the same top rows in the same
+      order.
+    * for a hypothesis-true c, also the best a = 1 quality among those c,
+      which the best hypothesis-true row reaches.
+    * 2 at most: the conclusion fails exactly where rad_abc <= isqrt(c),
+      that is where rad_abc <= c^(1/2).  The conclusion count is the rows
+      less the candidates where it fails.
+
+    Quality >= theta_c means rad(a) rad(b) <= B_c = c^(1/theta_c) / rad(c),
+    so the side x of the pair with the smaller radical has rad(x) <= B_c^(1/2).
+    These x are read off one argsort of the radicals, c by c in chunks of
+    _C_CHUNK.  B_c is evaluated in float64 as exp(ln(c) / theta_c + 2^-30)
+    / rad(c): the thresholds, ln(c), the quality division, exp and sqrt each
+    carry a relative error below 1e-14 for any c below 2^63, far inside the
+    pad e^(2^-30) - 1 ~ 9.3e-10, so no row whose float quality reaches
+    theta_c lies above B_c.
+
+    With at most TOP_QUALITY scanned c, every row can be a top row, and
+    the rows are those of ``scan``.  ``progress`` is called once per c with
+    (c, c_max), ascending, before the candidate search.
+    """
+    rad, ratio_interval, c_values = _setup(sieve, primes, params, c_max, prime_limit,
+                                           sample, seed)
+    if len(c_values) <= TOP_QUALITY:
+        return verify_theorem2(_scan(sieve, rad, ratio_interval, c_values, c_max, progress))
+    if progress is not None:
+        for c in c_values.tolist():
+            progress(c, c_max)
+    chunks = [slice(lo, lo + _C_CHUNK) for lo in range(0, len(c_values), _C_CHUNK)]
+
+    # counts, hypotheses and the a = 1 qualities, c by c
+    phi = multiplicative_values(sieve.spf[: c_max + 1], _PHI)[0]
+    below, q_a1 = np.empty(len(c_values), bool), np.empty(len(c_values))
+    seen = hypothesis_true = 0
+    for chunk in chunks:
+        c = c_values[chunk]
+        ln_c, rad_c, phi_c = np.log(c.astype(np.float64)), rad[c], phi[c]
+        below[chunk] = _below(ln_c, rad_c, ratio_interval)
+        q_a1[chunk] = ln_c / np.log((rad[c - 1] * rad_c).astype(np.float64))
+        seen += int(phi_c.sum()) // 2
+        hypothesis_true += int(phi_c[below[chunk]].sum()) // 2
+    del phi
+    q0 = np.partition(q_a1, -TOP_QUALITY)[-TOP_QUALITY]
+    q0_below = min(q0, q_a1[below].max()) if below.any() else q0
+    del q_a1
+
+    # candidate rows (a, c - a) = (x, c - x) or (c - x, x), found from the side
+    # x with the smaller radical (coprime sides have equal radicals only at
+    # 1 + 1); order lists x by radical
+    order = np.argsort(rad[1:c_max]) + 1
+    rad_sorted = rad[order]
+    found = [(np.empty(0, np.int64), np.empty(0, np.int64))]
+    for chunk in chunks:
+        c = c_values[chunk]
+        theta = np.minimum(np.where(below[chunk], q0_below, q0), 2.0)
+        bound = np.exp(np.log(c.astype(np.float64)) / theta + _PAD) / rad[c]
+        count = np.searchsorted(rad_sorted, np.sqrt(bound).astype(np.int64), side="right")
+        end = np.cumsum(count)
+        total = int(end[-1])
+        for lo in range(0, total, BATCH_PAIRS):
+            pos = np.arange(lo, min(lo + BATCH_PAIRS, total))
+            j = np.searchsorted(end, pos, side="right")
+            x = order[pos - end[j] + count[j]]
+            keep = np.flatnonzero(x < c[j])
+            j, x = j[keep], x[keep]
+            y = c[j] - x
+            rad_x, rad_y = rad[x], rad[y]
+            keep = (rad_x * rad_y <= bound[j]) & (rad_x < rad_y)
+            j, x, y = j[keep], x[keep], y[keep]
+            keep = np.gcd(x, y) == 1
+            found.append((chunk.start + j[keep], np.minimum(x, y)[keep]))
+    i, a = (np.concatenate(col) for col in zip(*found))
+    rank = np.lexsort((a, i))
+    cand, rows = np.unique(i[rank], return_inverse=True)
+    a = a[rank]
+
+    per_c = _per_c(c_values[cand], below[cand])
+    exact_objects = c_max > _INT64_RAD_ABC_CMAX
+    report = verify_theorem2(
+        _batch(rad, per_c, rows[lo : lo + BATCH_PAIRS], a[lo : lo + BATCH_PAIRS], exact_objects)
+        for lo in range(0, len(a), BATCH_PAIRS))
+    failed = report.records_seen - report.conclusion_true
+    report.records_seen, report.hypothesis_true = seen, hypothesis_true
+    report.hypothesis_false, report.conclusion_true = seen - hypothesis_true, seen - failed
     return report

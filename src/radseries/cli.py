@@ -29,7 +29,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .abcscan import AbcBatch, scan, verify_theorem2
+from .abcscan import AbcBatch, certify, scan
 from .config import Config, load_config
 from .errors import InvalidParamsError, RadseriesError
 from .euler import product_d
@@ -402,10 +402,9 @@ def cmd_abc(args, cfg: Config) -> int:
             if c % 500 == 0 or c == c_max:
                 print(f"abc: c={c}/{c_max}", file=sys.stderr)
 
-    batches = scan(sieve, table, params, args.cmax, prime_limit,
-                   sample=args.sample, seed=args.seed, progress=progress)
     if args.verify:
-        report = verify_theorem2(batches)
+        report = certify(sieve, table, params, args.cmax, prime_limit,
+                         sample=args.sample, seed=args.seed, progress=progress)
         _emit_json({
             "command": "abc-verify",
             **asdict(params),
@@ -414,6 +413,8 @@ def cmd_abc(args, cfg: Config) -> int:
             **asdict(report),  # its AbcRecord rows print as JSON arrays
         })
         return EXIT_VERIFICATION if report.counterexample_count else EXIT_OK
+    batches = scan(sieve, table, params, args.cmax, prime_limit,
+                   sample=args.sample, seed=args.seed, progress=progress)
     sys.stdout.write("schema_version,a,b,c,rad_abc,hypothesis_holds,conclusion_holds,quality\n")
     for batch in batches:
         sys.stdout.write(_abc_csv_rows(batch))
@@ -486,8 +487,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cmax", type=int, required=True)
     p.add_argument("--prime-limit", type=int)
     p.add_argument("--verify", action="store_true",
-                   help="print a verification report instead of CSV rows; "
-                        "exit 3 on any counterexample")
+                   help="print the report of every row instead of CSV rows, formed from "
+                        "phi(c)/2 counts and the rows that can reach the top quality "
+                        "list or fail the conclusion; exit 3 on any counterexample")
     p.add_argument("--sample", type=int, help="scan a random subset of c values")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--progress", action="store_true", help="progress lines on stderr")

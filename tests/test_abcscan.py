@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from radseries import (
@@ -17,6 +17,7 @@ from radseries import (
     OutOfRangeError,
     Params,
     Theorem2Report,
+    certify,
     factorize,
     identity_pass,
     radical,
@@ -307,6 +308,89 @@ def test_scan_and_verify_match_references(sieve_10k, table_10k, reference_record
     assert verify_theorem2(batches) == reference_verify(want)
 
 
+# the bench's abc points: seed 0 and seed 7 of bench/workloads.draw_point
+BENCH_POINTS = [P41, Params(3.589872775503066, 0.929533105933265)]
+
+
+def full_scan_report(*args, **kwargs):
+    """The report of every row: what certify must equal, field for field."""
+    return verify_theorem2(scan(*args, **kwargs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    params=st.sampled_from([P41, Params(1.67, 0.001), Params(100, 1)]),
+    c_max=st.integers(3, 400),
+    sample=st.one_of(st.none(), st.integers(0, 60)),
+    seed=st.integers(0, 10_000),
+    top=st.integers(1, 12),
+)
+# the best a = 1 row sets the threshold; without the pad its own bound
+# rounds below it and it drops out of the top list
+@example(params=P41, c_max=33, sample=None, seed=0, top=1)
+def test_certify_equals_the_full_scan(sieve_10k, table_10k, params, c_max, sample, seed, top):
+    # near the S/T supremum almost every c is hypothesis-true; at s = 100
+    # the enclosure is [1, 1] and none is; small top lists put ties at the
+    # boundary of the top-quality heap
+    args = (sieve_10k, table_10k, params, c_max, 10_000)
+    with mock.patch.object(abcscan, "TOP_QUALITY", top):
+        got = certify(*args, sample=sample, seed=seed)
+        assert got == full_scan_report(*args, sample=sample, seed=seed)
+    assert len(got.top_quality) == min(top, got.records_seen)
+
+
+@pytest.mark.parametrize("c_max", [2_000, 10_000])
+@pytest.mark.parametrize("params", BENCH_POINTS, ids=["seed0", "seed7"])
+def test_certify_equals_the_full_scan_at_the_bench_points(sieve_10k, table_100k, params, c_max):
+    args = (sieve_10k, table_100k, params, c_max, 100_000)
+    got = certify(*args)
+    assert got == full_scan_report(*args)
+    assert got.conclusion_true == got.records_seen and got.counterexamples == []
+
+
+@pytest.mark.parametrize("c_max,sample", [(6, None), (5_000, 3), (5_000, 10), (5_000, 0)])
+def test_certify_with_at_most_top_quality_c(sieve_10k, table_10k, c_max, sample):
+    # 5 rows at c_max = 6; a sample of at most TOP_QUALITY c puts every row
+    # in reach of the top list
+    args = (sieve_10k, table_10k, P41, c_max, 10_000)
+    got = certify(*args, sample=sample, seed=2)
+    assert got == full_scan_report(*args, sample=sample, seed=2)
+    assert len(got.top_quality) == min(abcscan.TOP_QUALITY, got.records_seen)
+
+
+@pytest.mark.parametrize("all_below", [False, True])
+def test_certify_on_a_doctored_radical_table(sieve_10k, table_10k, all_below):
+    # spf in place of the radical gives rows whose conclusion fails, more of
+    # them than the top list holds; with every c hypothesis-true they are
+    # counterexamples too
+    with mock.patch.object(abcscan, "radical_range", lambda sieve, n: sieve.spf[: n + 1]), \
+            mock.patch.object(abcscan, "class_masks",
+                              lambda ln_n, *_: (np.full(len(ln_n), all_below),) * 4):
+        for sample in (None, 40):
+            args = (sieve_10k, table_10k, P41, 400, 10_000)
+            got = certify(*args, sample=sample)
+            assert got == full_scan_report(*args, sample=sample)
+            assert got.records_seen - got.conclusion_true > abcscan.TOP_QUALITY
+            assert (got.counterexample_count > 0) == all_below
+
+
+def test_certify_progress_once_per_c(sieve_10k, table_10k):
+    for sample in (None, 30):
+        calls = []
+        certify(sieve_10k, table_10k, P41, 700, 10_000, sample=sample, seed=3,
+                progress=lambda c, c_max: calls.append((c, c_max)))
+        assert calls == [(c, 700) for c in scanned_c_values(700, sample, 3)]
+
+
+def test_certify_checks_its_arguments(sieve_10k, table_10k):
+    with pytest.raises(OutOfRangeError):
+        certify(sieve_10k, table_10k, P41, 2, 10_000)
+    with pytest.raises(OutOfRangeError):
+        certify(sieve_10k, table_10k, P41, 10_001, 10_000)
+    with pytest.raises(InvalidArgumentError, match="sample must be >= 0"):
+        certify(sieve_10k, table_10k, P41, 100, 10_000, sample=-1)
+
+
 @pytest.fixture(scope="module")
 def sieve_2m():
     return FactorSieve.build(2_100_000)
@@ -344,6 +428,17 @@ def test_exact_rad_abc_above_int64_safe_cmax(sieve_2m, table_100k):
         assert r == brute_rad(a) * brute_rad(b) * brute_rad(c)
 
 
+@pytest.mark.parametrize("top", [2, 10])
+def test_certify_above_int64_safe_cmax(sieve_2m, table_100k, top):
+    # the sample of test_exact_rad_abc_above_int64_safe_cmax: three c, so
+    # with a top list of 10 every row is in reach, and with 2 the candidate
+    # rows carry an object rad_abc column
+    args = (sieve_2m, table_100k, P41, 2_100_000, 100_000)
+    with mock.patch.object(abcscan, "TOP_QUALITY", top):
+        got = certify(*args, sample=3, seed=142)
+        assert got == full_scan_report(*args, sample=3, seed=142)
+
+
 def test_batch_quality_does_not_depend_on_rad_abc_column_type(sieve_10k):
     # c_max > 2e6 switches rad_abc to Python ints; a triple must keep its
     # quality.  math.log and np.log differ in the last bit at each rad_abc
@@ -355,8 +450,9 @@ def test_batch_quality_does_not_depend_on_rad_abc_column_type(sieve_10k):
     for rad, c, a in cases:
         per_c = (np.array([c]), np.array([True]), np.array([math.log(c)]),
                  np.array([math.isqrt(c)]))
-        part = (0, abcscan._coprime_a([p for p, _ in factorize(sieve_10k, c)], a, a + 1))
-        exact, fixed = (abcscan._batch(rad, per_c, [part], flag) for flag in (True, False))
+        a = abcscan._coprime_a([p for p, _ in factorize(sieve_10k, c)], a, a + 1)
+        rows = np.zeros(len(a), dtype=np.int64)
+        exact, fixed = (abcscan._batch(rad, per_c, rows, a, flag) for flag in (True, False))
         assert exact.rad_abc.dtype == object and fixed.rad_abc.dtype == np.int64
         assert len(fixed.quality) == 1
         assert exact.rad_abc.tolist() == fixed.rad_abc.tolist()

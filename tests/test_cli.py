@@ -470,6 +470,21 @@ def test_abc_progress_on_stderr_only():
     json.loads(r.stdout)  # stdout stays machine-clean
 
 
+@pytest.mark.parametrize("sample", [(), ("--sample", "300", "--seed", "1")])
+def test_abc_verify_prints_what_the_full_scan_prints(sample, monkeypatch):
+    # abc --verify runs certify; verify_theorem2 over every row of scan must
+    # print the same report and the same progress lines
+    from radseries import cli, scan, verify_theorem2
+
+    args = ("abc", "--s", "4", "--t", "1", "--cmax", "2000", "--prime-limit", "10000",
+            "--verify", "--progress", *sample)
+    got = run_cli(*args)
+    monkeypatch.setattr(cli, "certify", lambda *a, **kw: verify_theorem2(scan(*a, **kw)))
+    want = run_cli(*args)
+    assert (got.returncode, got.stdout, got.stderr) == (want.returncode, want.stdout, want.stderr)
+    assert got.returncode == 0 and "abc: c=2000/2000" in got.stderr
+
+
 @pytest.mark.parametrize("extra", [(), ("--verify",)])
 def test_abc_negative_sample_exits_2(extra):
     r = run_cli("abc", "--cmax", "100", "--s", "4", "--t", "1", "--sample", "-1",
@@ -714,7 +729,7 @@ def test_non_finite_field_inside_a_record_row_is_named_by_its_path(monkeypatch):
     from radseries import AbcRecord, Theorem2Report, cli
 
     row = AbcRecord(1, 2, 3, 6, True, True, math.nan)
-    monkeypatch.setattr(cli, "verify_theorem2", lambda batches: Theorem2Report(top_quality=[row]))
+    monkeypatch.setattr(cli, "certify", lambda *args, **kwargs: Theorem2Report(top_quality=[row]))
     r = run_cli("abc", "--s", "4", "--t", "1", "--cmax", "10", "--prime-limit", "100", "--verify")
     assert r.returncode == 3
     assert r.stdout == ""
