@@ -19,7 +19,8 @@ quality list or the best hypothesis-true quality, or fail the conclusion.
 
 The conclusion test is exact integer arithmetic: c < rad_abc^2 is
 evaluated as rad(a)*rad(b) > isqrt(c) // rad(c), which needs no product
-beyond c^2/4 and so stays exact in int64 for every c below 6e9.  The
+beyond c^2/4; certify's a = 1 quality forms rad(c - 1)*rad(c) <= c(c - 1),
+so c_max is at most 3,037,000,500, the largest c with c(c - 1) < 2^63.  The
 hypothesis test is the identity module's one classification rule, applied
 once to all scanned c, so a c is only flagged hypothesis-true when the
 entire S/T enclosure certifies c < R(c)^(S/T), exactly as the identity
@@ -56,10 +57,6 @@ TOP_QUALITY = 10
 _PAD = 2.0 ** -30
 _C_CHUNK = 1 << 14
 
-# rad(a)*rad(b)*rad(c) <= c^3 fits int64 up to here; above it rad_abc is a
-# column of exact Python ints.
-_INT64_RAD_ABC_CMAX = 2_000_000
-
 
 class AbcRecord(NamedTuple):
     a: int
@@ -74,8 +71,8 @@ class AbcRecord(NamedTuple):
 class AbcBatch(NamedTuple):
     """Equal-length columns of consecutive AbcRecords.
 
-    ``rad_abc`` is int64, or object (Python ints) when the scan's c_max
-    exceeds the int64-safe range.
+    ``rad_abc`` reaches c^3/4.  It is int64 when the largest rad(a)*rad(b)
+    times the largest rad(c) of the batch fits, else object (exact ints).
     """
 
     a: np.ndarray
@@ -123,7 +120,7 @@ def _coprime_a(primes: list[int], a_lo: int, a_hi: int) -> np.ndarray:
 
 
 def _batch(rad: np.ndarray, per_c: tuple[np.ndarray, ...], rows: np.ndarray,
-           a: np.ndarray, exact_objects: bool) -> AbcBatch:
+           a: np.ndarray) -> AbcBatch:
     """The rows (per_c[rows], a): each a is coprime to its c, whose
     hypothesis, ln(c) and isqrt(c) are gathered from the per-c columns."""
     c, hypothesis, ln_c, isqrt_c = (col[rows] for col in per_c)
@@ -131,10 +128,8 @@ def _batch(rad: np.ndarray, per_c: tuple[np.ndarray, ...], rows: np.ndarray,
     rad_ab = rad[a] * rad[b]
     rad_c = rad[c]
     conclusion = rad_ab > isqrt_c // rad_c
-    if exact_objects:
-        rad_abc = rad_ab.astype(object) * rad_c.astype(object)
-    else:
-        rad_abc = rad_ab * rad_c
+    wide = int(rad_ab.max(initial=0)) * int(rad_c.max(initial=0)) > np.iinfo(np.int64).max
+    rad_abc = rad_ab.astype(object) * rad_c.astype(object) if wide else rad_ab * rad_c
     # float(int) rounds correctly, so both columns give the same quality
     ln_rad = np.log(rad_abc.astype(np.float64))
     return AbcBatch(a, b, c, rad_abc, hypothesis, conclusion, ln_c / ln_rad)
@@ -173,6 +168,8 @@ def _setup(sieve, primes, params, c_max, prime_limit, sample, seed):
     drawn by random.Random(seed)), ascending."""
     if c_max < 3:
         raise OutOfRangeError(f"c_max={c_max} must be >= 3")
+    if c_max * (c_max - 1) > np.iinfo(np.int64).max:  # so rad(c - 1) * rad(c) fits int64
+        raise OutOfRangeError(f"c_max={c_max} must be <= 3037000500 for int64 radicals")
     if sample is not None and sample < 0:
         raise InvalidArgumentError(f"sample must be >= 0, got {sample}")
     rad = radical_range(sieve, c_max)  # checks c_max against the sieve
@@ -200,13 +197,12 @@ def _scan(sieve, rad, ratio_interval, c_values, c_max, progress) -> Iterator[Abc
     """The batches of ``scan``.  The per-c columns are built once for all
     scanned c; each batch is a list of (index into them, coprime a) parts,
     cut at BATCH_PAIRS candidates."""
-    exact_objects = c_max > _INT64_RAD_ABC_CMAX
     per_c = _per_c(c_values, _below(np.log(c_values.astype(np.float64)), rad[c_values],
                                     ratio_interval))
 
     def batch(parts: list[tuple[int, np.ndarray]]) -> AbcBatch:
         rows = np.repeat([i for i, _ in parts], [len(a) for _, a in parts])
-        return _batch(rad, per_c, rows, np.concatenate([a for _, a in parts]), exact_objects)
+        return _batch(rad, per_c, rows, np.concatenate([a for _, a in parts]))
 
     parts: list[tuple[int, np.ndarray]] = []
     room = BATCH_PAIRS
@@ -311,15 +307,12 @@ def certify(
 
     With at most TOP_QUALITY scanned c, every row can be a top row, and
     the rows are those of ``scan``.  ``progress`` is called once per c with
-    (c, c_max), ascending, before the candidate search.
+    (c, c_max), ascending, as the candidate search reaches that c's chunk.
     """
     rad, ratio_interval, c_values = _setup(sieve, primes, params, c_max, prime_limit,
                                            sample, seed)
     if len(c_values) <= TOP_QUALITY:
         return verify_theorem2(_scan(sieve, rad, ratio_interval, c_values, c_max, progress))
-    if progress is not None:
-        for c in c_values.tolist():
-            progress(c, c_max)
     chunks = [slice(lo, lo + _C_CHUNK) for lo in range(0, len(c_values), _C_CHUNK)]
 
     # counts, hypotheses and the a = 1 qualities, c by c
@@ -346,6 +339,9 @@ def certify(
     found = [(np.empty(0, np.int64), np.empty(0, np.int64))]
     for chunk in chunks:
         c = c_values[chunk]
+        if progress is not None:
+            for c_i in c.tolist():
+                progress(c_i, c_max)
         theta = np.minimum(np.where(below[chunk], q0_below, q0), 2.0)
         bound = np.exp(np.log(c.astype(np.float64)) / theta + _PAD) / rad[c]
         count = np.searchsorted(rad_sorted, np.sqrt(bound).astype(np.int64), side="right")
@@ -369,9 +365,8 @@ def certify(
     a = a[rank]
 
     per_c = _per_c(c_values[cand], below[cand])
-    exact_objects = c_max > _INT64_RAD_ABC_CMAX
     report = verify_theorem2(
-        _batch(rad, per_c, rows[lo : lo + BATCH_PAIRS], a[lo : lo + BATCH_PAIRS], exact_objects)
+        _batch(rad, per_c, rows[lo : lo + BATCH_PAIRS], a[lo : lo + BATCH_PAIRS])
         for lo in range(0, len(a), BATCH_PAIRS))
     failed = report.records_seen - report.conclusion_true
     report.records_seen, report.hypothesis_true = seen, hypothesis_true

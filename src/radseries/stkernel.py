@@ -319,7 +319,10 @@ def s_general(
     params: Params,
     prime_limit: int,
 ) -> TruncatedSum:
-    """Generalized S: sum_p [p^s/(p^s-1)] * [M(p)^t/(p^s-1+M(p)^t)] * ln p."""
+    """Generalized S: sum_p [p^s/(p^s-1)] * [M(p)^t/(p^s-1+M(p)^t)] * ln p.
+
+    It reads M(p) only: the S of the spec's D only if M(p^k) = M(p) for every
+    k.  For the identity spec it is the radical's S."""
     return StKernel.for_spec(spec, primes, prime_limit).sums(params)[0]
 
 
@@ -332,6 +335,7 @@ def t_general(
     """Generalized T: sum_p [M(p)^t/(p^s-1+M(p)^t)] * ln M(p).
 
     The weight is ln M(p), not ln p; for the unit spec every term is 0.
+    Like s_general, the T of the spec's D only if M(p^k) = M(p) for every k.
     Specs with some M(p) < 1 have non-positive terms, for which the
     non-negative-tail machinery does not apply: those get value-only.
     """

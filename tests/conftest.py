@@ -6,6 +6,7 @@ import pytest
 
 from radseries import FactorSieve, sieve_primes
 from radseries.identity import class_masks
+from radseries.radical import radical_range
 
 # class names in the order of the masks ``identity.class_masks`` returns
 CLASSES = ("below", "equal", "above", "ambiguous")
@@ -57,6 +58,15 @@ def classes(n, rad_n, low, high):
                                  np.log(np.asarray(rad_n, dtype=np.float64)), low, high))
     assert (masks.sum(axis=0) == 1).all(), "every n has exactly one class"
     return [CLASSES[i] for i in np.argmax(masks, axis=0).tolist()]
+
+
+def scaled_radical_range(sieve, n):
+    """A radical table times 10^4 from n = 2 on (certify's a = 1 rows rely
+    on rad(1) = 1): rad_abc passes 2^63 for the largest rows below c = 400,
+    while rad(a) rad(b) stays below 2^43."""
+    rad = radical_range(sieve, n) * 10**4
+    rad[:2] = 1
+    return rad
 
 
 def brute_phi(n):

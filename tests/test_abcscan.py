@@ -28,7 +28,7 @@ from radseries import (
 from radseries import abcscan
 from radseries.radical import radical_range
 
-from conftest import brute_rad, classes, reference_class
+from conftest import brute_rad, classes, reference_class, scaled_radical_range
 
 P41 = Params(4, 1)
 
@@ -391,20 +391,31 @@ def test_certify_checks_its_arguments(sieve_10k, table_10k):
         certify(sieve_10k, table_10k, P41, 100, 10_000, sample=-1)
 
 
+def test_cmax_past_int64_radicals_is_refused_before_the_sieve(sieve_10k, table_10k):
+    # 3037000500 is the largest c with c(c - 1) < 2^63, so certify's a = 1
+    # product rad(c - 1) * rad(c) fits int64 up to it; past it the refusal
+    # comes before the sieve's own range check
+    c_max = 3_037_000_500
+    assert c_max * (c_max - 1) < 2**63 <= (c_max + 1) * c_max
+    for fn in (scan, certify):
+        with pytest.raises(OutOfRangeError, match="must be <= 3037000500"):
+            fn(sieve_10k, table_10k, P41, c_max + 1, 10_000)
+        with pytest.raises(OutOfRangeError, match="sieve limit 10000"):
+            fn(sieve_10k, table_10k, P41, c_max, 10_000)
+
+
 @pytest.fixture(scope="module")
 def sieve_2m():
     return FactorSieve.build(2_100_000)
 
 
-def test_exact_rad_abc_above_int64_safe_cmax(sieve_2m, table_100k):
-    # c_max above 2e6: rad_abc is an object column of Python ints; the
-    # quality divides by np.log of the integer rounded to float64, as in
-    # the int64 path.  The seed is one whose sample holds c > 2e6, asserted
-    # below.
+def test_rad_abc_at_cmax_2_1e6_is_exact_int64(sieve_2m, table_100k):
+    # rad(a) rad(b) rad(c) <= c^3 / 4 < 2^63 here, so every batch is int64.
+    # The seed is one whose sample holds c > 2e6, asserted below.
     batches = list(scan(sieve_2m, table_100k, P41, 2_100_000, 100_000, sample=3, seed=142))
     c_values = sorted({c for batch in batches for c in batch.c.tolist()})
     assert sum(c > 2_000_000 for c in c_values) >= 2
-    assert all(batch.rad_abc.dtype == object for batch in batches)
+    assert all(batch.rad_abc.dtype == np.int64 for batch in batches)
     # the brute-force pairs by np.gcd, one c at a time
     want_a = [np.arange(1, c // 2 + 1) for c in c_values]
     want_a = [a[np.gcd(a, c - a) == 1] for a, c in zip(want_a, c_values)]
@@ -414,11 +425,9 @@ def test_exact_rad_abc_above_int64_safe_cmax(sieve_2m, table_100k):
     a, b, c, r, _, conclusion, quality = (np.concatenate(col) for col in zip(*batches))
     assert np.array_equal(a, want_a) and np.array_equal(b, want_c - want_a)
     assert np.array_equal(c, want_c)
-    # rad(a) rad(b) rad(c) <= abc < c^3 / 2 < 2^63: exact in int64
     rad = radical_range(sieve_2m, 2_100_000)
     want = rad[a] * rad[b] * rad[c]
-    assert {type(x) for x in r.tolist()} == {int}
-    assert np.array_equal(r.astype(np.int64), want)
+    assert np.array_equal(r, want)
     # exact: float64 holds want below 2^53, and above it want^2 is far past c
     assert np.array_equal(conclusion, c < want.astype(np.float64) ** 2)
     ln_c = np.repeat([math.log(x) for x in c_values], counts)
@@ -429,10 +438,10 @@ def test_exact_rad_abc_above_int64_safe_cmax(sieve_2m, table_100k):
 
 
 @pytest.mark.parametrize("top", [2, 10])
-def test_certify_above_int64_safe_cmax(sieve_2m, table_100k, top):
-    # the sample of test_exact_rad_abc_above_int64_safe_cmax: three c, so
-    # with a top list of 10 every row is in reach, and with 2 the candidate
-    # rows carry an object rad_abc column
+def test_certify_at_cmax_2_1e6(sieve_2m, table_100k, top):
+    # the sample of test_rad_abc_at_cmax_2_1e6_is_exact_int64: three c, so
+    # with a top list of 10 every row is in reach, and with 2 only the
+    # candidate rows are formed
     args = (sieve_2m, table_100k, P41, 2_100_000, 100_000)
     with mock.patch.object(abcscan, "TOP_QUALITY", top):
         got = certify(*args, sample=3, seed=142)
@@ -440,23 +449,51 @@ def test_certify_above_int64_safe_cmax(sieve_2m, table_100k, top):
 
 
 def test_batch_quality_does_not_depend_on_rad_abc_column_type(sieve_10k):
-    # c_max > 2e6 switches rad_abc to Python ints; a triple must keep its
-    # quality.  math.log and np.log differ in the last bit at each rad_abc
-    # below: 9170, 19143 and 94869 through a hand-made radical table
-    # (rad[1] * rad[2] * rad[3] = r for the row 1 + 2 = 3), 6852494 as the
-    # real row 41 + 1136 = 1177.
+    # A triple keeps its quality in a batch of Python ints.  math.log and
+    # np.log differ in the last bit at each rad_abc below: 9170, 19143 and
+    # 94869 through a hand-made radical table (rad[1] * rad[2] * rad[3] = r
+    # for the row 1 + 2 = 3), 6852494 as the real row 41 + 1136 = 1177.
+    # Appending the row 1 + n = n + 1 with rad(n) = rad(n + 1) = 2^32 makes
+    # the batch's products pass 2^63, so it holds Python ints.
     cases = [(np.array([0, 1, 1, r], dtype=np.int64), 3, 1) for r in (9170, 19143, 94869)]
     cases.append((radical_range(sieve_10k, 1177), 1177, 41))
     for rad, c, a in cases:
-        per_c = (np.array([c]), np.array([True]), np.array([math.log(c)]),
-                 np.array([math.isqrt(c)]))
         a = abcscan._coprime_a([p for p, _ in factorize(sieve_10k, c)], a, a + 1)
-        rows = np.zeros(len(a), dtype=np.int64)
-        exact, fixed = (abcscan._batch(rad, per_c, rows, a, flag) for flag in (True, False))
-        assert exact.rad_abc.dtype == object and fixed.rad_abc.dtype == np.int64
-        assert len(fixed.quality) == 1
-        assert exact.rad_abc.tolist() == fixed.rad_abc.tolist()
-        assert exact.quality.tolist() == fixed.quality.tolist()
+        assert len(a) == 1
+        cs = [c, len(rad) + 1]
+        per_c = (np.array(cs), np.array([True, True]), np.array([math.log(x) for x in cs]),
+                 np.array([math.isqrt(x) for x in cs]))
+        fixed = abcscan._batch(rad, per_c, np.array([0]), a)
+        wide = abcscan._batch(np.append(rad, [2**32, 2**32]), per_c, np.array([0, 1]),
+                              np.append(a, 1))
+        assert fixed.rad_abc.dtype == np.int64 and wide.rad_abc.dtype == object
+        assert wide.rad_abc.tolist()[1] == 2**64
+        assert wide.rad_abc.tolist()[:1] == fixed.rad_abc.tolist()
+        assert wide.quality.tolist()[:1] == fixed.quality.tolist()
+
+
+def test_rad_abc_past_int64_is_exact_python_ints(sieve_10k, table_10k):
+    # batches of 4096 pairs: the early ones fit int64, the later ones pass
+    # 2^63 and hold Python ints; certify's report is that of the mixed scan
+    args = (sieve_10k, table_10k, P41, 400, 10_000)
+    with mock.patch.object(abcscan, "radical_range", scaled_radical_range), \
+            mock.patch.object(abcscan, "BATCH_PAIRS", 4096):
+        batches = list(scan(*args))
+        assert certify(*args) == verify_theorem2(batches)
+    rad = scaled_radical_range(sieve_10k, 400).tolist()
+    widths = []
+    for batch in batches:
+        a, b, c, r = (col.tolist() for col in batch[:4])
+        want = [rad[x] * rad[y] * rad[z] for x, y, z in zip(a, b, c)]
+        fits = max(rad[x] * rad[y] for x, y in zip(a, b)) * max(rad[z] for z in c) < 2**63
+        assert batch.rad_abc.dtype == (np.int64 if fits else object)
+        assert r == want and {type(x) for x in r} == {int}
+        assert batch.conclusion.tolist() == [z < w * w for z, w in zip(c, want)]
+        assert batch.quality.tolist() == [
+            math.log(z) / float(np.log(np.float64(w))) for z, w in zip(c, want)]
+        widths.append(fits)
+    assert True in widths and False in widths
+    assert max(batches[-1].rad_abc.tolist()) >= 2**63
 
 
 @pytest.mark.parametrize("prime_limit", [10_000, 100_000])

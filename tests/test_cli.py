@@ -356,10 +356,12 @@ def test_abc_small_scan():
 def test_abc_csv_matches_csv_writer(capsys, monkeypatch):
     from radseries import FactorSieve, Params, abcscan, scan, sieve_primes
     from radseries.cli import main
+    from conftest import scaled_radical_range
 
     cases = [  # (c_max, abcscan patches, sample and seed)
         (400, {}, None),
-        (400, {"_INT64_RAD_ABC_CMAX": 100}, None),  # rad_abc as exact Python ints
+        # int64 batches, then batches whose rad_abc passes 2^63 as Python ints
+        (400, {"radical_range": scaled_radical_range, "BATCH_PAIRS": 4096}, None),
         (60, {"BATCH_PAIRS": 1}, None),  # batches of 0 or 1 rows
         (5000, {}, (20, 7)),
     ]
@@ -387,9 +389,10 @@ def test_abc_csv_matches_csv_writer(capsys, monkeypatch):
                     format(rec.quality, ".17g"),
                 ])
         assert first_difference(got, want.getvalue()) is None, (c_max, patches, sampled)
-        if "_INT64_RAD_ABC_CMAX" in patches:
-            assert all(batch.rad_abc.dtype == object for batch in batches)
-        if "BATCH_PAIRS" in patches:
+        if "radical_range" in patches:
+            widths = {batch.rad_abc.dtype for batch in batches}
+            assert widths == {np.dtype(np.int64), np.dtype(object)}
+        if patches.get("BATCH_PAIRS") == 1:
             assert {len(batch.a) for batch in batches} == {0, 1}
         if sampled:
             assert len({rec.c for batch in batches for rec in batch.records()}) == sampled[0]
