@@ -20,7 +20,9 @@ quality list or the best hypothesis-true quality, or fail the conclusion.
 The conclusion test is exact integer arithmetic: c < rad_abc^2 is
 evaluated as rad(a)*rad(b) > isqrt(c) // rad(c), which needs no product
 beyond c^2/4; certify's a = 1 quality forms rad(c - 1)*rad(c) <= c(c - 1),
-so c_max is at most 3,037,000,500, the largest c with c(c - 1) < 2^63.  The
+so c_max is at most 3,037,000,500, the largest c with c(c - 1) < 2^63
+(``check_cmax``).  The radical table is uint32, so each product of two
+radicals is formed after widening one factor to int64.  The
 hypothesis test is the identity module's one classification rule, applied
 once to all scanned c, so a c is only flagged hypothesis-true when the
 entire S/T enclosure certifies c < R(c)^(S/T), exactly as the identity
@@ -125,7 +127,7 @@ def _batch(rad: np.ndarray, per_c: tuple[np.ndarray, ...], rows: np.ndarray,
     hypothesis, ln(c) and isqrt(c) are gathered from the per-c columns."""
     c, hypothesis, ln_c, isqrt_c = (col[rows] for col in per_c)
     b = c - a
-    rad_ab = rad[a] * rad[b]
+    rad_ab = rad[a].astype(np.int64) * rad[b]
     rad_c = rad[c]
     conclusion = rad_ab > isqrt_c // rad_c
     wide = int(rad_ab.max(initial=0)) * int(rad_c.max(initial=0)) > np.iinfo(np.int64).max
@@ -162,14 +164,21 @@ def scan(
     return _scan(sieve, rad, ratio_interval, c_values, c_max, progress)
 
 
+def check_cmax(c_max: int) -> None:
+    """Refuse a c_max below 3, or past 3,037,000,500: so rad(c - 1) * rad(c)
+    fits int64.  The one c_max rule of scan and certify; the CLI runs it
+    before it builds the sieve."""
+    if c_max < 3:
+        raise OutOfRangeError(f"c_max={c_max} must be >= 3")
+    if c_max * (c_max - 1) > np.iinfo(np.int64).max:
+        raise OutOfRangeError(f"c_max={c_max} must be <= 3037000500 for int64 radicals")
+
+
 def _setup(sieve, primes, params, c_max, prime_limit, sample, seed):
     """The checked arguments of scan and certify: the radical table, the
     S/T enclosure, and the scanned c (all of 3..c_max, or ``sample`` of them
     drawn by random.Random(seed)), ascending."""
-    if c_max < 3:
-        raise OutOfRangeError(f"c_max={c_max} must be >= 3")
-    if c_max * (c_max - 1) > np.iinfo(np.int64).max:  # so rad(c - 1) * rad(c) fits int64
-        raise OutOfRangeError(f"c_max={c_max} must be <= 3037000500 for int64 radicals")
+    check_cmax(c_max)
     if sample is not None and sample < 0:
         raise InvalidArgumentError(f"sample must be >= 0, got {sample}")
     rad = radical_range(sieve, c_max)  # checks c_max against the sieve
@@ -323,7 +332,7 @@ def certify(
         c = c_values[chunk]
         ln_c, rad_c, phi_c = np.log(c.astype(np.float64)), rad[c], phi[c]
         below[chunk] = _below(ln_c, rad_c, ratio_interval)
-        q_a1[chunk] = ln_c / np.log((rad[c - 1] * rad_c).astype(np.float64))
+        q_a1[chunk] = ln_c / np.log((rad[c - 1].astype(np.int64) * rad_c).astype(np.float64))
         seen += int(phi_c.sum()) // 2
         hypothesis_true += int(phi_c[below[chunk]].sum()) // 2
     del phi
@@ -344,7 +353,9 @@ def certify(
                 progress(c_i, c_max)
         theta = np.minimum(np.where(below[chunk], q0_below, q0), 2.0)
         bound = np.exp(np.log(c.astype(np.float64)) / theta + _PAD) / rad[c]
-        count = np.searchsorted(rad_sorted, np.sqrt(bound).astype(np.int64), side="right")
+        # in rad's own dtype, so searchsorted does not convert rad_sorted
+        top = np.minimum(np.sqrt(bound), rad_sorted[-1]).astype(rad_sorted.dtype)
+        count = np.searchsorted(rad_sorted, top, side="right")
         end = np.cumsum(count)
         total = int(end[-1])
         for lo in range(0, total, BATCH_PAIRS):
@@ -355,7 +366,7 @@ def certify(
             j, x = j[keep], x[keep]
             y = c[j] - x
             rad_x, rad_y = rad[x], rad[y]
-            keep = (rad_x * rad_y <= bound[j]) & (rad_x < rad_y)
+            keep = (rad_x.astype(np.int64) * rad_y <= bound[j]) & (rad_x < rad_y)
             j, x, y = j[keep], x[keep], y[keep]
             keep = np.gcd(x, y) == 1
             found.append((chunk.start + j[keep], np.minimum(x, y)[keep]))

@@ -29,7 +29,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .abcscan import AbcBatch, certify, scan
+from .abcscan import AbcBatch, certify, check_cmax, scan
 from .config import Config, load_config
 from .errors import InvalidParamsError, RadseriesError
 from .euler import product_d
@@ -99,17 +99,23 @@ def _prime_limit(args, cfg: Config) -> int:
     return _limit(args.prime_limit, cfg.prime_limit, "--prime-limit", 2)
 
 
-def _sieve(args, needed: int) -> FactorSieve:
+def _sieve(args, needed: int, check=lambda: None) -> FactorSieve:
     """The --sieve-file dump, else a sieve to --sieve-limit, else one to needed.
 
     Always spf-only: no command reads a cached value array.  The library
     rejects a sieve too small for the command's input; a need below 1 gets
-    a one-entry sieve, whose range check rejects it the same way.
+    a one-entry sieve, whose range check rejects it the same way.  ``check``
+    vets the command's own input before the dump is read or the sieve is
+    built; only the refusals of the sieve's limit come first, so a sieve
+    beyond memory is refused as such.
     """
     if args.sieve_file:
+        check()
         return FactorSieve.load(args.sieve_file, cache_values=False)
-    return FactorSieve.build(_limit(args.sieve_limit, max(needed, 1), "--sieve-limit", 1),
-                             cache_values=False)
+    limit = _limit(args.sieve_limit, max(needed, 1), "--sieve-limit", 1)
+    FactorSieve.check_limit(limit, cache_values=False)
+    check()
+    return FactorSieve.build(limit, cache_values=False)
 
 
 def cmd_radical(args, cfg: Config) -> int:
@@ -393,7 +399,7 @@ def _abc_csv_rows(batch: AbcBatch) -> str:
 def cmd_abc(args, cfg: Config) -> int:
     params = Params(s=args.s, t=args.t)
     prime_limit = _prime_limit(args, cfg)
-    sieve = _sieve(args, args.cmax)
+    sieve = _sieve(args, args.cmax, lambda: check_cmax(args.cmax))
     table = sieve_primes(prime_limit)
 
     progress = None

@@ -128,17 +128,23 @@ def identity_pass(
     parts = ([], [], [], [])  # exact parts of w, by class
     counts = [0, 0, 0, 0]
     for lo, hi in block_bounds(limit):
+        # ln n and ln R(n) overwrite n and R(n), and w holds each product in
+        # turn: every element meets the same operations in the same order
         n = np.arange(lo + 1, hi + 1, dtype=np.float64)
         r = rad[lo + 1: hi + 1].astype(np.float64)
-        ln_n, ln_r = np.log(n), np.log(r)
         a_n = term_kernel(r, n, params)
-        w = s_p * ln_r
+        ln_n, ln_r = np.log(n, out=n), np.log(r, out=r)
+        w = np.multiply(a_n, ln_n)
+        log_n.append(exact_sum(w))
+        log_r.append(exact_sum(np.multiply(a_n, ln_r, out=w)))
+        np.multiply(s_p, ln_r, out=w)
         w -= t_p * ln_n
         w *= a_n
+        del a_n
         residual.append(exact_sum(w))
-        log_n.append(exact_sum(a_n * ln_n))
-        log_r.append(exact_sum(a_n * ln_r))
-        for i, mask in enumerate(class_masks(ln_n, ln_r, *st.ratio_interval)):
+        masks = class_masks(ln_n, ln_r, *st.ratio_interval)
+        del n, r, ln_n, ln_r
+        for i, mask in enumerate(masks):
             parts[i].extend(exact_parts(w[mask]))
             counts[i] += int(np.count_nonzero(mask))
 

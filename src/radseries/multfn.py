@@ -61,7 +61,9 @@ def range_values(spec: MultiplicativeSpec, sieve: FactorSieve, n_max: int) -> np
 
     def extend(m_values: np.ndarray, p: np.ndarray, k: np.ndarray) -> np.ndarray:
         # M(n) = M(m) / value(p, k-1) * value(p, k): the division undoes
-        # m's own factor, so integer values below 2^53 stay exact
+        # m's own factor, so integer values below 2^53 stay exact.  The rule
+        # gets int64 p and k, whatever the sieve's own dtypes
+        p, k = p.astype(np.int64), k.astype(np.int64)
         deep = np.flatnonzero(k > 1)
         m_values[deep] /= prime_power_values(spec, p[deep], k[deep] - 1)
         m_values *= prime_power_values(spec, p, k)

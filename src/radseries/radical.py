@@ -2,16 +2,19 @@
 
 One O(limit) pass builds the spf array; each scalar query then factors n
 in O(log n) divisions.  With ``cache_values`` on (the default), the radical
-and totient are also stored as parallel int64 arrays, but only
-``radical_range`` reads one: a lean sieve (``cache_values=False``) forms
-the radical of a whole range from spf on demand.  The CLI builds and loads
-lean sieves only.  ``multiplicative_values`` is
-the one kernel for a multiplicative function over a range: a recurrence
-over spf, in chunked vectorized passes whose temporaries are bounded by the
+and totient are also stored as parallel arrays, but only ``radical_range``
+reads one: a lean sieve (``cache_values=False``) forms the radical of a
+whole range from spf on demand.  The CLI builds and loads lean sieves
+only.  Every entry of the three tables is at most n, so each is uint32, 4
+bytes per n, and a limit past 2^32 - 1 is refused; a caller widens to
+int64 before it multiplies two entries.  ``multiplicative_values`` is the
+one kernel for a multiplicative function over a range: a recurrence over
+spf, in chunked vectorized passes whose temporaries are bounded by the
 chunk, not by limit.  It gives rad and phi (in one pass when both are
 cached) and every spec's M(n) (``multfn.range_values``).  A loaded dump is
 checked exactly against the sieve built for its limit (each limit has one
 spf table), reading the payload _CHUNK entries at a time after the build.
+A dump holds spf as little-endian int64, whatever the table's own dtype.
 The sieve is immutable after construction and all queries are pure.
 ``table_fits`` is the one size rule for this table and the prime table.
 """
@@ -32,6 +35,8 @@ _DUMP_MAGIC = b"RADSIEVE"
 _DUMP_VERSION = 1
 _DUMP_HEADER = struct.Struct("<8sIIQ")  # magic, version, reserved, limit
 _CHUNK = 1 << 16  # entries per vectorized pass over spf, and per dump read
+_WRITE_CHUNK = 1 << 14  # entries per dump write, converted to int64 one piece at a time
+_SPF_MAX = np.iinfo(np.uint32).max  # the largest limit whose tables hold every n
 
 
 def _physical_memory() -> int:
@@ -39,17 +44,22 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def check_fits(limit: int, nbytes: int) -> None:
+    """Refuse the table of sieve limit ``limit``, nbytes long, when nbytes
+    exceeds physical memory."""
+    if nbytes > _physical_memory():
+        raise OutOfRangeError(f"sieve limit {limit} does not fit in memory")
+
+
 @contextmanager
 def table_fits(limit: int, nbytes: int):
-    """The block that builds the table of sieve limit ``limit``, nbytes long: refused
-    before it runs when nbytes exceeds physical memory, and on a MemoryError in it."""
-    refused = OutOfRangeError(f"sieve limit {limit} does not fit in memory")
-    if nbytes > _physical_memory():
-        raise refused
+    """The block that builds the table of sieve limit ``limit``, nbytes long:
+    refused by ``check_fits`` before it runs, and on a MemoryError in it."""
+    check_fits(limit, nbytes)
     try:
         yield
     except MemoryError:
-        raise refused from None
+        raise OutOfRangeError(f"sieve limit {limit} does not fit in memory") from None
 
 
 @dataclass(frozen=True)
@@ -61,15 +71,26 @@ class FactorSieve:
     """
 
     limit: int
-    spf: np.ndarray  # int64
+    spf: np.ndarray  # uint32, as are rad and phi
     rad: np.ndarray | None = field(default=None, repr=False)
     phi: np.ndarray | None = field(default=None, repr=False)
 
-    @classmethod
-    def build(cls, limit: int, *, cache_values: bool = True) -> "FactorSieve":
+    @staticmethod
+    def check_limit(limit: int, cache_values: bool = True) -> int:
+        """The bytes of the tables ``build`` keeps, once ``limit`` passes its
+        refusals, in this order: a limit below 1, tables beyond physical
+        memory (``check_fits``), a limit past 2^32 - 1."""
         if limit < 1:
             raise InvalidArgumentError(f"sieve limit must be >= 1, got {limit}")
-        with table_fits(limit, 8 * (limit + 1)):
+        nbytes = (12 if cache_values else 4) * (limit + 1)
+        check_fits(limit, nbytes)
+        if limit > _SPF_MAX:
+            raise OutOfRangeError(f"sieve limit {limit} must be <= {_SPF_MAX} for uint32 tables")
+        return nbytes
+
+    @classmethod
+    def build(cls, limit: int, *, cache_values: bool = True) -> "FactorSieve":
+        with table_fits(limit, cls.check_limit(limit, cache_values)):
             spf = _spf_sieve(limit)
             rad, phi = multiplicative_values(spf, _RAD, _PHI) if cache_values else (None, None)
         return cls(limit=limit, spf=spf, rad=rad, phi=phi)
@@ -79,11 +100,13 @@ class FactorSieve:
             raise OutOfRangeError(f"n={n} outside [1, sieve limit {self.limit}]")
 
     def dump(self, path) -> None:
-        """Write a versioned binary image (magic, limit, spf payload)."""
+        """Write a versioned binary image (magic, limit, spf payload as
+        little-endian int64, converted _WRITE_CHUNK entries at a time)."""
         try:
             with open(path, "wb") as fh:
                 fh.write(_DUMP_HEADER.pack(_DUMP_MAGIC, _DUMP_VERSION, 0, self.limit))
-                fh.write(np.ascontiguousarray(self.spf, dtype="<i8"))
+                for lo in range(0, len(self.spf), _WRITE_CHUNK):
+                    fh.write(self.spf[lo:lo + _WRITE_CHUNK].astype("<i8"))
         except OSError as exc:
             raise InvalidArgumentError(f"cannot write sieve dump {path}: {exc}") from None
 
@@ -122,7 +145,7 @@ class FactorSieve:
 
 
 def _spf_sieve(limit: int) -> np.ndarray:
-    spf = np.arange(limit + 1, dtype=np.int64)
+    spf = np.arange(limit + 1, dtype=np.uint32)
     for p in range(2, int(limit ** 0.5) + 1):
         if spf[p] == p:
             sl = spf[p * p:: p]
@@ -137,14 +160,15 @@ def multiplicative_values(spf: np.ndarray, *rules) -> list[np.ndarray]:
 
         f[n] = extend(f[m], p, k),
 
-    called on arrays of f[m] (a fresh copy the rule may overwrite) and of
-    int64 primes and exponents.  k is 1 unless spf[m] == p, and then the
-    exponent of p in m plus one, kept in one uint8 per n.  Every
-    m <= n // 2 lies below a chunk [lo, hi) with hi <= 2 lo, so each chunk
-    is one vectorized pass over finished values (the recurrence of Gries &
-    Misra's linear sieve, CACM 1978).  The chunks double up to _CHUNK
-    entries and then stay at that size, so the passes number
-    ~log2(_CHUNK) + limit / _CHUNK and their temporaries stay cache-sized.
+    called on arrays of f[m] (a fresh copy the rule may overwrite), of the
+    primes p in spf's dtype and of the exponents k as uint8.  k is 1 unless
+    spf[m] == p, and then the exponent of p in m plus one, kept in one uint8
+    per n.  Every m <= n // 2 lies below a chunk [lo, hi) with hi <= 2 lo,
+    so each chunk is one vectorized pass over finished values (the
+    recurrence of Gries & Misra's linear sieve, CACM 1978).  The chunks
+    double up to _CHUNK entries and then stay at that size, so the passes
+    number ~log2(_CHUNK) + limit / _CHUNK and their temporaries stay
+    cache-sized.
     f[1] = 1, and f[0] = f0 is a sentinel.
     """
     size = len(spf)
@@ -164,16 +188,16 @@ def multiplicative_values(spf: np.ndarray, *rules) -> list[np.ndarray]:
         k *= spf[m] == p
         k += 1
         exponent[lo:hi] = k
-        k = k.astype(np.int64)
         for f, (_, _, extend) in zip(values, rules):
             f[lo:hi] = extend(f[m], p, k)
         lo = hi
     return values
 
 
-# rad(p^k) = p and phi(p^k) = (p - 1) p^(k-1); index 0 holds rad 1, phi 0
-_RAD = (np.int64, 1, lambda rad, p, k: rad * np.where(k == 1, p, 1))
-_PHI = (np.int64, 0, lambda phi, p, k: phi * np.where(k == 1, p - 1, p))
+# rad(p^k) = p and phi(p^k) = (p - 1) p^(k-1); index 0 holds rad 1, phi 0.
+# Both stay in uint32: each value is at most n
+_RAD = (np.uint32, 1, lambda rad, p, k: rad * np.where(k == 1, p, 1))
+_PHI = (np.uint32, 0, lambda phi, p, k: phi * np.where(k == 1, p - 1, p))
 
 
 def factorize(sieve: FactorSieve, n: int) -> list[tuple[int, int]]:
@@ -208,7 +232,8 @@ def is_squarefree(sieve: FactorSieve, n: int) -> bool:
 
 
 def radical_range(sieve: FactorSieve, n_max: int) -> np.ndarray:
-    """radical(n) for n = 0..n_max as int64 (index 0 is a 1-sentinel)."""
+    """radical(n) for n = 0..n_max as uint32 (index 0 is a 1-sentinel);
+    widen to int64 before multiplying two of them."""
     sieve.check_range(max(n_max, 1))
     if sieve.rad is not None:
         return sieve.rad[: n_max + 1]

@@ -425,7 +425,7 @@ def test_rad_abc_at_cmax_2_1e6_is_exact_int64(sieve_2m, table_100k):
     a, b, c, r, _, conclusion, quality = (np.concatenate(col) for col in zip(*batches))
     assert np.array_equal(a, want_a) and np.array_equal(b, want_c - want_a)
     assert np.array_equal(c, want_c)
-    rad = radical_range(sieve_2m, 2_100_000)
+    rad = radical_range(sieve_2m, 2_100_000).astype(np.int64)  # the table is uint32
     want = rad[a] * rad[b] * rad[c]
     assert np.array_equal(r, want)
     # exact: float64 holds want below 2^53, and above it want^2 is far past c
@@ -446,6 +446,47 @@ def test_certify_at_cmax_2_1e6(sieve_2m, table_100k, top):
     with mock.patch.object(abcscan, "TOP_QUALITY", top):
         got = certify(*args, sample=3, seed=142)
         assert got == full_scan_report(*args, sample=3, seed=142)
+
+
+def test_certify_where_neighbour_radicals_pass_uint32(table_10k):
+    # three c above 2^17, two of them with c - 1 and c squarefree: each a = 1
+    # product rad(c - 1) rad(c) passes 2^32 - 1, the uint32 tables' range, so
+    # certify must form it in int64 to find the threshold q0
+    args = (FactorSieve.build(200_000), table_10k, P41, 200_000, 10_000)
+    c_values = [143_192, 157_238, 195_434]
+    assert scanned_c_values(200_000, 3, 116) == c_values
+    assert all(brute_rad(c - 1) * brute_rad(c) > 2**32 - 1 for c in c_values)
+    assert sum(brute_rad(c - 1) * brute_rad(c) == (c - 1) * c for c in c_values) == 2
+    with mock.patch.object(abcscan, "TOP_QUALITY", 2):
+        assert certify(*args, sample=3, seed=116) == full_scan_report(*args, sample=3, seed=116)
+
+
+def test_certify_forms_only_rows_that_reach_their_threshold(table_10k):
+    # certify's candidate filter compares rad(x) rad(y) with B_c, and some of
+    # the products it forms here pass 2^32 - 1: formed in uint32 they would
+    # wrap, and this sample would form a row below its threshold theta_c
+    sieve = FactorSieve.build(3_000_000, cache_values=False)
+    args = (sieve, table_10k, P41, 3_000_000, 10_000)
+    formed, batch = [], abcscan._batch
+
+    def recording_batch(*batch_args):
+        formed.append(batch(*batch_args))
+        return formed[-1]
+
+    with mock.patch.object(abcscan, "_batch", recording_batch):
+        certify(*args, sample=40, seed=1)
+    # theta_c from the a = 1 rows, as certify defines it
+    a_is_1 = np.ones(1, dtype=np.int64)
+    with mock.patch.object(abcscan, "BATCH_PAIRS", 1 << 40), \
+            mock.patch.object(abcscan, "_coprime_a", lambda *_: a_is_1):
+        (first,) = scan(*args, sample=40, seed=1)
+    q0 = np.sort(first.quality)[-abcscan.TOP_QUALITY]
+    q0_below = min(q0, first.quality[first.hypothesis].max(initial=-np.inf))
+    theta = dict(zip(first.c.tolist(), np.minimum(np.where(first.hypothesis, q0_below, q0), 2)))
+    assert formed
+    for rows in formed:
+        assert all(q >= theta[c] * (1 - 2**-28) for c, q in zip(rows.c.tolist(),
+                                                                 rows.quality.tolist()))
 
 
 def test_batch_quality_does_not_depend_on_rad_abc_column_type(sieve_10k):

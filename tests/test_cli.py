@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import functools
 import importlib
 import io
 import itertools
@@ -353,6 +354,22 @@ def test_abc_small_scan():
     assert float(first["quality"]) == pytest.approx(math.log(3) / math.log(6), rel=1e-12)
 
 
+def abc_csv(batches) -> str:
+    """The rows of ``batches`` as ``abc`` prints them, by csv.writer."""
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(["schema_version", "a", "b", "c", "rad_abc",
+                     "hypothesis_holds", "conclusion_holds", "quality"])
+    for batch in batches:
+        for rec in batch.records():
+            writer.writerow([
+                1, rec.a, rec.b, rec.c, rec.rad_abc,
+                str(rec.hypothesis_holds).lower(), str(rec.conclusion_holds).lower(),
+                format(rec.quality, ".17g"),
+            ])
+    return want.getvalue()
+
+
 def test_abc_csv_matches_csv_writer(capsys, monkeypatch):
     from radseries import FactorSieve, Params, abcscan, scan, sieve_primes
     from radseries.cli import main
@@ -377,18 +394,7 @@ def test_abc_csv_matches_csv_writer(capsys, monkeypatch):
             batches = list(scan(FactorSieve.build(c_max), sieve_primes(1000), Params(4, 1),
                                 c_max, 1000, **sample))
 
-        want = io.StringIO()
-        writer = csv.writer(want, lineterminator="\n")
-        writer.writerow(["schema_version", "a", "b", "c", "rad_abc",
-                         "hypothesis_holds", "conclusion_holds", "quality"])
-        for batch in batches:
-            for rec in batch.records():
-                writer.writerow([
-                    1, rec.a, rec.b, rec.c, rec.rad_abc,
-                    str(rec.hypothesis_holds).lower(), str(rec.conclusion_holds).lower(),
-                    format(rec.quality, ".17g"),
-                ])
-        assert first_difference(got, want.getvalue()) is None, (c_max, patches, sampled)
+        assert first_difference(got, abc_csv(batches)) is None, (c_max, patches, sampled)
         if "radical_range" in patches:
             widths = {batch.rad_abc.dtype for batch in batches}
             assert widths == {np.dtype(np.int64), np.dtype(object)}
@@ -396,6 +402,48 @@ def test_abc_csv_matches_csv_writer(capsys, monkeypatch):
             assert {len(batch.a) for batch in batches} == {0, 1}
         if sampled:
             assert len({rec.c for batch in batches for rec in batch.records()}) == sampled[0]
+
+
+def test_abc_rows_whose_radical_products_pass_uint32():
+    # c = 198696 has 19,534 coprime rows whose rad(a) rad(b) passes 2^32 - 1,
+    # the range of the uint32 radical table, so the scan forms it in int64
+    from radseries import FactorSieve, Params, scan, sieve_primes
+    from conftest import brute_rad
+
+    r = run_cli("abc", "--cmax", "200000", "--s", "4", "--t", "1", "--prime-limit", "1000",
+                "--sample", "2", "--seed", "0")
+    assert r.returncode == 0
+    batches = list(scan(FactorSieve.build(200_000), sieve_primes(1000), Params(4, 1),
+                        200_000, 1000, sample=2, seed=0))
+    records = [rec for batch in batches for rec in batch.records()]
+    rad = functools.lru_cache(maxsize=None)(brute_rad)
+    assert sorted({rec.c for rec in records}) == [100_992, 198_696]
+    assert sum(rec.c == 198_696 and rad(rec.a) * rad(rec.b) > 2**32 - 1
+               for rec in records) == 19_534
+    assert [rec.rad_abc for rec in records] == [
+        rad(rec.a) * rad(rec.b) * rad(rec.c) for rec in records]
+    assert first_difference(r.stdout, abc_csv(batches)) is None
+
+
+def test_abc_cmax_past_its_bound_is_refused_before_the_sieve(monkeypatch, tmp_path):
+    # with memory for the sieve of 3037000501, the c_max rule refuses it, and
+    # no sieve is built or read; --sieve-limit and --sieve-file are refused
+    # the same way
+    from radseries import FactorSieve
+
+    def refused(cls, *args, **kwargs):
+        raise AssertionError("a refused c_max must not get a sieve")
+
+    monkeypatch.setattr(importlib.import_module("radseries.radical"), "_physical_memory",
+                        lambda: 2 ** 40)
+    monkeypatch.setattr(FactorSieve, "build", classmethod(refused))
+    monkeypatch.setattr(FactorSieve, "load", classmethod(refused))
+    for extra in ([], ["--sieve-limit", "100"], ["--sieve-file", "missing.bin"]):
+        r = run_cli("abc", "--s", "4", "--t", "1", "--cmax", "3037000501", "--prime-limit", "100",
+                    *extra, cwd=tmp_path)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr == "radseries: c_max=3037000501 must be <= 3037000500 for int64 radicals\n"
 
 
 def g17_lines(values) -> str:

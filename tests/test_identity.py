@@ -213,10 +213,11 @@ def test_shared_pass_is_bit_identical_to_separate_passes(sieves_512k, table_100k
 def test_identity_pass_memory_is_bounded_by_the_block(sieves_512k, table_10k, traced_peak,
                                                       cached):
     # the per-n arrays live one block at a time, so the bound does not grow
-    # with the limit; a lean sieve adds the int64 radical formed from spf
+    # with the limit: at most seven float64 blocks at once (6.5 measured).  A
+    # lean sieve adds the uint32 radical formed from spf
     sieve = sieves_512k[cached]
     limit = sieve.limit
-    bound = 16 * 8 * DEFAULT_BLOCK + (0 if cached else 8 * (limit + 1))
+    bound = 7 * 8 * DEFAULT_BLOCK + (0 if cached else 4 * (limit + 1))
     assert traced_peak(lambda: identity_pass(sieve, table_10k, P41, limit, 10_000)) <= bound
 
 

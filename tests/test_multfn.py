@@ -95,6 +95,22 @@ def test_builtin_rules_take_int64_arrays():
         assert got.dtype == np.float64 and got.tolist() == want, spec.name
 
 
+def test_range_values_calls_the_rule_on_int64_arrays(sieve_10k):
+    # the sieve's tables are uint32; a rule still gets int64 p and k, so a
+    # rule such as the identity spec's p ** k computes in int64
+    seen = set()
+
+    def rule(p, k):
+        seen.add((p.dtype, k.dtype))
+        return p ** k
+
+    spec = MultiplicativeSpec(name="recording", value_at_prime_power=rule)
+    assert sieve_10k.spf.dtype == np.uint32
+    got = range_values(spec, sieve_10k, 10_000)
+    assert seen == {(np.dtype(np.int64), np.dtype(np.int64))}
+    assert got[1:].tolist() == [float(n) for n in range(1, 10_001)]
+
+
 # Past 2^17 the recurrence runs in chunks of 2^16: end one short of, and one
 # past, a chunk edge, and a few past 2^19 (as the sieve tests do).
 EDGE_LIMITS = [2 ** 17 - 1, 2 ** 17 + 1, 2 ** 18 - 1, 2 ** 18 + 1, 2 ** 19 + 3]

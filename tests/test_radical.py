@@ -39,7 +39,7 @@ def strided_phi(spf):
 
 
 def assert_values_match_strided(sieve):
-    assert sieve.rad.dtype == sieve.phi.dtype == np.int64
+    assert sieve.spf.dtype == sieve.rad.dtype == sieve.phi.dtype == np.uint32
     assert np.array_equal(sieve.rad, strided_rad(sieve.spf)), sieve.limit
     assert np.array_equal(sieve.phi, strided_phi(sieve.spf)), sieve.limit
 
@@ -204,10 +204,10 @@ def test_value_sieves_match_strided_kernels_at_chunk_edges(limit):
 
 @pytest.mark.parametrize("cache_values, kept_arrays", [(True, 3), (False, 1)])
 def test_build_memory_is_the_kept_arrays_plus_chunks(traced_peak, cache_values, kept_arrays):
-    # spf is kept, and rad and phi when cached; the value passes add a few
-    # chunk-sized temporaries at a time, however large the limit
+    # spf is kept, and rad and phi when cached, at 4 bytes per n; the value
+    # passes add a few chunk-sized temporaries at a time, however large the limit
     limit = 1_000_000
-    kept = kept_arrays * 8 * (limit + 1)
+    kept = kept_arrays * 4 * (limit + 1)
     peak = traced_peak(lambda: FactorSieve.build(limit, cache_values=cache_values))
     assert peak <= kept + 8 * 8 * (1 << 16)
 
@@ -250,6 +250,35 @@ def test_largest_allowed_limit_is_refused_as_memory():
         FactorSieve.build(LARGEST)
 
 
+def test_limit_past_uint32_is_refused_after_the_memory_check(monkeypatch, traced_peak):
+    # with memory for its 48 GiB of tables, 2^32 is refused because uint32
+    # cannot hold n = 2^32, before any table is allocated
+    monkeypatch.setattr(sys.modules["radseries.radical"], "_physical_memory", lambda: 2 ** 40)
+
+    def build():
+        with pytest.raises(OutOfRangeError,
+                           match=f"^sieve limit {2 ** 32} must be <= {2 ** 32 - 1} for uint32"):
+            FactorSieve.build(2 ** 32)
+    assert traced_peak(build) < 2 ** 16
+
+
+@pytest.mark.parametrize("limit", [1, 1_000, 65_537])
+def test_tables_take_4_bytes_per_n(limit):
+    sieve = FactorSieve.build(limit)
+    assert sieve.spf.nbytes == sieve.rad.nbytes == sieve.phi.nbytes == 4 * (limit + 1)
+
+
+@pytest.mark.parametrize("cache_values, per_n", [(True, 12), (False, 4)])
+def test_size_rule_counts_4_bytes_per_kept_table(monkeypatch, cache_values, per_n):
+    limit = 1_000
+    radical_module = sys.modules["radseries.radical"]
+    monkeypatch.setattr(radical_module, "_physical_memory", lambda: per_n * (limit + 1))
+    assert FactorSieve.build(limit, cache_values=cache_values).limit == limit
+    monkeypatch.setattr(radical_module, "_physical_memory", lambda: per_n * (limit + 1) - 1)
+    with pytest.raises(OutOfRangeError, match=f"^sieve limit {limit} does not fit in memory$"):
+        FactorSieve.build(limit, cache_values=cache_values)
+
+
 @pytest.mark.parametrize("cache_values", [True, False])
 def test_load_memory_is_a_build_plus_a_chunk(tmp_path, traced_peak, cache_values):
     # the payload is read and compared a chunk at a time after the build
@@ -265,7 +294,7 @@ def test_lean_radical_range_equals_cached_rad():
     lean = FactorSieve.build(70_000, cache_values=False)
     for n_max in (0, 1, 2, 3, 4, 65_535, 65_536, 65_537, 70_000):
         got = radical_range(lean, n_max)
-        assert got.dtype == np.int64
+        assert got.dtype == np.uint32
         assert np.array_equal(got, cached.rad[: n_max + 1]), n_max
 
 
@@ -276,7 +305,8 @@ def test_spf_sieve_matches_trial_division():
 
 
 def corrupt_dump(path, limit, edits):
-    spf = FactorSieve.build(limit, cache_values=False).spf.copy()
+    # an int64 copy, so an edit may hold any value a dump can
+    spf = FactorSieve.build(limit, cache_values=False).spf.astype(np.int64)
     for n, p in edits.items():
         spf[n] = p
     FactorSieve(limit=limit, spf=spf).dump(path)
@@ -346,7 +376,7 @@ def test_load_returns_the_sieve_build_returns(tmp_path, cache_values):
         if want is None:
             assert got is None, name
         else:
-            assert got.dtype == want.dtype and np.array_equal(got, want), name
+            assert got.dtype == want.dtype == np.uint32 and np.array_equal(got, want), name
 
 
 @pytest.fixture
