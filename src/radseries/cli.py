@@ -13,10 +13,11 @@ a table that does not fit in memory, 3 verification failure.  A JSON result
 with a NaN or infinite field is a verification failure too: nothing goes
 to stdout and stderr names the field.
 
-The commands that use a factor sieve (radical, series, identity, abc) build
-it exactly as large as their input needs (n, --limit, --limit, --cmax),
-unless --sieve-limit or --sieve-file gives one.  A config file supplies
-only defaults for --prime-limit and --spec.
+The commands that use a factor sieve (radical, series, abc) build it
+exactly as large as their input needs (n, --limit, --cmax), unless
+--sieve-limit or --sieve-file gives one.  identity forms its radicals one
+window at a time from the primes up to the square root of --limit, with no
+sieve.  A config file supplies only defaults for --prime-limit and --spec.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .abcscan import AbcBatch, certify, check_cmax, scan
 from .config import Config, load_config
 from .errors import InvalidParamsError, RadseriesError
 from .euler import product_d
-from .identity import identity_pass
+from .identity import check_limit, identity_pass
 from .multfn import BUILTIN_SPECS, RADICAL_SPEC, builtin_spec
 from .primes import sieve_primes
 from .radical import FactorSieve, euler_phi, is_squarefree, radical
@@ -248,9 +249,9 @@ def cmd_identity(args, cfg: Config) -> int:
     params = Params(s=args.s, t=args.t)
     prime_limit = _prime_limit(args, cfg)
     limit = args.limit
-    sieve = _sieve(args, limit)
+    check_limit(limit)
     table = sieve_primes(prime_limit)
-    r = identity_pass(sieve, table, params, limit, prime_limit)
+    r = identity_pass(table, params, limit, prime_limit)
     _emit_json({
         "command": "identity",
         **asdict(params),
@@ -504,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     # every command takes --config; only those that use a factor sieve take its flags
     for name, p in sub.choices.items():
         p.add_argument("--config", help="path to key=value config file")
-        if name in ("radical", "series", "identity", "abc"):
+        if name in ("radical", "series", "abc"):
             p.add_argument("--sieve-limit", type=int, help="factor sieve limit")
             p.add_argument("--sieve-file", help="load the factor sieve from a dump")
     return parser

@@ -22,8 +22,10 @@ absorb.
 
 The terms a_n and the sums L_N, L_R with their tails come from the series
 module's one term kernel and one truncated-sum rule.  The pass walks n over
-the fixed summation blocks, so its per-n memory is one block, not N, and
-every sum keeps the bits of a whole-array pass (see ``identity_pass``).
+the fixed summation blocks, with R(n) formed one window of blocks at a time
+from the primes up to sqrt(N) (``radical.radical_window``), so its per-n
+memory is one window, not N, and every sum keeps the bits of a whole-array
+pass (see ``identity_pass``).
 
 The class split never forms R(n)^(S/T): it compares T ln n with S ln R(n)
 in log space.  A comparison is committed only when the whole S/T enclosure
@@ -39,12 +41,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import OutOfRangeError
 from .multfn import RADICAL_SPEC
-from .numerics import block_bounds, exact_parts, exact_sum
-from .primes import PrimeTable
-from .radical import FactorSieve, radical_range
+from .numerics import DEFAULT_BLOCK, block_bounds, exact_parts, exact_sum
+from .primes import PrimeTable, sieve_primes
+from .radical import _SPF_MAX, FactorSieve, radical_window
 from .series import Params, tail_bound, term_kernel
 from .stkernel import StResult, st_ratio
+
+WINDOW = 4 * DEFAULT_BLOCK  # n per radical window: four summation blocks
 
 
 @dataclass(frozen=True)
@@ -93,8 +98,13 @@ def class_masks(
     return below, equal, above, ~(below | above | equal)
 
 
+def check_limit(limit: int) -> None:
+    """Refuse an n-sum limit below 1 or past 2^32 - 1, before any work."""
+    if not 1 <= limit <= _SPF_MAX:  # the largest n a uint32 window holds
+        raise OutOfRangeError(f"identity limit {limit} is outside [1, {_SPF_MAX}]")
+
+
 def identity_pass(
-    sieve: FactorSieve,
     primes: PrimeTable,
     params: Params,
     limit: int,
@@ -108,8 +118,10 @@ def identity_pass(
     need: the block sums of the residual and of the two log-weighted series
     behind the tolerance (sum a_n ln n and sum a_n ln R(n), by the rule of
     ``series_d_log_n`` and ``series_d_log_m``), and the exact parts of its
-    w in each class.  Memory is one block of each array, plus R(n) where
-    the sieve has not cached it.
+    w in each class.  R(n) comes from ``radical_window`` over WINDOW n at a
+    time, from the primes up to sqrt(limit) whatever prime_limit is, and
+    each block is a slice of its window.  Memory is one window of R(n) and
+    one block of each float array, whatever the limit.
 
     Each class sum is one ``math.fsum`` over its blocks' ``exact_parts``,
     which equals ``math.fsum`` of the whole masked w bit for bit away from
@@ -118,20 +130,23 @@ def identity_pass(
     |w_n| <= 3 theta(P) ln n < 4 P ln n, below 2^72 for any int64 P and n.
     A non-finite a_n (R(n)^t overflowing) keeps fsum's own NaN and inf.
     """
-    sieve.check_range(limit)
+    check_limit(limit)
     st = st_ratio(primes, params, prime_limit)
     s_p, t_p = st.s_value.value, st.t_value.value
     g = RADICAL_SPEC.growth_exponent
 
-    rad = radical_range(sieve, limit)
+    base = sieve_primes(max(math.isqrt(limit), 2)).primes
     residual, log_n, log_r = [], [], []  # block sums
     parts = ([], [], [], [])  # exact parts of w, by class
     counts = [0, 0, 0, 0]
     for lo, hi in block_bounds(limit):
+        if lo % WINDOW == 0:  # the next window, with the last one freed first
+            start, rad = lo + 1, None  # rad[i] = R(start + i)
+            rad = radical_window(base, start, min(lo + WINDOW, limit) + 1)
         # ln n and ln R(n) overwrite n and R(n), and w holds each product in
         # turn: every element meets the same operations in the same order
         n = np.arange(lo + 1, hi + 1, dtype=np.float64)
-        r = rad[lo + 1: hi + 1].astype(np.float64)
+        r = rad[lo + 1 - start: hi + 1 - start].astype(np.float64)
         a_n = term_kernel(r, n, params)
         ln_n, ln_r = np.log(n, out=n), np.log(r, out=r)
         w = np.multiply(a_n, ln_n)
@@ -167,8 +182,9 @@ def identity_pass(
     )
 
 
-# The benchmark calls and traces these two names.  Tracing wraps functions by
-# identity, so each stays a function of its own rather than an alias.
+# The benchmark calls and traces these two names, with a sieve first.
+# Tracing wraps functions by identity, so each stays a function of its own
+# rather than an alias.
 def identity_residual(
     sieve: FactorSieve,
     primes: PrimeTable,
@@ -176,8 +192,9 @@ def identity_residual(
     limit: int,
     prime_limit: int,
 ) -> IdentityResult:
-    """``identity_pass`` under a name the benchmark calls and traces."""
-    return identity_pass(sieve, primes, params, limit, prime_limit)
+    """``identity_pass`` under a name the benchmark calls and traces; the
+    sieve is unused."""
+    return identity_pass(primes, params, limit, prime_limit)
 
 
 def split_identity(
@@ -187,5 +204,6 @@ def split_identity(
     limit: int,
     prime_limit: int,
 ) -> IdentityResult:
-    """``identity_pass`` under a name the benchmark calls and traces."""
-    return identity_pass(sieve, primes, params, limit, prime_limit)
+    """``identity_pass`` under a name the benchmark calls and traces; the
+    sieve is unused."""
+    return identity_pass(primes, params, limit, prime_limit)

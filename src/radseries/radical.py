@@ -17,6 +17,9 @@ spf table), reading the payload _CHUNK entries at a time after the build.
 A dump holds spf as little-endian int64, whatever the table's own dtype.
 The sieve is immutable after construction and all queries are pure.
 ``table_fits`` is the one size rule for this table and the prime table.
+``radical_window`` needs no sieve: it forms the radicals of one window of
+consecutive n from the primes up to sqrt(n), and ``radical_range`` stays
+its reference.
 """
 
 from __future__ import annotations
@@ -229,6 +232,36 @@ def euler_phi(sieve: FactorSieve, n: int) -> int:
 def is_squarefree(sieve: FactorSieve, n: int) -> bool:
     """True iff no prime divides n twice; equivalently radical(n) == n."""
     return radical(sieve, n) == n
+
+
+def radical_window(base, lo: int, hi: int) -> np.ndarray:
+    """radical(n) for lo <= n < hi as uint32, 1 <= lo <= hi <= 2^32, from
+    ``base``: the primes up to some B with B^2 >= hi - 1.
+
+    No table over [1, hi): each prime p of base multiplies ``rad`` by p along
+    the p-stride and ``extra`` by p along each p^k stride with k >= 2, so
+    rad * extra is the B-smooth part of n.  The cofactor n // (rad * extra)
+    has no prime factor up to B and is at most n <= B^2, so it is 1 or a
+    single prime, and rad * cofactor is radical(n).  Every value is at most
+    n, so uint32 holds it, and memory is three arrays of the window's
+    length, whatever hi is.
+    """
+    size = hi - lo
+    rad = np.ones(size, dtype=np.uint32)
+    extra = np.ones(size, dtype=np.uint32)
+    for p in np.asarray(base).tolist():
+        rad[-lo % p:: p] *= p
+        pk = p * p
+        while pk < hi:
+            start = -lo % pk
+            if start < size:  # most p^k above the window's length miss it
+                extra[start:: pk] *= p
+            pk *= p
+    extra *= rad  # the B-smooth part of n
+    cofactor = np.arange(lo, hi, dtype=np.uint32)
+    cofactor //= extra
+    rad *= cofactor
+    return rad
 
 
 def radical_range(sieve: FactorSieve, n_max: int) -> np.ndarray:

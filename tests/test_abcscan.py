@@ -550,7 +550,7 @@ def test_every_classification_matches_the_scalar_oracle(sieve_100k, table_100k, 
     want = [reference_class(n, rad[n], low, high) for n in range(1, limit + 1)]
     assert classes(np.arange(1, limit + 1), rad[1:], low, high) == want
 
-    split = identity_pass(sieve_100k, table_100k, params, limit, prime_limit)
+    split = identity_pass(table_100k, params, limit, prime_limit)
     counts = Counter(want)
     assert split.classification_counts == (counts["below"], counts["equal"], counts["above"])
     assert split.ambiguous_count == counts["ambiguous"]

@@ -143,12 +143,12 @@ def test_criterion_3_ratio_bound_grid(table_100k):
 
 
 @criterion("criterion 4 (zero identity, N = P = 1e5; improvement vs N = 1e3)")
-def test_criterion_4_identity_residual(sieve_100k, table_100k):
+def test_criterion_4_identity_residual(table_100k):
     for s, t in POINTS:
         params = Params(s, t)
-        fine = identity_pass(sieve_100k, table_100k, params, 100_000, 100_000)
+        fine = identity_pass(table_100k, params, 100_000, 100_000)
         assert abs(fine.residual) <= fine.tolerance, f"(s={s},t={t})"
-        coarse = identity_pass(sieve_100k, table_100k, params, 1_000, 100_000)
+        coarse = identity_pass(table_100k, params, 1_000, 100_000)
         norm_fine = abs(fine.residual) / fine.tolerance
         norm_coarse = abs(coarse.residual) / coarse.tolerance
         assert norm_fine < norm_coarse, \
@@ -177,11 +177,11 @@ def test_criterion_5_split(sieve_100k, table_100k):
     prime_powers = [n for n in range(2, 10_001) if _prime_power_exponent(n) >= 2]
     for s, t in POINTS:
         params = Params(s, t)
-        tiny = identity_pass(sieve_100k, table_100k, params, 4, 100_000)
+        tiny = identity_pass(table_100k, params, 4, 100_000)
         assert tiny.classification_counts[0] > 0, "Below empty at limit 4"
         assert tiny.classification_counts[2] > 0, "Above empty at limit 4"
 
-        full = identity_pass(sieve_100k, table_100k, params, 10_000, 100_000)
+        full = identity_pass(table_100k, params, 10_000, 100_000)
         assert full.balance_gap <= full.tolerance, f"(s={s},t={t})"
         assert full.classification_counts[1] == 1  # exactly n = 1
 

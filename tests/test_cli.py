@@ -114,11 +114,15 @@ def test_radical_sieve_sized_by_n():
     ("abc", "--s", "4", "--t", "1", "--cmax", "{}", "--prime-limit", "100"),
 ], ids=["radical", "series", "identity", "abc"])
 def test_sieve_numpy_cannot_allocate_exits_2(argv, value):
-    # refused by the size rule before numpy is asked for the table
+    # refused by the size rule before numpy is asked for the table; identity
+    # allocates no table, and its limit rule refuses n past uint32 at once
     r = run_cli(*(arg.format(value) for arg in argv))
     assert r.returncode == 2
     assert r.stdout == ""
-    assert r.stderr == f"radseries: sieve limit {value} does not fit in memory\n"
+    if argv[0] == "identity":
+        assert r.stderr == f"radseries: identity limit {value} is outside [1, 4294967295]\n"
+    else:
+        assert r.stderr == f"radseries: sieve limit {value} does not fit in memory\n"
     assert r.stderr.count("\n") == 1
 
 
@@ -134,9 +138,8 @@ def test_radical_sieve_beyond_memory_exits_2():
     (("radical", "360"), 360),
     (("radical", "12", "--sieve-limit", "100"), 100),
     (("series", "--s", "4", "--t", "1", "--limit", "300"), 300),
-    (("identity", "--s", "4", "--t", "1", "--limit", "300", "--prime-limit", "1000"), 300),
     (("abc", "--s", "4", "--t", "1", "--cmax", "800", "--prime-limit", "1000", "--verify"), 800),
-], ids=["radical", "radical-sieve-limit", "series", "identity", "abc"])
+], ids=["radical", "radical-sieve-limit", "series", "abc"])
 def test_sieve_sized_by_need(argv, need, monkeypatch, tmp_path, capsys):
     from radseries import FactorSieve, cli
 
@@ -327,9 +330,35 @@ def test_ratio_grid_check_bounds_failure_exits_3_after_the_full_csv(monkeypatch)
     assert r.stderr == "ratio-grid: 3 enclosing interval(s) leave (1, 2)\n"
 
 
+# identity --s 4 --t 1 --limit 300000 --prime-limit 1000 as printed when R(n)
+# came from a whole-range factor sieve: two radical windows of 2^18
+IDENTITY_300K = (
+    '{"schema_version": 1, "command": "identity", "s": 4.0, "t": 1.0, "limit": 300000, '
+    '"prime_limit": 1000, "residual": 3.5202788056462255e-09, '
+    '"tolerance": 1.9394732729194935e-06, "within_tolerance": true, '
+    '"split": {"below": 0.0009820898397662617, "equal": 0.0, '
+    '"above": -0.000982086319487456, "counts": [182377, 1, 117622], '
+    '"ambiguous_count": 0, "balance_gap": 3.520278805653823e-09, '
+    '"tolerance": 1.9394732729194935e-06}}\n')
+
+
+def test_identity_builds_and_loads_no_sieve(monkeypatch):
+    from radseries import FactorSieve
+
+    def no_sieve(cls, *args, **kwargs):
+        raise AssertionError("identity must not build or load a factor sieve")
+
+    monkeypatch.setattr(FactorSieve, "build", classmethod(no_sieve))
+    monkeypatch.setattr(FactorSieve, "load", classmethod(no_sieve))
+    r = run_cli("identity", "--s", "4", "--t", "1", "--limit", "300000",
+                "--prime-limit", "1000")
+    assert (r.returncode, r.stderr) == (0, "")
+    assert r.stdout == IDENTITY_300K
+
+
 def test_identity_within_tolerance():
     r = run_cli("identity", "--s", "4", "--t", "1", "--limit", "10000",
-                "--prime-limit", "10000", "--sieve-limit", "10000")
+                "--prime-limit", "10000")
     assert r.returncode == 0
     out = json.loads(r.stdout)
     assert out["within_tolerance"] is True
@@ -574,7 +603,8 @@ def test_threads_flag_is_retired():
     ("product", "--s", "4", "--t", "1"),
     ("ratio-grid", "--s-min", "3", "--s-max", "4", "--t-min", "0.5", "--t-max", "1"),
     ("sieve", "--limit", "100", "--out"),
-], ids=["st", "product", "ratio-grid", "sieve"])
+    ("identity", "--s", "4", "--t", "1", "--limit", "100"),
+], ids=["st", "product", "ratio-grid", "sieve", "identity"])
 @pytest.mark.parametrize("flag", [("--sieve-limit", "1000"), ("--sieve-file", "/nonexistent")],
                          ids=["sieve-limit", "sieve-file"])
 def test_sieve_flags_only_where_a_sieve_is_used(argv, flag, tmp_path):
@@ -743,14 +773,13 @@ def test_unusable_dump_path_exits_2_naming_it(tmp_path, case):
 
 
 def test_identity_output_matches_library(tmp_path):
-    from radseries import FactorSieve, Params, identity_pass, sieve_primes
+    from radseries import Params, identity_pass, sieve_primes
 
     r = run_cli("identity", "--s", "2.6", "--t", "0.5", "--limit", "70000",
                 "--prime-limit", "5000")
     assert r.returncode == 0
     out = json.loads(r.stdout)
-    sieve, table = FactorSieve.build(100_000), sieve_primes(5000)
-    got = identity_pass(sieve, table, Params(2.6, 0.5), 70_000, 5000)
+    got = identity_pass(sieve_primes(5000), Params(2.6, 0.5), 70_000, 5000)
     assert (out["residual"], out["tolerance"]) == (got.residual, got.tolerance)
     assert out["within_tolerance"] == got.within_tolerance
     assert out["split"] == {
@@ -932,15 +961,18 @@ NUMPY_MEMORY_ERROR = ("Unable to allocate 153. MiB for an array with shape (2000
 ], ids=["series", "identity", "abc", "st"])
 def test_memory_error_after_the_sieve_exits_2(monkeypatch, argv, message, line):
     # the first allocation after the sieve fails as numpy's does: the value
-    # table of the spf recurrence, or for st the S/T kernel's buffers.  abc
-    # forms its radical table before its CSV header, so stdout stays empty.
-    from radseries import multfn, stkernel
+    # table of the spf recurrence, for identity its first radical window, or
+    # for st the S/T kernel's buffers.  abc forms its radical table before its
+    # CSV header, so stdout stays empty.
+    from radseries import identity, multfn, stkernel
 
     def no_memory(*args, **kwargs):
         raise MemoryError(message)
 
     if argv[0] == "st":
         monkeypatch.setattr(stkernel.StKernel, "__init__", no_memory)
+    elif argv[0] == "identity":
+        monkeypatch.setattr(identity, "radical_window", no_memory)
     else:
         monkeypatch.setattr(importlib.import_module("radseries.radical"),
                             "multiplicative_values", no_memory)

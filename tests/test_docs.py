@@ -1,6 +1,7 @@
 """The README's examples stay in step with the CLI parser, the config keys
 and the library's names."""
 
+import argparse
 import ast
 import contextlib
 import importlib
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from radseries import cli
 from radseries.cli import build_parser, main
 from radseries.config import Config
 
@@ -114,3 +116,27 @@ def test_install_sentence_names_every_test_dependency():
     sentence = text[start:text.index(":\n", start)]
     missing = [name for name in wanted if f"`{name}`" not in sentence]
     assert not missing, f"the README's test dependencies omit {missing}"
+
+
+def sieve_flag_commands() -> tuple[set[str], set[str]]:
+    """(the subcommands that accept --sieve-limit and --sieve-file, the rest)."""
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    taking = {name for name, parser in sub.choices.items()
+              if {"--sieve-limit", "--sieve-file"} <= set(parser._option_string_actions)}
+    return taking, set(sub.choices) - taking
+
+
+def test_sieve_flag_sentences_name_the_commands_that_take_them():
+    taking, others = sieve_flag_commands()
+    assert taking and others
+    text = " ".join(README.read_text().split())
+    start = text.index("Only the commands that use a factor sieve (")
+    sentence = text[start:text.index("(exit 2).", start)]
+    listed, rejecting = sentence.split(")", 1)
+    commands = r"`([a-z][a-z-]*)`"
+    assert set(re.findall(commands, listed)) == taking
+    assert set(re.findall(commands, rejecting.split(";", 1)[1])) == others
+    doc = " ".join(cli.__doc__.split())
+    listed = re.search(r"The commands that use a factor sieve \(([^)]*)\)", doc).group(1)
+    assert set(listed.split(", ")) == taking

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -15,6 +14,7 @@ from radseries import (
     series_d_log_n,
     st_ratio,
 )
+from radseries.identity import WINDOW
 from radseries.numerics import DEFAULT_BLOCK, sum_blocks
 from radseries.radical import radical_range
 
@@ -49,15 +49,15 @@ def test_classify_ambiguous_knife_edge(sieve_10k):
     assert classes_of(sieve_10k, [8], 2.999, 3.001) == ["ambiguous"]
 
 
-def test_residual_single_term(sieve_10k, table_10k):
-    got = identity_pass(sieve_10k, table_10k, P41, 1, 10_000)
+def test_residual_single_term(table_10k):
+    got = identity_pass(table_10k, P41, 1, 10_000)
     assert got.residual == 0.0
 
 
-def test_residual_within_tolerance(sieve_10k, table_10k):
+def test_residual_within_tolerance(table_10k):
     for s, t in [(4, 1), (2.6, 0.5)]:
         params = Params(s, t)
-        got = identity_pass(sieve_10k, table_10k, params, 10_000, 10_000)
+        got = identity_pass(table_10k, params, 10_000, 10_000)
         assert got.within_tolerance
         assert got.tolerance > 0
 
@@ -74,31 +74,31 @@ def test_squarefree_restriction_is_positive(sieve_10k, table_10k):
     assert total > 0
 
 
-def test_split_single_term(sieve_10k, table_10k):
-    got = identity_pass(sieve_10k, table_10k, P41, 1, 10_000)
+def test_split_single_term(table_10k):
+    got = identity_pass(table_10k, P41, 1, 10_000)
     assert got.classification_counts == (0, 1, 0)
     assert got.below == got.above == got.equal == 0.0
 
 
-def test_split_signs_and_balance(sieve_10k, table_10k):
+def test_split_signs_and_balance(table_10k):
     for s, t in [(4, 1), (2.6, 0.5), (5, 2.5)]:
-        got = identity_pass(sieve_10k, table_10k, Params(s, t), 10_000, 10_000)
+        got = identity_pass(table_10k, Params(s, t), 10_000, 10_000)
         assert got.below > 0
         assert got.above < 0
         assert got.equal == 0.0
         assert got.balance_gap <= got.tolerance
     # tight enclosures commit every n <= 1e4
     for s, t in [(4, 1), (5, 2.5)]:
-        got = identity_pass(sieve_10k, table_10k, Params(s, t), 10_000, 10_000)
+        got = identity_pass(table_10k, Params(s, t), 10_000, 10_000)
         assert got.ambiguous_count == 0
 
 
-def test_ambiguity_shrinks_with_prime_limit(sieve_10k, table_100k):
+def test_ambiguity_shrinks_with_prime_limit(table_100k):
     # (2.6, 0.5) converges slowly; borderline n resolve as the S/T
     # enclosure tightens
     params = Params(2.6, 0.5)
-    coarse = identity_pass(sieve_10k, table_100k, params, 10_000, 10_000)
-    fine = identity_pass(sieve_10k, table_100k, params, 10_000, 100_000)
+    coarse = identity_pass(table_100k, params, 10_000, 10_000)
+    fine = identity_pass(table_100k, params, 10_000, 100_000)
     assert fine.ambiguous_count < coarse.ambiguous_count
 
 
@@ -108,7 +108,7 @@ def test_split_counts_match_classifier(sieve_10k, table_10k):
     ns = np.arange(1, 2_001)
     got_classes = classes_of(sieve_10k, ns, lo, hi)
     assert got_classes == [reference_class(n, brute_rad(n), lo, hi) for n in ns.tolist()]
-    got = identity_pass(sieve_10k, table_10k, P41, 2_000, 10_000)
+    got = identity_pass(table_10k, P41, 2_000, 10_000)
     assert got.classification_counts == tuple(
         got_classes.count(name) for name in ("below", "equal", "above"))
 
@@ -121,17 +121,17 @@ def test_primes_below_squares_above(sieve_10k, table_10k):
     assert classes_of(sieve_10k, primes * primes, lo, hi) == ["above"] * 6
 
 
-def test_equal_class_is_singleton(sieve_10k, table_10k):
+def test_equal_class_is_singleton(table_10k):
     # over a generic parameter sample only n = 1 lands exactly on the threshold
     for s, t in [(4, 1), (3.1, 1.7), (2.6, 0.5)]:
-        got = identity_pass(sieve_10k, table_10k, Params(s, t), 10_000, 10_000)
+        got = identity_pass(table_10k, Params(s, t), 10_000, 10_000)
         assert got.classification_counts[1] == 1
 
 
-def test_residual_improves_with_limit(sieve_100k, table_100k):
+def test_residual_improves_with_limit(table_100k):
     # empirical monotone improvement, prime truncation held fixed
-    r_coarse = identity_pass(sieve_100k, table_100k, P41, 1_000, 100_000)
-    r_fine = identity_pass(sieve_100k, table_100k, P41, 100_000, 100_000)
+    r_coarse = identity_pass(table_100k, P41, 1_000, 100_000)
+    r_fine = identity_pass(table_100k, P41, 100_000, 100_000)
     assert abs(r_fine.residual) / r_fine.tolerance < abs(r_coarse.residual) / r_coarse.tolerance
 
 
@@ -181,21 +181,20 @@ def reference_identity(sieve, table, params, limit, prime_limit):
 
 
 @pytest.fixture(scope="module")
-def sieves_512k():
-    """{cache_values: sieve} at 2^19, cached and lean (the CLI's kind)."""
-    return {cached: FactorSieve.build(1 << 19, cache_values=cached) for cached in (True, False)}
+def sieve_512k():
+    return FactorSieve.build(1 << 19)
 
 
 @pytest.mark.parametrize("s,t,prime_limit", [(4, 1, 100_000), (2.6, 0.5, 10_000), (5, 2.5, 100_000)])
-def test_shared_pass_is_bit_identical_to_separate_passes(sieves_512k, table_100k, s, t,
+def test_shared_pass_is_bit_identical_to_separate_passes(sieve_512k, table_100k, s, t,
                                                          prime_limit):
     params = Params(s, t)
-    # on a cached sieve and a lean one, the pass walks summation blocks of
-    # 2^16: part of one block, exactly one, two, and three ending inside a fourth
-    for sieve, limit in itertools.product(sieves_512k.values(),
-                                          (1, 65_536, 100_000, 3 * DEFAULT_BLOCK + 7)):
-        want = reference_identity(sieve, table_100k, params, limit, prime_limit)
-        got = identity_pass(sieve, table_100k, params, limit, prime_limit)
+    # the pass walks summation blocks of 2^16 in radical windows of four:
+    # part of one block, exactly one, two, three ending inside a fourth, and
+    # one window and a block ending inside a second window
+    for limit in (1, 65_536, 100_000, 3 * DEFAULT_BLOCK + 7, WINDOW + DEFAULT_BLOCK + 7):
+        want = reference_identity(sieve_512k, table_100k, params, limit, prime_limit)
+        got = identity_pass(table_100k, params, limit, prime_limit)
         assert got.st == want["st"]
         assert got.residual == want["residual"]
         assert got.tolerance == want["tolerance"]
@@ -206,19 +205,16 @@ def test_shared_pass_is_bit_identical_to_separate_passes(sieves_512k, table_100k
         assert got.ambiguous_count == want["ambiguous_count"]
         assert got.ambiguous_sum == want["ambiguous_sum"]
         # a second pass reproduces every field
-        assert identity_pass(sieve, table_100k, params, limit, prime_limit) == got
+        assert identity_pass(table_100k, params, limit, prime_limit) == got
 
 
-@pytest.mark.parametrize("cached", [True, False], ids=["cached", "lean"])
-def test_identity_pass_memory_is_bounded_by_the_block(sieves_512k, table_10k, traced_peak,
-                                                      cached):
-    # the per-n arrays live one block at a time, so the bound does not grow
-    # with the limit: at most seven float64 blocks at once (6.5 measured).  A
-    # lean sieve adds the uint32 radical formed from spf
-    sieve = sieves_512k[cached]
-    limit = sieve.limit
-    bound = 7 * 8 * DEFAULT_BLOCK + (0 if cached else 4 * (limit + 1))
-    assert traced_peak(lambda: identity_pass(sieve, table_10k, P41, limit, 10_000)) <= bound
+@pytest.mark.parametrize("limit", [1 << 19, 1 << 21])
+def test_identity_pass_memory_is_bounded_by_the_block(table_10k, traced_peak, limit):
+    # the per-n arrays live one block at a time and R(n) one window at a
+    # time, so one bound holds at every limit: at most seven float64 blocks
+    # (6.5 measured) plus the window's uint32 radicals
+    bound = 7 * 8 * DEFAULT_BLOCK + 4 * WINDOW
+    assert traced_peak(lambda: identity_pass(table_10k, P41, limit, 10_000)) <= bound
 
 
 @pytest.mark.parametrize("s,t", [(2.05, 1), (4, 1), (2.6, 0.5), (60, 50)])
@@ -231,7 +227,8 @@ def test_class_weights_stay_far_from_the_overflow_of_exact_parts(table_10k, s, t
     assert st.s_value.value + st.t_value.value <= 3 * theta
 
 
-def test_identity_limit_outside_sieve(sieve_10k, table_10k):
-    for limit in (0, 10_001):
+def test_identity_limit_outside_sieve(table_10k):
+    # n runs over uint32 radical windows: refused before any work
+    for limit in (0, 2 ** 32):
         with pytest.raises(OutOfRangeError):
-            identity_pass(sieve_10k, table_10k, P41, limit, 10_000)
+            identity_pass(table_10k, P41, limit, 10_000)

@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from radseries import (
@@ -15,8 +15,10 @@ from radseries import (
     factorize,
     is_squarefree,
     radical,
+    sieve_primes,
 )
-from radseries.radical import _spf_sieve, radical_range
+from radseries.numerics import DEFAULT_BLOCK
+from radseries.radical import _spf_sieve, radical_range, radical_window
 
 from conftest import brute_phi, brute_rad
 
@@ -296,6 +298,51 @@ def test_lean_radical_range_equals_cached_rad():
         got = radical_range(lean, n_max)
         assert got.dtype == np.uint32
         assert np.array_equal(got, cached.rad[: n_max + 1]), n_max
+
+
+TOP = 2 ** 32  # one past the largest n a uint32 window holds
+PRIMES_BELOW_2_16 = sieve_primes(2 ** 16).primes.tolist()
+
+
+@pytest.fixture(scope="module")
+def sieve_1e6():
+    return FactorSieve.build(10 ** 6)
+
+
+@st.composite
+def windows(draw):
+    """[lo, hi) at or across p^2, a higher power p^k, a summation-block edge
+    k 2^16, or ending at 2^32 - 1; short above 1e6, where the trial-division
+    oracle is slow."""
+    kind = draw(st.sampled_from(["square", "power", "block", "top"]))
+    if kind == "square":
+        anchor = draw(st.sampled_from(PRIMES_BELOW_2_16)) ** 2
+    elif kind == "power":
+        p = draw(st.sampled_from([p for p in PRIMES_BELOW_2_16 if p ** 3 < TOP]))
+        anchor = p ** draw(st.integers(3, max(k for k in range(3, 32) if p ** k < TOP)))
+    elif kind == "block":
+        anchor = DEFAULT_BLOCK * draw(st.integers(1, TOP // DEFAULT_BLOCK - 1))
+    else:
+        anchor = TOP
+    size = draw(st.integers(1, 300 if anchor < 10 ** 6 else 12))
+    lo = max(1, anchor - draw(st.integers(0, size)))
+    return lo, min(lo + size, TOP)
+
+
+@settings(max_examples=80, deadline=None)
+@given(windows())
+@example((TOP - 12, TOP))
+@example((1, 2))
+@example((65_521 ** 2 - 5, 65_521 ** 2 + 5))
+def test_radical_window_matches_the_oracles(sieve_1e6, window):
+    # from the fewest primes the kernel allows: those up to sqrt(hi - 1)
+    lo, hi = window
+    base = sieve_primes(max(math.isqrt(hi - 1), 2)).primes
+    got = radical_window(base, lo, hi)
+    assert got.dtype == np.uint32
+    assert got.tolist() == [brute_rad(n) for n in range(lo, hi)]
+    if hi <= 10 ** 6:
+        assert np.array_equal(got, radical_range(sieve_1e6, hi - 1)[lo:])
 
 
 def test_spf_sieve_matches_trial_division():
