@@ -13,11 +13,13 @@ a table that does not fit in memory, 3 verification failure.  A JSON result
 with a NaN or infinite field is a verification failure too: nothing goes
 to stdout and stderr names the field.
 
-The commands that use a factor sieve (radical, series, abc) build it
-exactly as large as their input needs (n, --limit, --cmax), unless
---sieve-limit or --sieve-file gives one.  identity forms its radicals one
-window at a time from the primes up to the square root of --limit, with no
-sieve.  A config file supplies only defaults for --prime-limit and --spec.
+Each command refuses its own input before it sizes any table.  The
+commands that use a factor sieve (radical, series, abc) build it exactly as
+large as their input needs (n, --limit, --cmax), unless --sieve-file gives
+one; radical alone also takes --sieve-limit.  identity forms its radicals
+one window at a time from the primes up to the square root of --limit,
+with no sieve.  A config file supplies only defaults for --prime-limit and
+--spec.
 """
 
 from __future__ import annotations
@@ -100,32 +102,23 @@ def _prime_limit(args, cfg: Config) -> int:
     return _limit(args.prime_limit, cfg.prime_limit, "--prime-limit", 2)
 
 
-def _sieve(args, needed: int, check=lambda: None) -> FactorSieve:
-    """The --sieve-file dump, else a sieve to --sieve-limit, else one to needed.
-
-    Always spf-only: no command reads a cached value array.  The library
-    rejects a sieve too small for the command's input; a need below 1 gets
-    a one-entry sieve, whose range check rejects it the same way.  ``check``
-    vets the command's own input before the dump is read or the sieve is
-    built; only the refusals of the sieve's limit come first, so a sieve
-    beyond memory is refused as such.
-    """
+def _sieve(args, limit: int) -> FactorSieve:
+    """The --sieve-file dump, else a sieve to limit: spf-only, as no command
+    reads a cached value array.  The library rejects a sieve too small for
+    the command's input."""
     if args.sieve_file:
-        check()
         return FactorSieve.load(args.sieve_file, cache_values=False)
-    limit = _limit(args.sieve_limit, max(needed, 1), "--sieve-limit", 1)
-    FactorSieve.check_limit(limit, cache_values=False)
-    check()
     return FactorSieve.build(limit, cache_values=False)
 
 
 def cmd_radical(args, cfg: Config) -> int:
-    sieve = _sieve(args, args.n)
+    n = _limit(args.n, None, "n", 1)  # n is required
+    sieve = _sieve(args, _limit(args.sieve_limit, n, "--sieve-limit", 1))
     _emit_json({
-        "n": args.n,
-        "radical": radical(sieve, args.n),
-        "phi": euler_phi(sieve, args.n),
-        "squarefree": is_squarefree(sieve, args.n),
+        "n": n,
+        "radical": radical(sieve, n),
+        "phi": euler_phi(sieve, n),
+        "squarefree": is_squarefree(sieve, n),
     })
     return EXIT_OK
 
@@ -144,7 +137,7 @@ def cmd_sieve(args, cfg: Config) -> int:
 def cmd_series(args, cfg: Config) -> int:
     params = Params(s=args.s, t=args.t)
     spec = builtin_spec(args.spec or cfg.spec)
-    limit = args.limit
+    limit = _limit(args.limit, None, "--limit", 1)  # --limit is required
     sieve = _sieve(args, limit)
     result = series_d(spec, sieve, params, limit)
     payload = {
@@ -400,7 +393,8 @@ def _abc_csv_rows(batch: AbcBatch) -> str:
 def cmd_abc(args, cfg: Config) -> int:
     params = Params(s=args.s, t=args.t)
     prime_limit = _prime_limit(args, cfg)
-    sieve = _sieve(args, args.cmax, lambda: check_cmax(args.cmax))
+    check_cmax(args.cmax)
+    sieve = _sieve(args, args.cmax)
     table = sieve_primes(prime_limit)
 
     progress = None
@@ -443,6 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("radical", help="radical, totient and squarefree flag of n")
     p.add_argument("n", type=int)
+    p.add_argument("--sieve-limit", type=int, help="factor sieve limit, at least n (default n)")
     p.set_defaults(func=cmd_radical)
 
     p = sub.add_parser("sieve", help="build a factor sieve and dump it to disk")
@@ -502,11 +497,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--progress", action="store_true", help="progress lines on stderr")
     p.set_defaults(func=cmd_abc)
 
-    # every command takes --config; only those that use a factor sieve take its flags
+    # every command takes --config; only those that use a factor sieve take --sieve-file
     for name, p in sub.choices.items():
         p.add_argument("--config", help="path to key=value config file")
         if name in ("radical", "series", "abc"):
-            p.add_argument("--sieve-limit", type=int, help="factor sieve limit")
             p.add_argument("--sieve-file", help="load the factor sieve from a dump")
     return parser
 

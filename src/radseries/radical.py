@@ -16,7 +16,8 @@ checked exactly against the sieve built for its limit (each limit has one
 spf table), reading the payload _CHUNK entries at a time after the build.
 A dump holds spf as little-endian int64, whatever the table's own dtype.
 The sieve is immutable after construction and all queries are pure.
-``table_fits`` is the one size rule for this table and the prime table.
+``table_fits`` is the one size rule for this table and the prime table,
+and ``FactorSieve.build`` is the one place a sieve limit is refused.
 ``radical_window`` needs no sieve: it forms the radicals of one window of
 consecutive n from the primes up to sqrt(n), and ``radical_range`` stays
 its reference.
@@ -47,22 +48,18 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def check_fits(limit: int, nbytes: int) -> None:
-    """Refuse the table of sieve limit ``limit``, nbytes long, when nbytes
-    exceeds physical memory."""
-    if nbytes > _physical_memory():
-        raise OutOfRangeError(f"sieve limit {limit} does not fit in memory")
-
-
 @contextmanager
 def table_fits(limit: int, nbytes: int):
     """The block that builds the table of sieve limit ``limit``, nbytes long:
-    refused by ``check_fits`` before it runs, and on a MemoryError in it."""
-    check_fits(limit, nbytes)
+    refused before it runs when nbytes exceeds physical memory, and on a
+    MemoryError in it."""
+    message = f"sieve limit {limit} does not fit in memory"
+    if nbytes > _physical_memory():
+        raise OutOfRangeError(message)
     try:
         yield
     except MemoryError:
-        raise OutOfRangeError(f"sieve limit {limit} does not fit in memory") from None
+        raise OutOfRangeError(message) from None
 
 
 @dataclass(frozen=True)
@@ -78,22 +75,16 @@ class FactorSieve:
     rad: np.ndarray | None = field(default=None, repr=False)
     phi: np.ndarray | None = field(default=None, repr=False)
 
-    @staticmethod
-    def check_limit(limit: int, cache_values: bool = True) -> int:
-        """The bytes of the tables ``build`` keeps, once ``limit`` passes its
-        refusals, in this order: a limit below 1, tables beyond physical
-        memory (``check_fits``), a limit past 2^32 - 1."""
-        if limit < 1:
-            raise InvalidArgumentError(f"sieve limit must be >= 1, got {limit}")
-        nbytes = (12 if cache_values else 4) * (limit + 1)
-        check_fits(limit, nbytes)
-        if limit > _SPF_MAX:
-            raise OutOfRangeError(f"sieve limit {limit} must be <= {_SPF_MAX} for uint32 tables")
-        return nbytes
-
     @classmethod
     def build(cls, limit: int, *, cache_values: bool = True) -> "FactorSieve":
-        with table_fits(limit, cls.check_limit(limit, cache_values)):
+        """The sieve to ``limit``.  Its refusals come before any table is
+        allocated, in this order: a limit below 1, tables beyond physical
+        memory (``table_fits``), a limit past 2^32 - 1."""
+        if limit < 1:
+            raise InvalidArgumentError(f"sieve limit must be >= 1, got {limit}")
+        with table_fits(limit, (12 if cache_values else 4) * (limit + 1)):
+            if limit > _SPF_MAX:
+                raise OutOfRangeError(f"sieve limit {limit} must be <= {_SPF_MAX} for uint32 tables")
             spf = _spf_sieve(limit)
             rad, phi = multiplicative_values(spf, _RAD, _PHI) if cache_values else (None, None)
         return cls(limit=limit, spf=spf, rad=rad, phi=phi)

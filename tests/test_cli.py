@@ -85,10 +85,11 @@ def test_radical_1():
 
 
 def test_radical_0_exits_2():
-    r = run_cli("radical", "0", "--sieve-limit", "100")
+    # refused as input, before any sieve is sized
+    r = run_cli("radical", "0")
     assert r.returncode == 2
     assert r.stdout == ""
-    assert r.stderr.strip()
+    assert r.stderr == "radseries: n must be >= 1, got 0\n"
 
 
 def test_radical_beyond_sieve_limit_exits_2():
@@ -115,12 +116,15 @@ def test_radical_sieve_sized_by_n():
 ], ids=["radical", "series", "identity", "abc"])
 def test_sieve_numpy_cannot_allocate_exits_2(argv, value):
     # refused by the size rule before numpy is asked for the table; identity
-    # allocates no table, and its limit rule refuses n past uint32 at once
+    # allocates no table, and its limit rule refuses n past uint32 at once;
+    # abc's c_max rule refuses its input before any table is sized
     r = run_cli(*(arg.format(value) for arg in argv))
     assert r.returncode == 2
     assert r.stdout == ""
     if argv[0] == "identity":
         assert r.stderr == f"radseries: identity limit {value} is outside [1, 4294967295]\n"
+    elif argv[0] == "abc":
+        assert r.stderr == f"radseries: c_max={value} must be <= 3037000500 for int64 radicals\n"
     else:
         assert r.stderr == f"radseries: sieve limit {value} does not fit in memory\n"
     assert r.stderr.count("\n") == 1
@@ -193,7 +197,7 @@ def test_radical_json_equals_a_cached_sieve(n, monkeypatch, tmp_path, capsys):
 
 
 def test_series_four_terms():
-    r = run_cli("series", "--s", "4", "--t", "1", "--limit", "4", "--sieve-limit", "100")
+    r = run_cli("series", "--s", "4", "--t", "1", "--limit", "4")
     assert r.returncode == 0
     out = json.loads(r.stdout)
     assert out["schema_version"] == 1
@@ -203,14 +207,14 @@ def test_series_four_terms():
 
 
 def test_series_outside_rc_exits_2():
-    r = run_cli("series", "--s", "1.5", "--t", "1", "--limit", "10", "--sieve-limit", "100")
+    r = run_cli("series", "--s", "1.5", "--t", "1", "--limit", "10")
     assert r.returncode == 2
     assert "region of convergence" in r.stderr
 
 
 def test_series_compare():
     r = run_cli("series", "--s", "4", "--t", "1", "--limit", "10000",
-                "--sieve-limit", "10000", "--compare", "--prime-limit", "10000")
+                "--compare", "--prime-limit", "10000")
     assert r.returncode == 0
     out = json.loads(r.stdout)
     assert out["agrees"] is True
@@ -368,8 +372,7 @@ def test_identity_within_tolerance():
 
 
 def test_abc_small_scan():
-    r = run_cli("abc", "--cmax", "5", "--s", "4", "--t", "1",
-                "--prime-limit", "1000", "--sieve-limit", "1000")
+    r = run_cli("abc", "--cmax", "5", "--s", "4", "--t", "1", "--prime-limit", "1000")
     assert r.returncode == 0
     rows = parse_csv(r.stdout)
     by_c = {}
@@ -456,8 +459,7 @@ def test_abc_rows_whose_radical_products_pass_uint32():
 
 def test_abc_cmax_past_its_bound_is_refused_before_the_sieve(monkeypatch, tmp_path):
     # with memory for the sieve of 3037000501, the c_max rule refuses it, and
-    # no sieve is built or read; --sieve-limit and --sieve-file are refused
-    # the same way
+    # no sieve is built or read; with --sieve-file too
     from radseries import FactorSieve
 
     def refused(cls, *args, **kwargs):
@@ -467,7 +469,7 @@ def test_abc_cmax_past_its_bound_is_refused_before_the_sieve(monkeypatch, tmp_pa
                         lambda: 2 ** 40)
     monkeypatch.setattr(FactorSieve, "build", classmethod(refused))
     monkeypatch.setattr(FactorSieve, "load", classmethod(refused))
-    for extra in ([], ["--sieve-limit", "100"], ["--sieve-file", "missing.bin"]):
+    for extra in ([], ["--sieve-file", "missing.bin"]):
         r = run_cli("abc", "--s", "4", "--t", "1", "--cmax", "3037000501", "--prime-limit", "100",
                     *extra, cwd=tmp_path)
         assert r.returncode == 2
@@ -533,7 +535,7 @@ def test_quality_kernel_matches_format_on_any_doubles(values):
 
 def test_abc_verify_exit_zero():
     r = run_cli("abc", "--cmax", "1000", "--s", "4", "--t", "1",
-                "--prime-limit", "10000", "--sieve-limit", "1000", "--verify")
+                "--prime-limit", "10000", "--verify")
     assert r.returncode == 0
     out = json.loads(r.stdout)
     assert out["counterexamples"] == []
@@ -543,8 +545,7 @@ def test_abc_verify_exit_zero():
 
 def test_abc_progress_on_stderr_only():
     r = run_cli("abc", "--cmax", "1000", "--s", "4", "--t", "1",
-                "--prime-limit", "1000", "--sieve-limit", "1000",
-                "--verify", "--progress")
+                "--prime-limit", "1000", "--verify", "--progress")
     assert r.returncode == 0
     assert "c=500/1000" in r.stderr
     json.loads(r.stdout)  # stdout stays machine-clean
@@ -568,7 +569,7 @@ def test_abc_verify_prints_what_the_full_scan_prints(sample, monkeypatch):
 @pytest.mark.parametrize("extra", [(), ("--verify",)])
 def test_abc_negative_sample_exits_2(extra):
     r = run_cli("abc", "--cmax", "100", "--s", "4", "--t", "1", "--sample", "-1",
-                "--prime-limit", "1000", "--sieve-limit", "1000", *extra)
+                "--prime-limit", "1000", *extra)
     assert r.returncode == 2
     assert r.stdout == ""
     assert "sample must be >= 0" in r.stderr
@@ -576,15 +577,13 @@ def test_abc_negative_sample_exits_2(extra):
 
 
 def test_abc_cmax_below_3_exits_2_before_any_output():
-    r = run_cli("abc", "--cmax", "2", "--s", "4", "--t", "1",
-                "--prime-limit", "1000", "--sieve-limit", "1000")
+    r = run_cli("abc", "--cmax", "2", "--s", "4", "--t", "1", "--prime-limit", "1000")
     assert r.returncode == 2
     assert r.stdout == ""
 
 
 def test_deterministic_across_runs():
-    args = ("series", "--s", "2.6", "--t", "0.5", "--limit", "20000",
-            "--sieve-limit", "20000")
+    args = ("series", "--s", "2.6", "--t", "0.5", "--limit", "20000")
     a = run_cli_process(*args)
     b = run_cli_process(*args)
     assert a.stdout == b.stdout
@@ -598,15 +597,27 @@ def test_threads_flag_is_retired():
     assert "--threads" in r.stderr and "Traceback" not in r.stderr
 
 
-@pytest.mark.parametrize("argv", [
-    ("st", "--s", "4", "--t", "1"),
-    ("product", "--s", "4", "--t", "1"),
-    ("ratio-grid", "--s-min", "3", "--s-max", "4", "--t-min", "0.5", "--t-max", "1"),
-    ("sieve", "--limit", "100", "--out"),
-    ("identity", "--s", "4", "--t", "1", "--limit", "100"),
-], ids=["st", "product", "ratio-grid", "sieve", "identity"])
-@pytest.mark.parametrize("flag", [("--sieve-limit", "1000"), ("--sieve-file", "/nonexistent")],
-                         ids=["sieve-limit", "sieve-file"])
+NO_SIEVE_COMMANDS = {
+    "st": ("st", "--s", "4", "--t", "1"),
+    "product": ("product", "--s", "4", "--t", "1"),
+    "ratio-grid": ("ratio-grid", "--s-min", "3", "--s-max", "4", "--t-min", "0.5", "--t-max", "1"),
+    "sieve": ("sieve", "--limit", "100", "--out"),
+    "identity": ("identity", "--s", "4", "--t", "1", "--limit", "100"),
+}
+# series and abc size their sieve by need or read --sieve-file; only radical sets a limit
+SIEVE_LIMIT_REFUSED = {
+    **NO_SIEVE_COMMANDS,
+    "series": ("series", "--s", "4", "--t", "1", "--limit", "100"),
+    "abc": ("abc", "--s", "4", "--t", "1", "--cmax", "100", "--prime-limit", "100"),
+}
+
+
+@pytest.mark.parametrize("argv, flag", [
+    *(pytest.param(argv, ("--sieve-limit", "1000"), id=f"sieve-limit-{name}")
+      for name, argv in SIEVE_LIMIT_REFUSED.items()),
+    *(pytest.param(argv, ("--sieve-file", "/nonexistent"), id=f"sieve-file-{name}")
+      for name, argv in NO_SIEVE_COMMANDS.items()),
+])
 def test_sieve_flags_only_where_a_sieve_is_used(argv, flag, tmp_path):
     out = tmp_path / "unused.bin"
     r = run_cli(*argv, *([str(out)] if argv[-1] == "--out" else []), *flag)
@@ -652,17 +663,22 @@ def test_config_in_the_working_directory_and_env_precedence(tmp_path):
     assert json.loads(r2.stdout)["prime_limit"] == 60
 
 
-@pytest.mark.parametrize("case", ["unreadable", "no-equals"])
-def test_bad_config_file_exits_2_naming_it(tmp_path, case):
+@pytest.mark.parametrize("text, where, key", [
+    pytest.param(None, "", None, id="unreadable"),  # never written
+    pytest.param("# defaults\nprime_limit 50\n", ":2", None, id="no-equals"),
+    # bad values are refused as the file is loaded, whether st reads the key or not
+    pytest.param("prime_limit = 1\n", ":1", "prime_limit", id="prime-limit-1"),
+    pytest.param("spec = nosuch\n", ":1", "spec", id="unknown-spec"),
+])
+def test_bad_config_file_exits_2_naming_it(tmp_path, text, where, key):
     cfg = tmp_path / "radseries.conf"
-    where = str(cfg)  # unreadable: never written
-    if case == "no-equals":
-        cfg.write_text("# defaults\nprime_limit 50\n")
-        where = f"{cfg}:2"
+    if text is not None:
+        cfg.write_text(text)
     r = run_cli("st", "--s", "4", "--t", "1", "--config", str(cfg))
     assert (r.returncode, r.stdout) == (2, "")
     errors = [line for line in r.stderr.splitlines() if line.startswith("radseries:")]
-    assert len(errors) == 1 and where in errors[0] and "Traceback" not in r.stderr
+    assert len(errors) == 1 and f"{cfg}{where}" in errors[0] and "Traceback" not in r.stderr
+    assert key is None or f"config key {key} " in errors[0]
 
 
 def test_config_names_default_spec(tmp_path):
@@ -1125,7 +1141,8 @@ def test_every_command_exits_cleanly_on_the_whole_region(point, monkeypatch, tmp
     (("radical", "30"), "--sieve-limit"),
     (("sieve",), "--limit"),
     (("ratio-grid", "--s-min", "3", "--s-max", "4", "--t-min", "1", "--t-max", "1"), "--steps"),
-], ids=["prime-limit", "sieve-limit", "limit", "steps"])
+    (("series", "--s", "4", "--t", "1"), "--limit"),
+], ids=["prime-limit", "sieve-limit", "limit", "steps", "series-limit"])
 @pytest.mark.parametrize("value", ["0", "-5"])
 def test_explicit_non_positive_limit_exits_2(tmp_path, command, flag, value):
     # an explicit 0 is rejected, not replaced by the config default

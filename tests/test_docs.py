@@ -118,25 +118,29 @@ def test_install_sentence_names_every_test_dependency():
     assert not missing, f"the README's test dependencies omit {missing}"
 
 
-def sieve_flag_commands() -> tuple[set[str], set[str]]:
-    """(the subcommands that accept --sieve-limit and --sieve-file, the rest)."""
+def flag_commands(flag: str) -> tuple[set[str], set[str]]:
+    """(the subcommands that accept flag, the rest)."""
     sub = next(action for action in build_parser()._actions
                if isinstance(action, argparse._SubParsersAction))
     taking = {name for name, parser in sub.choices.items()
-              if {"--sieve-limit", "--sieve-file"} <= set(parser._option_string_actions)}
+              if flag in parser._option_string_actions}
     return taking, set(sub.choices) - taking
 
 
 def test_sieve_flag_sentences_name_the_commands_that_take_them():
-    taking, others = sieve_flag_commands()
-    assert taking and others
+    # one README sentence per flag: "Only ... take(s) `flag`; ... reject it (exit 2)."
     text = " ".join(README.read_text().split())
-    start = text.index("Only the commands that use a factor sieve (")
-    sentence = text[start:text.index("(exit 2).", start)]
-    listed, rejecting = sentence.split(")", 1)
     commands = r"`([a-z][a-z-]*)`"
-    assert set(re.findall(commands, listed)) == taking
-    assert set(re.findall(commands, rejecting.split(";", 1)[1])) == others
+    for flag in ("--sieve-file", "--sieve-limit"):
+        taking, others = flag_commands(flag)
+        assert taking and others
+        end = text.index(f" `{flag}`; ")
+        listed = text[text.rindex("Only ", 0, end):end]
+        rejecting = text[end:text.index("(exit 2).", end)]
+        assert set(re.findall(commands, listed)) == taking, flag
+        assert set(re.findall(commands, rejecting)) == others, flag
     doc = " ".join(cli.__doc__.split())
     listed = re.search(r"The commands that use a factor sieve \(([^)]*)\)", doc).group(1)
-    assert set(listed.split(", ")) == taking
+    assert set(listed.split(", ")) == flag_commands("--sieve-file")[0]
+    alone = re.search(r"(\w+) alone also takes --sieve-limit", doc).group(1)
+    assert {alone} == flag_commands("--sieve-limit")[0]
