@@ -7,9 +7,11 @@ import itertools
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,12 +50,24 @@ def run_cli(*args, env_extra=None, cwd=None):
     return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
 
 
-def run_cli_process(*args):
-    """``python -m radseries *args`` in a child process: for what only a
-    process shows, such as its entry point and the warnings it prints."""
+def process_env(unbuffered: bool | None = None) -> dict[str, str]:
+    """The environment of a child process: RADSERIES_CONFIG unset, and
+    PYTHONUNBUFFERED set (every stdout write reaches the pipe at once) or
+    unset (the last writes wait for the final flush), or left as it is."""
     env = dict(os.environ)
     env.pop("RADSERIES_CONFIG", None)
-    return subprocess.run(BASE + list(args), capture_output=True, text=True, env=env)
+    if unbuffered is not None:
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def run_cli_process(*args, unbuffered=None):
+    """``python -m radseries *args`` in a child process: for what only a
+    process shows, such as its entry point and the warnings it prints."""
+    return subprocess.run(BASE + list(args), capture_output=True, text=True,
+                          env=process_env(unbuffered))
 
 
 def first_difference(got: str, want: str):
@@ -588,6 +602,99 @@ def test_deterministic_across_runs():
     b = run_cli_process(*args)
     assert a.stdout == b.stdout
     assert a.returncode == 0
+
+
+ABC_CSV = ("abc", "--s", "4", "--t", "1", "--cmax", "800")
+RATIO_GRID_CSV = ("ratio-grid", "--s-min", "2.2", "--s-max", "8", "--t-min", "0.2",
+                  "--t-max", "2", "--steps", "60", "--prime-limit", "1000")
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_the_largest_output_arrives_whole_through_a_pipe(unbuffered):
+    # ~5 MB: the process ends right after its final flush, so any byte it
+    # had not written by then would be lost
+    child = subprocess.run(BASE + list(ABC_CSV), capture_output=True, env=process_env(unbuffered))
+    assert (child.returncode, child.stderr) == (0, b"")
+    want = run_cli(*ABC_CSV).stdout
+    assert len(want) > 4_000_000
+    same = child.stdout == want.encode()  # a bare name: no diff of 5 MB on failure
+    assert same, first_difference(child.stdout.decode(), want)
+
+
+@pytest.mark.parametrize("args, code", [
+    (("radical", "12"), 0),
+    (("st", "--s", "2", "--t", "1"), 2),
+    # at s = 60 S and T round to one double, so the ratio 1 leaves (1, 2):
+    # exit 3 until ROADMAP item 1 computes S/T as 1 + (S - T)/T
+    (("ratio-grid", "--s-min", "40", "--s-max", "60", "--t-min", "1", "--t-max", "2",
+      "--steps", "3", "--check-bounds"), 3),
+    (("--help",), 0),
+    (("st", "--s", "4"), 2),
+], ids=["ok", "invalid", "verification", "help", "usage-error"])
+def test_a_process_prints_and_exits_as_main_returns(args, code):
+    child = run_cli_process(*args, unbuffered=False)  # what is buffered reaches the pipe too
+    assert child.returncode == code
+    inline = run_cli(*args)
+    assert (child.stdout, child.stderr, inline.returncode) == (inline.stdout, inline.stderr, code)
+
+
+# Unbuffered (PYTHONUNBUFFERED), ratio-grid writes its ~0.5 MB in one call.
+# When the reader leaves during it, the write comes back short and Python's
+# text layer drops the rest with no error, so the command exits 0: only the
+# buffered case is pinned for it.
+@pytest.mark.parametrize("args, unbuffered", [
+    (ABC_CSV, True), (ABC_CSV, False), (RATIO_GRID_CSV, False),
+], ids=["abc-unbuffered", "abc-buffered", "ratio-grid-buffered"])
+def test_a_reader_that_closes_the_pipe_early_gives_exit_2(args, unbuffered, tmp_path):
+    # each output is several times a pipe's 64 KiB, so the command is still
+    # writing when the reader leaves
+    err_path = tmp_path / "stderr.txt"
+    with open(err_path, "wb") as err:
+        child = subprocess.Popen(BASE + list(args), stdout=subprocess.PIPE, stderr=err,
+                                 env=process_env(unbuffered))
+        try:
+            assert len(child.stdout.read(100)) == 100
+        finally:
+            child.stdout.close()
+            code = child.wait(timeout=120)
+    lines = err_path.read_text().splitlines()
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("radseries: cannot write output: "), lines
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["in-the-command", "at-the-final-flush"])
+def test_a_full_device_gives_exit_2(unbuffered):
+    with open("/dev/full", "w") as full:
+        child = subprocess.run(BASE + ["st", "--s", "4", "--t", "1", "--prime-limit", "1000"],
+                               stdout=full, stderr=subprocess.PIPE, text=True,
+                               env=process_env(unbuffered))
+    lines = child.stderr.splitlines()
+    assert child.returncode == 2
+    assert len(lines) == 1 and lines[0].startswith("radseries: cannot write output: "), lines
+
+
+def test_atexit_handlers_still_run():
+    code = ("import atexit, runpy, sys; "
+            "atexit.register(print, 'atexit handler ran', file=sys.stderr); "
+            "sys.argv = ['radseries', 'radical', '12']; "
+            "runpy.run_module('radseries', run_name='__main__')")
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env=process_env())
+    assert child.returncode == 0
+    assert json.loads(child.stdout)["radical"] == 6
+    assert child.stderr == "atexit handler ran\n"
+
+
+def test_the_script_and_python_m_share_one_entry(monkeypatch):
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["radseries"]
+    module_name, _, name = target.partition(":")
+    calls = []
+    monkeypatch.setattr(importlib.import_module(module_name), name, lambda: calls.append(name))
+    runpy.run_module("radseries", run_name="__main__")
+    assert calls == [name]
 
 
 def test_threads_flag_is_retired():
