@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import atexit
+import io
 import json
 import math
 import os
@@ -531,11 +532,18 @@ def run() -> NoReturn:
     ends the process with ``os._exit``: the interpreter's teardown, mostly
     numpy's modules, would change no output and costs ~15 ms per command on
     a 2-vCPU x86-64 host.  A stdout write that fails, in a command or at the
-    flush, is one ``radseries:`` line on stderr and exit 2.  An atexit
-    handler that writes to stdout flushes it itself, as nothing flushes
-    after the handlers.  argparse's own exits (``--help``, usage errors)
-    leave through ``SystemExit`` as usual.
+    flush, is one ``radseries:`` line on stderr and exit 2.  An unbuffered
+    stdout (``PYTHONUNBUFFERED``) gets a line-buffered writer first: its
+    text layer would drop the rest of a write that the reader cut short,
+    with no error, where the writer retries it and so meets the closed
+    pipe.  An atexit handler that writes to stdout flushes it itself, as
+    nothing flushes after the handlers.  argparse's own exits (``--help``,
+    usage errors) leave through ``SystemExit`` as usual.
     """
+    raw = getattr(sys.stdout, "buffer", None)
+    if isinstance(raw, io.RawIOBase):
+        sys.stdout = io.TextIOWrapper(io.BufferedWriter(raw), encoding=sys.stdout.encoding,
+                                      errors=sys.stdout.errors, line_buffering=True)
     try:
         code = main()
         sys.stdout.flush()

@@ -18,9 +18,9 @@ A dump holds spf as little-endian int64, whatever the table's own dtype.
 The sieve is immutable after construction and all queries are pure.
 ``table_fits`` is the one size rule for this table and the prime table,
 and ``FactorSieve.build`` is the one place a sieve limit is refused.
-``radical_window`` needs no sieve: it forms the radicals of one window of
-consecutive n from the primes up to sqrt(n), and ``radical_range`` stays
-its reference.
+``radical_quotient_window`` needs no sieve: it forms n / radical(n) for one
+window of consecutive n from the prime-power strides of the primes up to
+sqrt(n), and ``radical_range`` stays its reference.
 """
 
 from __future__ import annotations
@@ -225,34 +225,29 @@ def is_squarefree(sieve: FactorSieve, n: int) -> bool:
     return radical(sieve, n) == n
 
 
-def radical_window(base, lo: int, hi: int) -> np.ndarray:
-    """radical(n) for lo <= n < hi as uint32, 1 <= lo <= hi <= 2^32, from
+def radical_quotient_window(base, lo: int, hi: int) -> np.ndarray:
+    """n / radical(n) for lo <= n < hi as uint32, 1 <= lo <= hi <= 2^32, from
     ``base``: the primes up to some B with B^2 >= hi - 1.
 
-    No table over [1, hi): each prime p of base multiplies ``rad`` by p along
-    the p-stride and ``extra`` by p along each p^k stride with k >= 2, so
-    rad * extra is the B-smooth part of n.  The cofactor n // (rad * extra)
-    has no prime factor up to B and is at most n <= B^2, so it is 1 or a
-    single prime, and rad * cofactor is radical(n).  Every value is at most
-    n, so uint32 holds it, and memory is three arrays of the window's
-    length, whatever hi is.
+    The quotient is e(n) = prod over p^k || n of p^(k-1), so it is 1 exactly
+    at squarefree n, and no table over [1, hi) is needed: each prime p of
+    base multiplies e by p along each p^k stride with k >= 2 that meets the
+    window.  A prime above B divides n < hi at most once, since its square
+    is past hi - 1, so it adds p^0 = 1 to e(n) and needs no stride.  Every
+    value is at most n, so uint32 holds it, and memory is one array of the
+    window's length, whatever hi is.  radical(n) is n / e(n) exactly, in
+    integers and in float64 alike (n < 2^53, and e(n) divides n).
     """
     size = hi - lo
-    rad = np.ones(size, dtype=np.uint32)
-    extra = np.ones(size, dtype=np.uint32)
+    e = np.ones(size, dtype=np.uint32)
     for p in np.asarray(base).tolist():
-        rad[-lo % p:: p] *= p
         pk = p * p
         while pk < hi:
             start = -lo % pk
             if start < size:  # most p^k above the window's length miss it
-                extra[start:: pk] *= p
+                e[start:: pk] *= p
             pk *= p
-    extra *= rad  # the B-smooth part of n
-    cofactor = np.arange(lo, hi, dtype=np.uint32)
-    cofactor //= extra
-    rad *= cofactor
-    return rad
+    return e
 
 
 def radical_range(sieve: FactorSieve, n_max: int) -> np.ndarray:

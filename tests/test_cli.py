@@ -638,13 +638,11 @@ def test_a_process_prints_and_exits_as_main_returns(args, code):
     assert (child.stdout, child.stderr, inline.returncode) == (inline.stdout, inline.stderr, code)
 
 
-# Unbuffered (PYTHONUNBUFFERED), ratio-grid writes its ~0.5 MB in one call.
-# When the reader leaves during it, the write comes back short and Python's
-# text layer drops the rest with no error, so the command exits 0: only the
-# buffered case is pinned for it.
+# Unbuffered (PYTHONUNBUFFERED), ratio-grid writes its ~0.5 MB in one call,
+# which the reader cuts short when it leaves during it.
 @pytest.mark.parametrize("args, unbuffered", [
-    (ABC_CSV, True), (ABC_CSV, False), (RATIO_GRID_CSV, False),
-], ids=["abc-unbuffered", "abc-buffered", "ratio-grid-buffered"])
+    (ABC_CSV, True), (ABC_CSV, False), (RATIO_GRID_CSV, True), (RATIO_GRID_CSV, False),
+], ids=["abc-unbuffered", "abc-buffered", "ratio-grid-unbuffered", "ratio-grid-buffered"])
 def test_a_reader_that_closes_the_pipe_early_gives_exit_2(args, unbuffered, tmp_path):
     # each output is several times a pipe's 64 KiB, so the command is still
     # writing when the reader leaves
@@ -1084,9 +1082,9 @@ NUMPY_MEMORY_ERROR = ("Unable to allocate 153. MiB for an array with shape (2000
 ], ids=["series", "identity", "abc", "st"])
 def test_memory_error_after_the_sieve_exits_2(monkeypatch, argv, message, line):
     # the first allocation after the sieve fails as numpy's does: the value
-    # table of the spf recurrence, for identity its first radical window, or
-    # for st the S/T kernel's buffers.  abc forms its radical table before its
-    # CSV header, so stdout stays empty.
+    # table of the spf recurrence, for identity its first window of n / R(n),
+    # or for st the S/T kernel's buffers.  abc forms its radical table before
+    # its CSV header, so stdout stays empty.
     from radseries import identity, multfn, stkernel
 
     def no_memory(*args, **kwargs):
@@ -1095,7 +1093,7 @@ def test_memory_error_after_the_sieve_exits_2(monkeypatch, argv, message, line):
     if argv[0] == "st":
         monkeypatch.setattr(stkernel.StKernel, "__init__", no_memory)
     elif argv[0] == "identity":
-        monkeypatch.setattr(identity, "radical_window", no_memory)
+        monkeypatch.setattr(identity, "radical_quotient_window", no_memory)
     else:
         monkeypatch.setattr(importlib.import_module("radseries.radical"),
                             "multiplicative_values", no_memory)

@@ -185,14 +185,21 @@ def sieve_512k():
     return FactorSieve.build(1 << 19)
 
 
-@pytest.mark.parametrize("s,t,prime_limit", [(4, 1, 100_000), (2.6, 0.5, 10_000), (5, 2.5, 100_000)])
+# near s = 1 + t the S/T enclosure is wide enough to leave rows of the
+# split ambiguous: 2,108 of the first 65,536 n
+AMBIGUOUS_POINT = (1.67, 0.001, 10_000)
+
+
+@pytest.mark.parametrize("s,t,prime_limit", [(4, 1, 100_000), (2.6, 0.5, 10_000), (5, 2.5, 100_000),
+                                             AMBIGUOUS_POINT])
 def test_shared_pass_is_bit_identical_to_separate_passes(sieve_512k, table_100k, s, t,
                                                          prime_limit):
     params = Params(s, t)
     # the pass walks summation blocks of 2^16 in radical windows of four:
-    # part of one block, exactly one, two, three ending inside a fourth, and
-    # one window and a block ending inside a second window
-    for limit in (1, 65_536, 100_000, 3 * DEFAULT_BLOCK + 7, WINDOW + DEFAULT_BLOCK + 7):
+    # part of one block, exactly one, two, three ending inside a fourth, one
+    # past a window, and one window and a block ending inside a second window
+    for limit in (1, 65_536, 100_000, 3 * DEFAULT_BLOCK + 7, WINDOW + 1,
+                  WINDOW + DEFAULT_BLOCK + 7):
         want = reference_identity(sieve_512k, table_100k, params, limit, prime_limit)
         got = identity_pass(table_100k, params, limit, prime_limit)
         assert got.st == want["st"]
@@ -204,15 +211,17 @@ def test_shared_pass_is_bit_identical_to_separate_passes(sieve_512k, table_100k,
         assert got.classification_counts == want["counts"]
         assert got.ambiguous_count == want["ambiguous_count"]
         assert got.ambiguous_sum == want["ambiguous_sum"]
+        if (s, t, prime_limit) == AMBIGUOUS_POINT and limit > 1:
+            assert got.ambiguous_count > 0
         # a second pass reproduces every field
         assert identity_pass(table_100k, params, limit, prime_limit) == got
 
 
 @pytest.mark.parametrize("limit", [1 << 19, 1 << 21])
 def test_identity_pass_memory_is_bounded_by_the_block(table_10k, traced_peak, limit):
-    # the per-n arrays live one block at a time and R(n) one window at a
+    # the per-n arrays live one block at a time and n / R(n) one window at a
     # time, so one bound holds at every limit: at most seven float64 blocks
-    # (6.5 measured) plus the window's uint32 radicals
+    # (6.5 measured) plus the window's uint32 quotients
     bound = 7 * 8 * DEFAULT_BLOCK + 4 * WINDOW
     assert traced_peak(lambda: identity_pass(table_10k, P41, limit, 10_000)) <= bound
 

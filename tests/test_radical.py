@@ -18,7 +18,7 @@ from radseries import (
     sieve_primes,
 )
 from radseries.numerics import DEFAULT_BLOCK
-from radseries.radical import _spf_sieve, radical_range, radical_window
+from radseries.radical import _spf_sieve, radical_quotient_window, radical_range
 
 from conftest import brute_phi, brute_rad
 
@@ -334,15 +334,23 @@ def windows(draw):
 @example((TOP - 12, TOP))
 @example((1, 2))
 @example((65_521 ** 2 - 5, 65_521 ** 2 + 5))
-def test_radical_window_matches_the_oracles(sieve_1e6, window):
+def test_radical_quotient_window_matches_the_oracles(sieve_1e6, window):
     # from the fewest primes the kernel allows: those up to sqrt(hi - 1)
     lo, hi = window
     base = sieve_primes(max(math.isqrt(hi - 1), 2)).primes
-    got = radical_window(base, lo, hi)
-    assert got.dtype == np.uint32
-    assert got.tolist() == [brute_rad(n) for n in range(lo, hi)]
+    e = radical_quotient_window(base, lo, hi)
+    assert e.dtype == np.uint32
+    n = np.arange(lo, hi, dtype=np.int64)
+    assert not (n % e).any()
+    want = [brute_rad(k) for k in range(lo, hi)]
+    assert (n // e).tolist() == want
     if hi <= 10 ** 6:
-        assert np.array_equal(got, radical_range(sieve_1e6, hi - 1)[lo:])
+        assert np.array_equal(n // e, radical_range(sieve_1e6, hi - 1)[lo:])
+    # e(n) = 1 exactly where n is squarefree
+    assert np.array_equal(e == 1, n == np.array(want, dtype=np.int64))
+    # the float64 quotient the identity pass forms is the radical, exactly
+    assert np.array_equal(np.arange(lo, hi, dtype=np.float64) / e,
+                          np.array(want, dtype=np.float64))
 
 
 def test_spf_sieve_matches_trial_division():
