@@ -27,7 +27,9 @@ at a time from the prime-power strides of the primes up to sqrt(N)
 (``radical.radical_quotient_window``), and each block's R(n) as the float64
 quotient n / e(n), which is exact.  So its per-n memory is one window, not
 N, and every sum keeps the bits of a whole-array pass (see
-``identity_pass``).
+``identity_pass``).  Each weight of the identity is leveled once, into the
+exact parts of its class; a block's residual is the fsum of its four
+classes' parts, which partition the block.
 
 The class split never forms R(n)^(S/T): it compares T ln n with S ln R(n)
 in log space.  A comparison is committed only when the whole S/T enclosure
@@ -117,18 +119,22 @@ def identity_pass(
     S/T is computed once.  n then walks the fixed blocks of
     ``numerics.sum_blocks``; each block forms a_n, ln n, ln R(n) and the
     weights w = a_n (S ln R(n) - T ln n) once, and keeps only what the sums
-    need: the block sums of the residual and of the two log-weighted series
-    behind the tolerance (sum a_n ln n and sum a_n ln R(n), by the rule of
-    ``series_d_log_n`` and ``series_d_log_m``), and the exact parts of its
-    w in each class.  e(n) = n / R(n) comes from ``radical_quotient_window``
-    over WINDOW n at a time, from the primes up to sqrt(limit) whatever
-    prime_limit is, and each block's R(n) is n / e(n) over a slice of its
-    window: exact in float64, as e(n) divides n < 2^53, so R(n) has the
-    bits of the integer radical.  Memory is one window of e(n) and one
-    block of each float array, whatever the limit.
+    need: the block sums of the two log-weighted series behind the tolerance
+    (sum a_n ln n and sum a_n ln R(n), by the rule of ``series_d_log_n`` and
+    ``series_d_log_m``), the exact parts of its w in each class, and its
+    residual, the ``math.fsum`` of those parts over the four classes.  As
+    the classes partition the block and the parts keep each class's exact
+    total, that is ``math.fsum(w)`` bit for bit, with no second pass over w.
+    e(n) = n / R(n) comes from ``radical_quotient_window`` over WINDOW n at
+    a time, from the primes up to sqrt(limit) whatever prime_limit is, and
+    each block's R(n) is n / e(n) over a slice of its window: exact in
+    float64, as e(n) divides n < 2^53, so R(n) has the bits of the integer
+    radical.  Memory is one window of e(n) and one block of each float
+    array, whatever the limit.
 
     Each class sum is one ``math.fsum`` over its blocks' ``exact_parts``,
-    which equals ``math.fsum`` of the whole masked w bit for bit away from
+    and each block residual one over the parts of the block's four classes;
+    either equals ``math.fsum`` of the same w bit for bit away from
     overflow.  w stays far from it: a_n <= n^(t-s) <= 1, and each T-term is
     below ln p and each S-term below twice its T-term, so
     |w_n| <= 3 theta(P) ln n < 4 P ln n, below 2^72 for any int64 P and n.
@@ -141,7 +147,7 @@ def identity_pass(
 
     base = sieve_primes(max(math.isqrt(limit), 2)).primes
     residual, log_n, log_r = [], [], []  # block sums
-    parts = ([], [], [], [])  # exact parts of w, by class
+    parts = ([], [], [], [])  # each block's exact parts of w, by class
     counts = [0, 0, 0, 0]
     for lo, hi in block_bounds(limit):
         if lo % WINDOW == 0:  # the next window, with the last one freed first
@@ -160,21 +166,21 @@ def identity_pass(
         w -= t_p * ln_n
         w *= a_n
         del a_n
-        residual.append(exact_sum(w))
         masks = class_masks(ln_n, ln_r, *st.ratio_interval)
         del n, r, ln_n, ln_r
         for i, mask in enumerate(masks):
             # the same copy as w[mask], gathered by index: ~3x faster on
             # masks that mix the classes
             members = np.compress(mask, w)
-            parts[i].extend(exact_parts(members))
+            parts[i].append(exact_parts(members))
             counts[i] += len(members)
+        residual.append(math.fsum([x for p in parts for x in p[-1]]))  # the classes partition w
 
     tail_n, tail_r = tail_bound(limit, params, g, 1.0), tail_bound(limit, params, g, g)
     tolerance = (st.s_value.tail_bound * (math.fsum(log_r) + tail_r)
                  + st.t_value.tail_bound * (math.fsum(log_n) + tail_n)
                  + s_p * tail_r + t_p * tail_n)
-    below, equal, above, ambiguous = (math.fsum(p) for p in parts)
+    below, equal, above, ambiguous = (math.fsum([x for b in p for x in b]) for p in parts)
     return IdentityResult(
         residual=math.fsum(residual),
         tolerance=tolerance,

@@ -14,6 +14,7 @@ from radseries import (
     series_d_log_n,
     st_ratio,
 )
+import radseries.identity
 from radseries.identity import WINDOW
 from radseries.numerics import DEFAULT_BLOCK, sum_blocks
 from radseries.radical import radical_range
@@ -224,6 +225,20 @@ def test_identity_pass_memory_is_bounded_by_the_block(table_10k, traced_peak, li
     # (6.5 measured) plus the window's uint32 quotients
     bound = 7 * 8 * DEFAULT_BLOCK + 4 * WINDOW
     assert traced_peak(lambda: identity_pass(table_10k, P41, limit, 10_000)) <= bound
+
+
+def test_each_weight_is_leveled_once(table_10k, monkeypatch):
+    # exact_sum takes the two log-weighted sums and exact_parts the class
+    # copies of w, which partition each block; the residual reuses the parts
+    seen = {"exact_sum": 0, "exact_parts": 0}
+    for name in seen:
+        def counted(x, name=name, kernel=getattr(radseries.identity, name)):
+            seen[name] += len(x)
+            return kernel(x)
+        monkeypatch.setattr(radseries.identity, name, counted)
+    limit = WINDOW + DEFAULT_BLOCK + 7
+    identity_pass(table_10k, P41, limit, 10_000)
+    assert seen == {"exact_sum": 2 * limit, "exact_parts": limit}
 
 
 @pytest.mark.parametrize("s,t", [(2.05, 1), (4, 1), (2.6, 0.5), (60, 50)])

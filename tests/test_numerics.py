@@ -247,11 +247,15 @@ def slices(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(slices(), slices())
-def test_exact_parts_of_two_slices_sum_like_their_concatenation(a, b):
+@given(slices(), slices(), st.integers(0, 2**32 - 1))
+def test_exact_parts_of_two_slices_sum_like_their_concatenation(a, b, seed):
     # the identity's class sums add the parts of one block after another
     joined = np.concatenate([a, b]).tolist()
     assert outcome(math.fsum, exact_parts(a) + exact_parts(b)) == outcome(math.fsum, joined)
+    # and its block residual adds the parts of four classes interleaved in a
+    label = np.random.default_rng(seed).integers(0, 4, size=len(a))
+    classes = [part for i in range(4) for part in exact_parts(a[label == i])]
+    assert outcome(math.fsum, classes) == outcome(math.fsum, a.tolist())
 
 
 MIDPOINT_SIZES = [2, 3, 4, DEFAULT_BLOCK - 1, DEFAULT_BLOCK]
