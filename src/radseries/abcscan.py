@@ -325,7 +325,7 @@ def certify(
     chunks = [slice(lo, lo + _C_CHUNK) for lo in range(0, len(c_values), _C_CHUNK)]
 
     # counts, hypotheses and the a = 1 qualities, c by c
-    phi = multiplicative_values(sieve.spf[: c_max + 1], _PHI)[0]
+    phi = multiplicative_values(sieve.spf[: c_max + 1], _PHI)
     below, q_a1 = np.empty(len(c_values), bool), np.empty(len(c_values))
     seen = hypothesis_true = 0
     for chunk in chunks:

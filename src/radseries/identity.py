@@ -47,13 +47,11 @@ import numpy as np
 
 from .errors import OutOfRangeError
 from .multfn import RADICAL_SPEC
-from .numerics import DEFAULT_BLOCK, block_bounds, exact_parts, exact_sum
+from .numerics import block_bounds, exact_parts, exact_sum
 from .primes import PrimeTable, sieve_primes
-from .radical import _SPF_MAX, FactorSieve, radical_quotient_window
+from .radical import _SPF_MAX, WINDOW, FactorSieve, radical_quotient_window
 from .series import Params, tail_bound, term_kernel
 from .stkernel import StResult, st_ratio
-
-WINDOW = 4 * DEFAULT_BLOCK  # n per radical window: four summation blocks
 
 
 @dataclass(frozen=True)

@@ -69,7 +69,7 @@ def range_values(spec: MultiplicativeSpec, sieve: FactorSieve, n_max: int) -> np
         m_values *= prime_power_values(spec, p, k)
         return m_values
 
-    return multiplicative_values(sieve.spf[: n_max + 1], (np.float64, 1.0, extend))[0]
+    return multiplicative_values(sieve.spf[: n_max + 1], (np.float64, 1.0, extend))
 
 
 def _radical_log_factor(p: np.ndarray, s: float, t: float) -> np.ndarray:

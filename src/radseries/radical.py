@@ -2,25 +2,28 @@
 
 One O(limit) pass builds the spf array; each scalar query then factors n
 in O(log n) divisions.  With ``cache_values`` on (the default), the radical
-and totient are also stored as parallel arrays, but only ``radical_range``
-reads one: a lean sieve (``cache_values=False``) forms the radical of a
-whole range from spf on demand.  The CLI builds and loads lean sieves
-only.  Every entry of the three tables is at most n, so each is uint32, 4
-bytes per n, and a limit past 2^32 - 1 is refused; a caller widens to
-int64 before it multiplies two entries.  ``multiplicative_values`` is the
-one kernel for a multiplicative function over a range: a recurrence over
-spf, in chunked vectorized passes whose temporaries are bounded by the
-chunk, not by limit.  It gives rad and phi (in one pass when both are
-cached) and every spec's M(n) (``multfn.range_values``).  A loaded dump is
-checked exactly against the sieve built for its limit (each limit has one
-spf table), reading the payload _CHUNK entries at a time after the build.
-A dump holds spf as little-endian int64, whatever the table's own dtype.
-The sieve is immutable after construction and all queries are pure.
-``table_fits`` is the one size rule for this table and the prime table,
-and ``FactorSieve.build`` is the one place a sieve limit is refused.
-``radical_quotient_window`` needs no sieve: it forms n / radical(n) for one
-window of consecutive n from the prime-power strides of the primes up to
-sqrt(n), and ``radical_range`` stays its reference.
+and totient are also stored as parallel arrays, which no package code
+reads: the CLI builds and loads lean sieves only (``cache_values=False``).
+Every entry of the three tables is at most n, so each is uint32, 4 bytes
+per n, and a limit past 2^32 - 1 is refused; a caller widens to int64
+before it multiplies two entries.
+
+A range of radicals has one kernel, ``radical_quotient_window``.  It needs
+no sieve: it forms e(n) = n / radical(n) for one window of consecutive n
+from the prime-power strides of the primes up to sqrt(n).  The identity
+pass divides n by it, and so does ``radical_range``, one WINDOW at a time;
+the cached radical is ``radical_range``'s output.  ``multiplicative_values``
+is the one spf recurrence, for the totient (``_PHI``) and every spec's M(n)
+(``multfn.range_values``), in chunked vectorized passes whose temporaries
+are bounded by the chunk, not by limit.
+
+A loaded dump is checked exactly against the sieve built for its limit
+(each limit has one spf table), reading the payload _CHUNK entries at a
+time after the build.  A dump holds spf as little-endian int64, whatever
+the table's own dtype.  The sieve is immutable after construction and all
+queries are pure.  ``table_fits`` is the one size rule for this table and
+the prime table, and ``FactorSieve.build`` is the one place a sieve limit
+is refused.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError, OutOfRangeError
+from .numerics import DEFAULT_BLOCK
 
 _DUMP_MAGIC = b"RADSIEVE"
 _DUMP_VERSION = 1
@@ -41,6 +45,7 @@ _DUMP_HEADER = struct.Struct("<8sIIQ")  # magic, version, reserved, limit
 _CHUNK = 1 << 16  # entries per vectorized pass over spf, and per dump read
 _WRITE_CHUNK = 1 << 14  # entries per dump write, converted to int64 one piece at a time
 _SPF_MAX = np.iinfo(np.uint32).max  # the largest limit whose tables hold every n
+WINDOW = 4 * DEFAULT_BLOCK  # n per radical window: four summation blocks
 
 
 def _physical_memory() -> int:
@@ -86,7 +91,8 @@ class FactorSieve:
             if limit > _SPF_MAX:
                 raise OutOfRangeError(f"sieve limit {limit} must be <= {_SPF_MAX} for uint32 tables")
             spf = _spf_sieve(limit)
-            rad, phi = multiplicative_values(spf, _RAD, _PHI) if cache_values else (None, None)
+            rad = radical_range(cls(limit=limit, spf=spf), limit) if cache_values else None
+            phi = multiplicative_values(spf, _PHI) if cache_values else None
         return cls(limit=limit, spf=spf, rad=rad, phi=phi)
 
     def check_range(self, n: int) -> None:
@@ -147,8 +153,8 @@ def _spf_sieve(limit: int) -> np.ndarray:
     return spf
 
 
-def multiplicative_values(spf: np.ndarray, *rules) -> list[np.ndarray]:
-    """A multiplicative f over n = 0..len(spf)-1 for each (dtype, f0, extend) rule.
+def multiplicative_values(spf: np.ndarray, rule) -> np.ndarray:
+    """A multiplicative f over n = 0..len(spf)-1 by one (dtype, f0, extend) rule.
 
     With p = spf[n], m = n // p and k the exponent of p in n,
 
@@ -165,32 +171,25 @@ def multiplicative_values(spf: np.ndarray, *rules) -> list[np.ndarray]:
     cache-sized.
     f[1] = 1, and f[0] = f0 is a sentinel.
     """
-    size = len(spf)
-    values = []
-    for dtype, f0, _ in rules:
-        f = np.empty(size, dtype=dtype)
-        f[:2] = 1
-        f[:1] = f0
-        values.append(f)
-    exponent = np.zeros(size, dtype=np.uint8)
+    dtype, f0, extend = rule
+    f = np.ones(len(spf), dtype=dtype)
+    f[:1] = f0
+    exponent = np.zeros(len(f), dtype=np.uint8)
     lo = 2
-    while lo < size:
-        hi = min(2 * lo, lo + _CHUNK, size)
+    while lo < len(f):
+        hi = min(2 * lo, lo + _CHUNK, len(f))
         p = spf[lo:hi]
         m = np.arange(lo, hi, dtype=np.int64) // p
         k = exponent[m]
         k *= spf[m] == p
         k += 1
         exponent[lo:hi] = k
-        for f, (_, _, extend) in zip(values, rules):
-            f[lo:hi] = extend(f[m], p, k)
+        f[lo:hi] = extend(f[m], p, k)
         lo = hi
-    return values
+    return f
 
 
-# rad(p^k) = p and phi(p^k) = (p - 1) p^(k-1); index 0 holds rad 1, phi 0.
-# Both stay in uint32: each value is at most n
-_RAD = (np.uint32, 1, lambda rad, p, k: rad * np.where(k == 1, p, 1))
+# phi(p^k) = (p - 1) p^(k-1), and index 0 holds 0; uint32 holds it, as phi(n) <= n
 _PHI = (np.uint32, 0, lambda phi, p, k: phi * np.where(k == 1, p - 1, p))
 
 
@@ -227,16 +226,18 @@ def is_squarefree(sieve: FactorSieve, n: int) -> bool:
 
 def radical_quotient_window(base, lo: int, hi: int) -> np.ndarray:
     """n / radical(n) for lo <= n < hi as uint32, 1 <= lo <= hi <= 2^32, from
-    ``base``: the primes up to some B with B^2 >= hi - 1.
+    ``base``: the primes up to some B >= isqrt(hi - 1), that is with
+    (B + 1)^2 > hi - 1.
 
     The quotient is e(n) = prod over p^k || n of p^(k-1), so it is 1 exactly
     at squarefree n, and no table over [1, hi) is needed: each prime p of
     base multiplies e by p along each p^k stride with k >= 2 that meets the
-    window.  A prime above B divides n < hi at most once, since its square
-    is past hi - 1, so it adds p^0 = 1 to e(n) and needs no stride.  Every
-    value is at most n, so uint32 holds it, and memory is one array of the
-    window's length, whatever hi is.  radical(n) is n / e(n) exactly, in
-    integers and in float64 alike (n < 2^53, and e(n) divides n).
+    window.  A prime above B is at least B + 1, so its square is past
+    hi - 1 and it divides n < hi at most once: it adds p^0 = 1 to e(n) and
+    needs no stride.  Every value is at most n, so uint32 holds it, and
+    memory is one array of the window's length, whatever hi is.  radical(n)
+    is n / e(n) exactly, in integers and in float64 alike (n < 2^53, and
+    e(n) divides n).
     """
     size = hi - lo
     e = np.ones(size, dtype=np.uint32)
@@ -252,8 +253,17 @@ def radical_quotient_window(base, lo: int, hi: int) -> np.ndarray:
 
 def radical_range(sieve: FactorSieve, n_max: int) -> np.ndarray:
     """radical(n) for n = 0..n_max as uint32 (index 0 is a 1-sentinel);
-    widen to int64 before multiplying two of them."""
+    widen to int64 before multiplying two of them.
+
+    Each WINDOW of n is divided by its ``radical_quotient_window``, from the
+    primes up to isqrt(n_max), read off the sieve's spf table, so scratch
+    memory is one window, whatever n_max is.
+    """
     sieve.check_range(max(n_max, 1))
-    if sieve.rad is not None:
-        return sieve.rad[: n_max + 1]
-    return multiplicative_values(sieve.spf[: n_max + 1], _RAD)[0]
+    spf = sieve.spf[: math.isqrt(n_max) + 1]
+    base = np.flatnonzero(spf == np.arange(len(spf)))[2:]  # spf[0] = 0, spf[1] = 1
+    rad = np.arange(n_max + 1, dtype=np.uint32)
+    rad[0] = 1
+    for lo in range(1, n_max + 1, WINDOW):
+        rad[lo:lo + WINDOW] //= radical_quotient_window(base, lo, min(lo + WINDOW, n_max + 1))
+    return rad

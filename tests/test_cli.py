@@ -1081,10 +1081,10 @@ NUMPY_MEMORY_ERROR = ("Unable to allocate 153. MiB for an array with shape (2000
     ("st", "--s", "4", "--t", "1", "--prime-limit", "1000"),
 ], ids=["series", "identity", "abc", "st"])
 def test_memory_error_after_the_sieve_exits_2(monkeypatch, argv, message, line):
-    # the first allocation after the sieve fails as numpy's does: the value
-    # table of the spf recurrence, for identity its first window of n / R(n),
-    # or for st the S/T kernel's buffers.  abc forms its radical table before
-    # its CSV header, so stdout stays empty.
+    # the first allocation after the sieve fails as numpy's does: for series
+    # the value table of the spf recurrence, for identity and abc the first
+    # window of n / R(n), or for st the S/T kernel's buffers.  abc forms its
+    # radical table before its CSV header, so stdout stays empty.
     from radseries import identity, multfn, stkernel
 
     def no_memory(*args, **kwargs):
@@ -1094,9 +1094,10 @@ def test_memory_error_after_the_sieve_exits_2(monkeypatch, argv, message, line):
         monkeypatch.setattr(stkernel.StKernel, "__init__", no_memory)
     elif argv[0] == "identity":
         monkeypatch.setattr(identity, "radical_quotient_window", no_memory)
-    else:
+    elif argv[0] == "abc":
         monkeypatch.setattr(importlib.import_module("radseries.radical"),
-                            "multiplicative_values", no_memory)
+                            "radical_quotient_window", no_memory)
+    else:
         monkeypatch.setattr(multfn, "multiplicative_values", no_memory)
     r = run_cli(*argv)
     assert r.returncode == 2

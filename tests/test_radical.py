@@ -18,7 +18,7 @@ from radseries import (
     sieve_primes,
 )
 from radseries.numerics import DEFAULT_BLOCK
-from radseries.radical import _spf_sieve, radical_quotient_window, radical_range
+from radseries.radical import WINDOW, _spf_sieve, radical_quotient_window, radical_range
 
 from conftest import brute_phi, brute_rad
 
@@ -206,8 +206,9 @@ def test_value_sieves_match_strided_kernels_at_chunk_edges(limit):
 
 @pytest.mark.parametrize("cache_values, kept_arrays", [(True, 3), (False, 1)])
 def test_build_memory_is_the_kept_arrays_plus_chunks(traced_peak, cache_values, kept_arrays):
-    # spf is kept, and rad and phi when cached, at 4 bytes per n; the value
-    # passes add a few chunk-sized temporaries at a time, however large the limit
+    # spf is kept, and rad and phi when cached, at 4 bytes per n; rad's
+    # windows and phi's passes add a few window- or chunk-sized temporaries
+    # at a time, however large the limit
     limit = 1_000_000
     kept = kept_arrays * 4 * (limit + 1)
     peak = traced_peak(lambda: FactorSieve.build(limit, cache_values=cache_values))
@@ -292,12 +293,36 @@ def test_load_memory_is_a_build_plus_a_chunk(tmp_path, traced_peak, cache_values
 
 
 def test_lean_radical_range_equals_cached_rad():
-    cached = FactorSieve.build(70_000)
-    lean = FactorSieve.build(70_000, cache_values=False)
-    for n_max in (0, 1, 2, 3, 4, 65_535, 65_536, 65_537, 70_000):
+    # both come from the window kernel, so each is checked against the
+    # strided oracle, at block edges and at the window edges 2^18 + 1, 2^19 + 1
+    limit = 2 ** 19 + 1
+    cached = FactorSieve.build(limit)
+    lean = FactorSieve.build(limit, cache_values=False)
+    want = strided_rad(lean.spf)
+    for n_max in (0, 1, 2, 3, 4, 65_535, 65_536, 65_537, 70_000,
+                  2 ** 18, 2 ** 18 + 1, 2 ** 19 + 1):
         got = radical_range(lean, n_max)
         assert got.dtype == np.uint32
+        assert np.array_equal(got, want[: n_max + 1]), n_max
         assert np.array_equal(got, cached.rad[: n_max + 1]), n_max
+
+
+def test_radical_range_needs_no_recurrence_and_one_window(monkeypatch, traced_peak):
+    # each window of radicals is n // e(n), so beyond its output the range
+    # holds one window of e(n) and the few primes up to sqrt(n_max)
+    n_max = 3_000_000
+    lean = FactorSieve.build(n_max, cache_values=False)
+    want = strided_rad(lean.spf)
+
+    def no_recurrence(*args, **kwargs):
+        raise AssertionError("radical_range ran the spf recurrence")
+
+    monkeypatch.setattr(sys.modules["radseries.radical"], "multiplicative_values",
+                        no_recurrence)
+    got = []
+    peak = traced_peak(lambda: got.append(radical_range(lean, n_max)))
+    assert np.array_equal(got[0], want)
+    assert peak <= 4 * (n_max + 1) + 4 * WINDOW + 64 * 2 ** 10
 
 
 TOP = 2 ** 32  # one past the largest n a uint32 window holds
@@ -305,8 +330,9 @@ PRIMES_BELOW_2_16 = sieve_primes(2 ** 16).primes.tolist()
 
 
 @pytest.fixture(scope="module")
-def sieve_1e6():
-    return FactorSieve.build(10 ** 6)
+def rad_1e6():
+    """The strided oracle's radicals to 1e6, formed once per module."""
+    return strided_rad(FactorSieve.build(10 ** 6, cache_values=False).spf)
 
 
 @st.composite
@@ -334,7 +360,7 @@ def windows(draw):
 @example((TOP - 12, TOP))
 @example((1, 2))
 @example((65_521 ** 2 - 5, 65_521 ** 2 + 5))
-def test_radical_quotient_window_matches_the_oracles(sieve_1e6, window):
+def test_radical_quotient_window_matches_the_oracles(rad_1e6, window):
     # from the fewest primes the kernel allows: those up to sqrt(hi - 1)
     lo, hi = window
     base = sieve_primes(max(math.isqrt(hi - 1), 2)).primes
@@ -345,7 +371,7 @@ def test_radical_quotient_window_matches_the_oracles(sieve_1e6, window):
     want = [brute_rad(k) for k in range(lo, hi)]
     assert (n // e).tolist() == want
     if hi <= 10 ** 6:
-        assert np.array_equal(n // e, radical_range(sieve_1e6, hi - 1)[lo:])
+        assert np.array_equal(n // e, rad_1e6[lo:hi])
     # e(n) = 1 exactly where n is squarefree
     assert np.array_equal(e == 1, n == np.array(want, dtype=np.int64))
     # the float64 quotient the identity pass forms is the radical, exactly
