@@ -12,8 +12,9 @@ A range of radicals has one kernel, ``radical_quotient_window``.  It needs
 no sieve: it forms e(n) = n / radical(n) for one window of consecutive n
 from the prime-power strides of the primes up to sqrt(n).  The identity
 pass divides n by it, and so does ``radical_range``, one WINDOW at a time;
-the cached radical is ``radical_range``'s output.  ``multiplicative_values``
-is the one spf recurrence, for the totient (``_PHI``) and every spec's M(n)
+the cached radical and the radical series' R(n) are ``radical_range``'s
+output.  ``multiplicative_values`` is the one spf recurrence, for the
+totient (``_PHI``) and the M(n) of every other spec
 (``multfn.range_values``), in chunked vectorized passes whose temporaries
 are bounded by the chunk, not by limit.
 

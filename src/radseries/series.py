@@ -9,6 +9,12 @@ R(n)^t/n^s is at most n^(t-s), with equality exactly at squarefree n).
 Specs without a declared growth bound, or with one where s - g*t <= 1,
 still give values; their truncations carry tail_bound = None.
 
+M(n) is read from one table over 1..N: for ``RADICAL_SPEC`` the uint32
+``radical.radical_range``, filled by the window kernel that the identity and
+the abc scan use, and for every other spec the float64 table of
+``multfn.range_values``; each block's slice is float64 before its terms are
+formed.
+
 One kernel, ``term_kernel``, forms every term a_n as
 np.power(M(n), t) * np.power(n, -s) in float64 (the spec framework
 guarantees M(n) > 0), or as exp(t ln M(n) - s ln n) where that product is
@@ -27,9 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParamsError
-from .multfn import MultiplicativeSpec, range_values
+from .multfn import RADICAL_SPEC, MultiplicativeSpec, range_values
 from .numerics import exact_sum, log_power_tail, power_tail, sum_blocks, tail_exponent
-from .radical import FactorSieve
+from .radical import FactorSieve, radical_range
 
 
 @dataclass(frozen=True)
@@ -101,11 +107,11 @@ def tail_bound(limit: int, params: Params, growth: float | None,
 def _series(spec, sieve, params, limit, log_of=None, log_bound=None, threads=1) -> TruncatedSum:
     """The series of spec, each term weighted by ln(log_of(n, M(n))) if given."""
     sieve.check_range(limit)
-    values = range_values(spec, sieve, limit)
+    values = radical_range(sieve, limit) if spec is RADICAL_SPEC else range_values(spec, sieve, limit)
 
     def block_sum(lo: int, hi: int) -> float:
         n = np.arange(lo + 1, hi + 1, dtype=np.float64)  # block over n-1
-        m = values[lo + 1: hi + 1]
+        m = values[lo + 1: hi + 1].astype(np.float64, copy=False)
         a = term_kernel(m, n, params)
         if log_of is not None:
             a *= np.log(log_of(n, m))

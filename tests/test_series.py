@@ -16,7 +16,9 @@ from radseries import (
     series_d_log_m,
     series_d_log_n,
 )
-from radseries.radical import radical_range
+from radseries import multfn
+from radseries.numerics import DEFAULT_BLOCK
+from radseries.radical import WINDOW, radical_range
 from radseries.series import term_kernel
 
 P41 = Params(4, 1)
@@ -163,15 +165,49 @@ def test_declared_growth_tightens_rc(sieve_10k):
 
 
 def test_series_memory_is_one_value_array_plus_chunks(traced_peak):
-    # on a lean sieve M(n) comes from spf as one float64 array, with one
-    # uint8 exponent per n and chunk-sized temporaries beside it, not as an
-    # int64 radical and a float64 copy of it
+    # on a lean sieve R(n) is radical_range's one uint32 table, beside one
+    # window of n / R(n) while it is formed and block-sized float64
+    # temporaries while the terms are summed, not a float64 table of the
+    # spf recurrence with a uint8 exponent per n
     from radseries import FactorSieve
 
     limit = 1_000_000
     sieve = FactorSieve.build(limit, cache_values=False)
     peak = traced_peak(lambda: series_d(RADICAL_SPEC, sieve, P41, limit))
-    assert peak <= (8 + 1) * (limit + 1) + 8 * 8 * (1 << 16)
+    assert peak <= 4 * (limit + 1) + 4 * WINDOW + 8 * 8 * (1 << 16)
+
+
+@pytest.fixture(scope="module")
+def sieve_past_a_window():
+    """A lean sieve to one window plus one summation block plus 7."""
+    from radseries import FactorSieve
+
+    return FactorSieve.build(WINDOW + DEFAULT_BLOCK + 7, cache_values=False)
+
+
+@pytest.mark.parametrize("s, t", [(4, 1), (2.6, 0.5), (2.05, 1.0), (400.0, 350.0)])
+def test_radical_series_runs_without_the_recurrence(monkeypatch, sieve_past_a_window, s, t):
+    # the radical comes from the window kernel, so the spf recurrence is
+    # never run for it; a copy of the spec, which only the recurrence
+    # serves, gives the same bits.  Params(4, 1) has an integer t, and at
+    # (400, 350) term_kernel takes its exp-log branch
+    params = Params(s, t)
+    radical_copy = MultiplicativeSpec("radical-copy", lambda p, k: p, growth_exponent=1.0)
+    limits = (1, WINDOW, WINDOW + 1, WINDOW + DEFAULT_BLOCK + 7)
+    kinds = (series_d, series_d_log_n, series_d_log_m)
+    want = [kind(radical_copy, sieve_past_a_window, params, limit)
+            for limit in limits for kind in kinds]
+
+    def no_recurrence(*args, **kwargs):
+        raise AssertionError("the radical series ran the spf recurrence")
+
+    monkeypatch.setattr(multfn, "multiplicative_values", no_recurrence)
+    got = [kind(RADICAL_SPEC, sieve_past_a_window, params, limit)
+           for limit in limits for kind in kinds]
+    assert [(r.value.hex(), r.tail_bound, r.terms_used) for r in got] == \
+        [(r.value.hex(), r.tail_bound, r.terms_used) for r in want]
+    threaded = series_d(RADICAL_SPEC, sieve_past_a_window, params, limits[-1], threads=2)
+    assert threaded.value.hex() == want[-3].value.hex()
 
 
 def test_limit_out_of_range(sieve_10k):
